@@ -275,8 +275,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .decoding import beam_search
-    from .model import ModelParameters, attend, encode, predict_distribution
+    from .decoding import beam_search, exhaustive_search
+    from .model import (ModelParameters, attend, attention_keys,
+                        attentional_vector, encode, lexicon_rows,
+                        predict_distribution)
 
     failures = []
     rng = np.random.default_rng(123)
@@ -292,8 +294,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         failures.append(f"gradient check error {err:.2e} >= 1e-4")
 
     states, h, c = encode(params, [3, 4, 5])
-    weights, context = attend(params, states, h)
-    probs = predict_distribution(params, h, context, weights, [3, 4, 5])
+    weights, context = attend(params, states, attention_keys(params, states), h)
+    probs = predict_distribution(params, attentional_vector(params, h, context),
+                                 weights, lexicon_rows(params, [3, 4, 5]))
     gap = abs(float(probs.sum()) - 1.0)
     log.info("selftest: distribution sum deviation %.2e", gap)
     if not gap < 1e-6:
@@ -301,11 +304,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     tiny = ModelParameters.initialize(rng, 3, 3, hidden_size=3, embed_size=3)
     top = beam_search(tiny, [0, 2], beam_size=81, max_len=4)[0]
-    best_seq, best_lp = _exhaustive_argmax(tiny, [0, 2], 4)
-    if top.tokens != best_seq or abs(top.log_prob - best_lp) > 1e-9:
-        failures.append("beam search differs from exhaustive argmax")
+    best = exhaustive_search(tiny, [0, 2], max_len=4)
+    if top.tokens != best.tokens or abs(top.log_prob - best.log_prob) > 1e-9:
+        failures.append("beam search differs from exhaustive search")
     else:
-        log.info("selftest: beam search matches exhaustive argmax")
+        log.info("selftest: beam search matches exhaustive search")
 
     if failures:
         for failure in failures:
@@ -313,37 +316,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         return 1
     print("selftest: all checks passed")
     return 0
-
-
-def _exhaustive_argmax(params, src_ids, max_len):
-    from .model import (attend, attentional_vector, encode, lstm_step,
-                        predict_distribution)
-    from .vocab import BOS_ID
-
-    states, h0, c0 = encode(params, src_ids)
-    V = params.tgt_vocab_size
-    best = (None, -np.inf)
-
-    def walk(prev, h, c, htil, seq, logp):
-        nonlocal best
-        if len(seq) >= max_len:
-            return
-        x = np.concatenate([params.E_tgt[prev], htil])
-        h2, c2 = lstm_step(params.W_dec, params.b_dec, x, h, c)
-        w, ctx = attend(params, states, h2)
-        probs = predict_distribution(params, h2, ctx, w, src_ids)
-        htil2 = attentional_vector(params, h2, ctx)
-        for tok in range(V):
-            lp = logp + float(np.log(probs[tok]))
-            if tok == EOS_ID:
-                if lp > best[1]:
-                    best = (seq + (tok,), lp)
-            else:
-                walk(tok, h2, c2, htil2, seq + (tok,), lp)
-
-    htil0 = np.zeros(params.hidden_size, dtype=params.W_enc.dtype)
-    walk(BOS_ID, h0, c0, htil0, (), 0.0)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ which keeps the mixture a proper distribution.
 Parameters are float32; distributions accumulate in float64 so the
 sum-to-one contract holds tightly.  Gate order in all LSTM weight
 matrices is [input, forget, cell, output].
+
+The decoder-side functions (lstm_step, attend, attentional_vector,
+predict_distribution) take a leading batch axis: rows (..., H) are
+independent, so decoding steps every live hypothesis in one call.  They
+compute in the dtype of what they are given; decoding.Decoder hands
+them float64 copies of the decoder weights (see decoding.py for why).
 """
 
 from __future__ import annotations
@@ -27,18 +33,23 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp
+    overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x)
+    """Softmax over the last axis."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum()
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+# Smallest probability whose log is taken: the training loss and the
+# decoder's scores both read p as max(p, P_FLOOR), so an underflowed
+# probability gives a large finite cost instead of inf.
+P_FLOOR = 1e-300
 
 
 @dataclass
@@ -161,13 +172,15 @@ def lstm_step(
     W: np.ndarray, b: np.ndarray, x: np.ndarray,
     h_prev: np.ndarray, c_prev: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    H = h_prev.shape[0]
-    assert W.shape == (4 * H, x.shape[0] + H), (W.shape, x.shape, H)
-    z = W @ np.concatenate([x, h_prev]) + b
-    i = sigmoid(z[0:H])
-    f = sigmoid(z[H : 2 * H])
-    g = np.tanh(z[2 * H : 3 * H])
-    o = sigmoid(z[3 * H : 4 * H])
+    """One LSTM step for inputs (..., n) and states (..., H)."""
+    H = h_prev.shape[-1]
+    assert W.shape == (4 * H, x.shape[-1] + H), (W.shape, x.shape, H)
+    z = np.concatenate([x, h_prev], axis=-1) @ W.T + b
+    gates = sigmoid(z)  # one call; the cell slice is not used
+    i = gates[..., 0:H]
+    f = gates[..., H:2 * H]
+    g = np.tanh(z[..., 2 * H:3 * H])
+    o = gates[..., 3 * H:4 * H]
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c
@@ -188,64 +201,69 @@ def encode(params: ModelParameters, src_ids: list[int]) -> tuple[np.ndarray, np.
     return states, h, c
 
 
+def attention_keys(params: ModelParameters, encoder_states: np.ndarray) -> np.ndarray:
+    """The source side of the attention MLP, (S, H): it depends only on
+    the encoder states, so it is computed once per source."""
+    return encoder_states @ params.W_att_x.T
+
+
 def attend(
-    params: ModelParameters, encoder_states: np.ndarray, decoder_hidden: np.ndarray
+    params: ModelParameters,
+    encoder_states: np.ndarray,
+    keys: np.ndarray,
+    decoder_hidden: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(weights over source positions, context vector)."""
-    pre = encoder_states @ params.W_att_x.T          # (S, H)
-    act = np.tanh(pre + params.W_att_h @ decoder_hidden + params.b_att)
-    scores = act @ params.v_att                      # (S,)
-    weights = softmax(scores.astype(np.float64))
-    context = weights @ encoder_states.astype(np.float64)
-    return weights, context.astype(encoder_states.dtype)
+    """(weights (..., S), context (..., H)) for decoder states (..., H);
+    keys is attention_keys(params, encoder_states)."""
+    query = decoder_hidden @ params.W_att_h.T + params.b_att      # (..., H)
+    act = np.tanh(keys + query[..., None, :])                      # (..., S, H)
+    scores = act @ params.v_att                                    # (..., S)
+    weights = softmax(scores.astype(np.float64, copy=False))
+    context = weights @ encoder_states.astype(np.float64, copy=False)
+    return weights, context.astype(encoder_states.dtype, copy=False)
 
 
 def attentional_vector(
     params: ModelParameters, decoder_hidden: np.ndarray, context: np.ndarray
 ) -> np.ndarray:
-    return np.tanh(params.W_comb @ np.concatenate([decoder_hidden, context]) + params.b_comb)
+    """h~ (..., H) from decoder states and contexts (..., H)."""
+    joined = np.concatenate([decoder_hidden, context], axis=-1)
+    return np.tanh(joined @ params.W_comb.T + params.b_comb)
+
+
+def lexicon_rows(
+    params: ModelParameters, src_ids: list[int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lexicon restricted to one source, for predict_distribution:
+    (S, V_tgt) translation rows, all zero where a source token has no
+    row, and the (S,) indicator of those rows that back off to the
+    softmax.  None when the lexicon is off."""
+    if not params.lexicon or params.lex_weight <= 0.0:
+        return None
+    rows = np.zeros((len(src_ids), params.tgt_vocab_size))
+    backoff = np.zeros(len(src_ids))
+    for i, sid in enumerate(src_ids):
+        row = params.lexicon.get(sid)
+        if row is None:
+            backoff[i] = 1.0
+        else:
+            rows[i, list(row)] = list(row.values())
+    return rows, backoff
 
 
 def predict_distribution(
     params: ModelParameters,
-    decoder_hidden: np.ndarray,
-    context: np.ndarray,
+    htilde: np.ndarray,
     weights: np.ndarray,
-    src_ids: list[int],
+    lexicon: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
-    """Probability vector over the target vocabulary (float64)."""
-    htilde = attentional_vector(params, decoder_hidden, context)
-    logits = (params.W_pred @ htilde + params.b_pred).astype(np.float64)
+    """Probability rows (..., V_tgt), float64, from attentional vectors
+    (..., H), attention weights (..., S) and lexicon_rows(params, src)."""
+    logits = (htilde @ params.W_pred.T + params.b_pred).astype(np.float64, copy=False)
     base = softmax(logits)
-    lam = params.lex_weight
-    if not params.lexicon or lam <= 0.0:
+    if lexicon is None:
         return base
-    lex_part = np.zeros_like(base)
-    backoff_mass = 0.0
-    for alpha, sid in zip(weights, src_ids):
-        row = params.lexicon.get(sid)
-        if row is None:
-            backoff_mass += alpha
-        else:
-            for tid, prob in row.items():
-                lex_part[tid] += alpha * prob
-    return (1.0 - lam + lam * backoff_mass) * base + lam * lex_part
-
-
-def sequence_log_prob(
-    params: ModelParameters, src_ids: list[int], tgt_ids: list[int], bos_id: int = 1
-) -> float:
-    """Teacher-forced log P(tgt | src); tgt_ids must end with </s>."""
-    states, h, c = encode(params, src_ids)
-    htilde = np.zeros(params.hidden_size, dtype=params.W_enc.dtype)
-    total = 0.0
-    prev = bos_id
-    for tid in tgt_ids:
-        x = np.concatenate([params.E_tgt[prev], htilde])
-        h, c = lstm_step(params.W_dec, params.b_dec, x, h, c)
-        weights, context = attend(params, states, h)
-        probs = predict_distribution(params, h, context, weights, src_ids)
-        total += float(np.log(probs[tid]))
-        htilde = attentional_vector(params, h, context)
-        prev = tid
-    return total
+    rows, backoff = lexicon
+    lam = params.lex_weight
+    backoff_mass = np.asarray(weights @ backoff)[..., None]
+    return (1.0 - lam + lam * backoff_mass) * base + lam * (weights @ rows)

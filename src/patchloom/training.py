@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParameters, sigmoid
+from .model import P_FLOOR, ModelParameters, sigmoid
 from .vocab import BOS_ID, EOS_ID
 
 log = logging.getLogger(__name__)
@@ -229,7 +229,7 @@ def forward_pair(
             cache.c0[t] = c0
         else:
             p_y = float(smax[y])
-        loss -= np.log(max(p_y, 1e-300))
+        loss -= np.log(max(p_y, P_FLOOR))
     cache.loss = float(loss)
     return cache
 
@@ -239,6 +239,13 @@ def forward_pair(
 
 def zero_gradients(params: ModelParameters) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(t) for name, t in params.tensors().items()}
+
+
+def _loss_slope(p_y: float) -> float:
+    """d/dp_y of the forward's per-token loss -log(max(p_y, P_FLOOR)),
+    which is flat below the floor.  (-1 / P_FLOOR there would overflow
+    float32 gradients to inf, and inf * 0 to NaN.)"""
+    return -1.0 / p_y if p_y > P_FLOOR else 0.0
 
 
 def backward_pair(
@@ -283,7 +290,7 @@ def backward_pair(
                     lex_y += float(a_i) * row.get(y, 0.0)
             c0 = cache.c0[t]
             p_y = c0 * float(smax[y]) + lam * lex_y
-            dP_y = -1.0 / p_y
+            dP_y = _loss_slope(p_y)
             dls_y = c0 * dP_y                      # dL/d smax[y]
             dalpha_mix = np.empty(S, dtype=dtype)
             base = lam * float(smax[y]) * dP_y
@@ -294,7 +301,7 @@ def backward_pair(
                     dalpha_mix[i] = lam * row.get(y, 0.0) * dP_y
         else:
             p_y = float(smax[y])
-            dls_y = -1.0 / p_y
+            dls_y = _loss_slope(p_y)
             dalpha_mix = None
 
         # softmax backward with single nonzero upstream component

@@ -8,7 +8,6 @@ everything else finishes in seconds.
 """
 
 import csv
-import itertools
 import json
 import os
 import time
@@ -18,7 +17,7 @@ import pytest
 
 from patchloom.arguments import abstract_arguments, reinsert_arguments
 from patchloom.cli import main
-from patchloom.decoding import beam_search
+from patchloom.decoding import beam_search, exhaustive_search
 from patchloom.evaluation import evaluate, metrics_from_counts, validity_rate
 from patchloom.generation import (
     BaselineIndex,
@@ -31,9 +30,11 @@ from patchloom.mining import MiningReport, mine_hunks
 from patchloom.model import (
     ModelParameters,
     attend,
+    attention_keys,
+    attentional_vector,
     encode,
+    lexicon_rows,
     predict_distribution,
-    sequence_log_prob,
 )
 from patchloom.repo import open_repository
 from patchloom.synthdata import make_benchmark, make_repo
@@ -105,18 +106,6 @@ def test_reported_validity_fraction_reproduces():
 # ---------------------------------------------------------------------------
 # numeric core: gradients, normalization, exact beam search
 
-def _brute_force_best(params, src_ids, max_len):
-    non_eos = [i for i in range(params.tgt_vocab_size) if i != EOS_ID]
-    best_tokens, best_score = None, -np.inf
-    for length in range(max_len + 1):
-        for prefix in itertools.product(non_eos, repeat=length):
-            seq = list(prefix) + [EOS_ID] if length < max_len else list(prefix)
-            score = sequence_log_prob(params, src_ids, seq)
-            if score > best_score:
-                best_tokens, best_score = tuple(seq), score
-    return best_tokens, best_score
-
-
 def test_numeric_core_gradient_distribution_and_beam_guarantees():
     started = time.monotonic()
     rng = np.random.default_rng(11)
@@ -134,8 +123,9 @@ def test_numeric_core_gradient_distribution_and_beam_guarantees():
         if seed == 2:
             p.lexicon = {3: {4: 0.7, 5: 0.3}, 4: {6: 1.0}}
         states, h, c = encode(p, [3, 4, 5])
-        weights, context = attend(p, states, h)
-        probs = predict_distribution(p, h, context, weights, [3, 4, 5])
+        weights, context = attend(p, states, attention_keys(p, states), h)
+        probs = predict_distribution(p, attentional_vector(p, h, context),
+                                     weights, lexicon_rows(p, [3, 4, 5]))
         gap = max(gap, abs(float(probs.sum()) - 1.0))
 
     beam_ok = True
@@ -143,9 +133,9 @@ def test_numeric_core_gradient_distribution_and_beam_guarantees():
         p = ModelParameters.initialize(
             np.random.default_rng(seed), 3, 3, hidden_size=3, embed_size=2,
             lex_weight=0.0, scale=0.8)
-        want_tokens, want_score = _brute_force_best(p, [0, 2], max_len=4)
+        want = exhaustive_search(p, [0, 2], max_len=4)
         top = beam_search(p, [0, 2], beam_size=81, max_len=4)[0]
-        if top.tokens != want_tokens or abs(top.log_prob - want_score) > 1e-9:
+        if top.tokens != want.tokens or abs(top.log_prob - want.log_prob) > 1e-9:
             beam_ok = False
     elapsed = time.monotonic() - started
     ok = grad_err < 1e-4 and gap < 1e-6 and beam_ok and elapsed < 30

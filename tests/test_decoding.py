@@ -1,8 +1,10 @@
-"""Beam search against a brute-force enumeration oracle.
+"""Beam search against the exhaustive-search reference.
 
 With three target ids and a short length cap the hypothesis space is
 enumerable (31 sequences), so a wide beam must return the true argmax
-exactly; no approximation argument is involved.
+exactly; no approximation argument is involved.  Every searcher scores
+through Decoder.step, so a hypothesis' score must not depend on how many
+hypotheses were stepped alongside it.
 """
 
 import itertools
@@ -10,9 +12,15 @@ import itertools
 import numpy as np
 import pytest
 
-from patchloom.decoding import Hypothesis, beam_search, greedy_decode
-from patchloom.model import ModelParameters, sequence_log_prob
-from patchloom.vocab import EOS_ID
+from patchloom.decoding import (
+    Decoder,
+    Hypothesis,
+    beam_search,
+    exhaustive_search,
+    sequence_log_prob,
+)
+from patchloom.model import ModelParameters
+from patchloom.vocab import BOS_ID, EOS_ID
 
 
 def make_params(seed, src=3, tgt=3, hidden=3, embed=2):
@@ -23,44 +31,31 @@ def make_params(seed, src=3, tgt=3, hidden=3, embed=2):
     )
 
 
-def enumerate_sequences(vocab_size, max_len):
-    """Every decodable sequence: EOS-terminated ones up to max_len, and
-    unfinished length-max_len sequences with no EOS."""
-    non_eos = [i for i in range(vocab_size) if i != EOS_ID]
-    finished, unfinished = [], []
-    for length in range(max_len + 1):
-        for prefix in itertools.product(non_eos, repeat=length):
-            if length < max_len:
-                # EOS-terminated, total length <= max_len
-                finished.append(list(prefix) + [EOS_ID])
-            else:
-                unfinished.append(list(prefix))
-    return finished, unfinished
-
-
-def brute_force_best(params, src_ids, max_len):
-    finished, unfinished = enumerate_sequences(params.tgt_vocab_size, max_len)
-    best_tokens, best_score = None, -np.inf
-    seen = set()
-    for seq in finished + unfinished:
-        key = tuple(seq)
-        if key in seen:
-            continue
-        seen.add(key)
-        score = sequence_log_prob(params, src_ids, seq)
-        if score > best_score:
-            best_tokens, best_score = key, score
-    return best_tokens, best_score
+def greedy(params, src_ids, max_len):
+    """Step-by-step argmax through the shared decoder step, one row."""
+    decoder = Decoder(params, src_ids)
+    state = decoder.start
+    tokens, score = (), 0.0
+    prev = BOS_ID
+    for _ in range(max_len):
+        state, logp = decoder.step(state, np.array([prev]))
+        prev = int(np.argmax(logp[0]))
+        tokens += (prev,)
+        score += float(logp[0, prev])
+        if prev == EOS_ID:
+            break
+    return tokens, score
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_wide_beam_matches_exhaustive_search(seed):
     params = make_params(seed)
     src = [0, 1, 2]
-    want_tokens, want_score = brute_force_best(params, src, max_len=4)
+    want = exhaustive_search(params, src, max_len=4)
     hyps = beam_search(params, src, beam_size=81, max_len=4)
-    assert hyps[0].tokens == want_tokens
-    assert hyps[0].log_prob == pytest.approx(want_score, abs=1e-9)
+    assert hyps[0].tokens == want.tokens
+    assert hyps[0].finished and want.finished
+    assert hyps[0].log_prob == pytest.approx(want.log_prob, abs=1e-9)
 
 
 def test_hypotheses_sorted_by_score():
@@ -81,10 +76,10 @@ def test_scores_match_teacher_forced_rescoring():
 def test_beam_of_one_equals_greedy():
     for seed in range(6):
         params = make_params(seed, src=5, tgt=5, hidden=4, embed=3)
-        greedy = greedy_decode(params, [1, 3], max_len=6)
+        want_tokens, want_score = greedy(params, [1, 3], max_len=6)
         beam = beam_search(params, [1, 3], beam_size=1, max_len=6)[0]
-        assert beam.tokens == greedy.tokens
-        assert beam.log_prob == pytest.approx(greedy.log_prob, abs=1e-9)
+        assert beam.tokens == want_tokens
+        assert beam.log_prob == pytest.approx(want_score, abs=1e-9)
 
 
 def test_finished_flag_and_output_ids():
@@ -115,9 +110,54 @@ def test_invalid_beam_size_rejected():
 
 
 def test_hypothesis_output_ids_property():
-    done = Hypothesis(tokens=(4, 5, EOS_ID), log_prob=-1.0, state=None,
-                      finished=True)
+    done = Hypothesis(tokens=(4, 5, EOS_ID), log_prob=-1.0, finished=True)
     assert done.output_ids == (4, 5)
-    open_hyp = Hypothesis(tokens=(4, 5), log_prob=-1.0, state=None,
-                          finished=False)
+    open_hyp = Hypothesis(tokens=(4, 5), log_prob=-1.0, finished=False)
     assert open_hyp.output_ids == (4, 5)
+
+
+def test_exhaustive_search_returns_the_best_finished_sequence():
+    # checked against scoring every </s>-terminated sequence one by one
+    params = make_params(6)
+    non_eos = [t for t in range(params.tgt_vocab_size) if t != EOS_ID]
+    scored = [
+        (sequence_log_prob(params, [0, 1], list(prefix) + [EOS_ID]),
+         tuple(prefix) + (EOS_ID,))
+        for length in range(3)
+        for prefix in itertools.product(non_eos, repeat=length)]
+    want_score, want_tokens = max(scored)
+    got = exhaustive_search(params, [0, 1], max_len=3)
+    assert got.finished
+    assert got.tokens == want_tokens
+    assert got.log_prob == pytest.approx(want_score, abs=1e-9)
+
+
+def test_exhaustive_search_without_room_returns_the_empty_unfinished():
+    params = make_params(6)
+    for search in (exhaustive_search(params, [0, 1], max_len=0),
+                   beam_search(params, [0, 1], beam_size=3, max_len=0)[0]):
+        assert search.tokens == () and not search.finished
+
+
+@pytest.mark.parametrize("hidden", [3, 16, 128])
+@pytest.mark.parametrize("lexicon", [False, True])
+def test_scores_do_not_depend_on_the_beam(hidden, lexicon):
+    # a beam steps up to beam_size rows together, rescoring steps one; in
+    # float32 the two disagree by up to 1e-4 at H=128
+    worst = 0.0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        params = ModelParameters.initialize(
+            rng, 8, 12, hidden_size=hidden, embed_size=4,
+            lex_weight=0.3 if lexicon else 0.0, scale=0.8)
+        if lexicon:
+            params.lexicon = {
+                sid: dict(zip(rng.choice(12, 3, replace=False).tolist(),
+                              rng.dirichlet(np.ones(3)).tolist()))
+                for sid in range(0, 8, 2)}
+        src = rng.integers(0, 8, size=4).tolist()
+        hyps = beam_search(params, src, beam_size=6, max_len=6)
+        for hyp in hyps:
+            gap = abs(hyp.log_prob - sequence_log_prob(params, src, list(hyp.tokens)))
+            worst = max(worst, gap)
+    assert worst <= 1e-9

@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patchloom.decoding import sequence_log_prob
 from patchloom.model import (
     ModelParameters,
     attend,
+    attention_keys,
     attentional_vector,
     encode,
+    lexicon_rows,
     lstm_step,
     predict_distribution,
-    sequence_log_prob,
     sigmoid,
     softmax,
 )
@@ -32,6 +34,17 @@ def make_params(src=6, tgt=7, hidden=5, embed=4, lex_weight=0.0, seed=0,
         rng, src, tgt, hidden_size=hidden, embed_size=embed,
         lex_weight=lex_weight, scale=scale,
     )
+
+
+def attend_to(params, states, h):
+    return attend(params, states, attention_keys(params, states), h)
+
+
+def distribution(params, states, h, src):
+    """Output distribution after attending from decoder state h."""
+    weights, context = attend_to(params, states, h)
+    return predict_distribution(params, attentional_vector(params, h, context),
+                                weights, lexicon_rows(params, src))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +127,7 @@ def test_encode_returns_one_state_per_token():
 def test_attention_weights_form_a_distribution():
     params = make_params()
     states, h, _ = encode(params, [1, 2, 3, 4])
-    weights, context = attend(params, states, h)
+    weights, context = attend_to(params, states, h)
     assert weights.shape == (4,)
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(weights > 0)
@@ -125,7 +138,7 @@ def test_identical_states_attract_uniform_attention():
     params = make_params()
     one, _, _ = encode(params, [2])
     states = np.tile(one[0], (5, 1))
-    weights, _ = attend(params, states, one[0])
+    weights, _ = attend_to(params, states, one[0])
     assert np.allclose(weights, 0.2)
 
 
@@ -135,8 +148,7 @@ def test_identical_states_attract_uniform_attention():
 def test_predict_distribution_sums_to_one():
     params = make_params()
     states, h, _ = encode(params, [1, 2, 3])
-    weights, context = attend(params, states, h)
-    probs = predict_distribution(params, h, context, weights, [1, 2, 3])
+    probs = distribution(params, states, h, [1, 2, 3])
     assert probs.shape == (7,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(probs > 0)
@@ -147,10 +159,9 @@ def test_lexicon_mixture_worked_example():
     params = make_params(src=6, tgt=4, lex_weight=lam)
     params.lexicon = {2: {3: 1.0}}
     states, h, _ = encode(params, [2, 2])
-    weights, context = attend(params, states, h)
-    base = predict_distribution(
-        replace(params, lex_weight=0.0), h, context, weights, [2, 2])
-    mixed = predict_distribution(params, h, context, weights, [2, 2])
+    weights, _ = attend_to(params, states, h)
+    base = distribution(replace(params, lex_weight=0.0), states, h, [2, 2])
+    mixed = distribution(params, states, h, [2, 2])
     # every source position points at token 2 whose row is all on id 3
     lex_row = np.zeros(4)
     lex_row[3] = float(weights.sum())
@@ -166,10 +177,9 @@ def test_lexicon_backoff_rescales_base_distribution():
     params = make_params(src=6, tgt=4, lex_weight=lam)
     params.lexicon = {2: {3: 1.0}}
     states, h, _ = encode(params, [1, 2])
-    weights, context = attend(params, states, h)
-    base = predict_distribution(
-        replace(params, lex_weight=0.0), h, context, weights, [1, 2])
-    mixed = predict_distribution(params, h, context, weights, [1, 2])
+    weights, _ = attend_to(params, states, h)
+    base = distribution(replace(params, lex_weight=0.0), states, h, [1, 2])
+    mixed = distribution(params, states, h, [1, 2])
     a0, a1 = float(weights[0]), float(weights[1])
     lex_row = np.zeros(4)
     lex_row[3] = a1
@@ -182,10 +192,8 @@ def test_empty_lexicon_dict_falls_back_to_softmax():
     params = make_params(src=6, tgt=4, lex_weight=0.3)
     params.lexicon = {}
     states, h, _ = encode(params, [1, 2])
-    weights, context = attend(params, states, h)
-    mixed = predict_distribution(params, h, context, weights, [1, 2])
-    base = predict_distribution(
-        replace(params, lex_weight=0.0), h, context, weights, [1, 2])
+    mixed = distribution(params, states, h, [1, 2])
+    base = distribution(replace(params, lex_weight=0.0), states, h, [1, 2])
     assert np.allclose(mixed, base)
 
 
@@ -193,32 +201,67 @@ def test_zero_lex_weight_ignores_lexicon():
     params = make_params(lex_weight=0.0)
     params.lexicon = {1: {1: 1.0}}
     states, h, _ = encode(params, [1, 1])
-    weights, context = attend(params, states, h)
-    with_row = predict_distribution(params, h, context, weights, [1, 1])
+    with_row = distribution(params, states, h, [1, 1])
     params.lexicon = None
-    without = predict_distribution(params, h, context, weights, [1, 1])
+    without = distribution(params, states, h, [1, 1])
     assert np.allclose(with_row, without)
+
+
+# ---------------------------------------------------------------------------
+# batch axis
+
+@pytest.mark.parametrize("lex_weight", [0.0, 0.3])
+def test_batched_rows_equal_single_rows(lex_weight):
+    # the decoder steps K hypotheses as rows of one array; each row must
+    # come out as if it had been computed alone
+    params = make_params(lex_weight=lex_weight, seed=4).astype(np.float64)
+    params.lexicon = {2: {3: 0.5, 6: 0.5}, 4: {1: 1.0}}
+    src = [2, 3, 4]
+    states, _, _ = encode(params, src)
+    keys = attention_keys(params, states)
+    lex = lexicon_rows(params, src)
+    rng = np.random.default_rng(0)
+    H, d = params.hidden_size, params.embed_size
+    x = rng.standard_normal((4, d + H))
+    h0 = rng.standard_normal((4, H))
+    c0 = rng.standard_normal((4, H))
+
+    h, c = lstm_step(params.W_dec, params.b_dec, x, h0, c0)
+    weights, context = attend(params, states, keys, h)
+    htilde = attentional_vector(params, h, context)
+    probs = predict_distribution(params, htilde, weights, lex)
+    assert probs.shape == (4, params.tgt_vocab_size)
+    for k in range(4):
+        hk, ck = lstm_step(params.W_dec, params.b_dec, x[k], h0[k], c0[k])
+        wk, ctxk = attend(params, states, keys, hk)
+        htk = attentional_vector(params, hk, ctxk)
+        pk = predict_distribution(params, htk, wk, lex)
+        for got, want in ((h[k], hk), (c[k], ck), (weights[k], wk),
+                          (htilde[k], htk), (probs[k], pk)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # sequence scoring
 
 def test_sequence_log_prob_accumulates_per_step():
-    params = make_params()
+    # the decoder computes in float64, so the hand-unrolled loop does too
+    params = make_params().astype(np.float64)
     src = [1, 2, 3]
     tgt = [4, 5, 2]  # ends with </s>
 
     states, h, c = encode(params, src)
-    htilde = np.zeros(params.hidden_size, dtype=params.W_enc.dtype)
+    htilde = np.zeros(params.hidden_size)
     total = 0.0
     prev = 1
     for tid in tgt:
         x = np.concatenate([params.E_tgt[prev], htilde])
         h, c = lstm_step(params.W_dec, params.b_dec, x, h, c)
-        weights, context = attend(params, states, h)
-        probs = predict_distribution(params, h, context, weights, src)
-        total += math.log(probs[tid])
+        weights, context = attend_to(params, states, h)
         htilde = attentional_vector(params, h, context)
+        probs = predict_distribution(params, htilde, weights, None)
+        total += math.log(probs[tid])
         prev = tid
 
     assert sequence_log_prob(params, src, tgt) == pytest.approx(total, abs=1e-10)

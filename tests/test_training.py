@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from patchloom.decoding import beam_search
-from patchloom.model import ModelParameters
+from patchloom.model import P_FLOOR, ModelParameters
 from patchloom.training import (
     TrainingConfig,
+    backward_pair,
     batch_loss_and_gradients,
     forward_pair,
     gradient_check,
     make_batches,
     train,
+    zero_gradients,
 )
 from patchloom.vocab import EOS_ID
 
@@ -46,6 +48,22 @@ def test_gradient_check_refuses_dropout():
     params = small_params()
     with pytest.raises(ValueError):
         gradient_check(params, [([1], [2, EOS_ID])], dropout=0.5)
+
+
+@pytest.mark.parametrize("lex_weight", [0.0, 0.2])
+def test_underflowed_target_gives_finite_loss_and_gradients(lex_weight):
+    # softmax(target logit) underflows to exactly 0: the forward floors
+    # p_y at P_FLOOR and the backward must agree instead of dividing by 0
+    params = small_params(lex_weight=lex_weight)
+    params.lexicon = {3: {7: 1.0}}
+    params.b_pred[6] = -1e4
+    cache = forward_pair(params, [3, 4], [6, EOS_ID])
+    grads = zero_gradients(params)
+    backward_pair(params, cache, grads)
+    assert cache.loss >= -np.log(P_FLOOR)
+    assert np.isfinite(cache.loss)
+    for name, grad in grads.items():
+        assert np.isfinite(grad).all(), name
 
 
 def test_batch_loss_is_mean_per_token():
