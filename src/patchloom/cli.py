@@ -50,7 +50,8 @@ from .generation import (
 )
 from .lexicon import build_lexicon, lexicon_to_ids
 from .mining import MiningReport, identify_fix_commits, link_inducing, mine_hunks, read_hunks, write_hunks
-from .modelio import load_model, save_model
+from .model import lexicon_table
+from .modelio import ModelFormatError, load_model, save_model
 from .repo import RepositoryError, open_repository
 from .tokenizer import TokenizedStatement
 from .training import gradient_check, train as train_model
@@ -158,12 +159,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     params, src_vocab, tgt_vocab = load_model(args.model)
     queries = _read_lines(args.query_file)
     threshold = None if args.no_threshold else args.threshold
+    table = lexicon_table(params)
     results = []
     started = time.monotonic()
     for query in queries:
         results.append(generate_patch(
             query, params, src_vocab, tgt_vocab, threshold=threshold,
-            beam_size=args.beam_size, max_len=args.max_len))
+            beam_size=args.beam_size, max_len=args.max_len, table=table))
     write_results(args.out, results)
     n_provided = sum(1 for r in results if r.patch is not None)
     unfilled = sum(r.unfilled_val_sites for r in results)
@@ -257,9 +259,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     queries = _read_lines(os.path.join(args.corpus, "test.queries"))
     ref_lines = _read_lines(os.path.join(args.corpus, "test.refs"))
     refs = [TokenizedStatement(tuple(line.split()), line) for line in ref_lines]
+    table = lexicon_table(params)
     results = [
         generate_patch(q, params, src_vocab, tgt_vocab, threshold=None,
-                       beam_size=args.beam_size, max_len=args.max_len)
+                       beam_size=args.beam_size, max_len=args.max_len,
+                       table=table)
         for q in queries
     ]
     src_lines, tgt_lines = read_parallel(args.corpus, "train")
@@ -423,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return 2
-    except (CliError, RepositoryError, FileNotFoundError) as exc:
+    except (CliError, ModelFormatError, RepositoryError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return 1
     except Exception:

@@ -351,34 +351,3 @@ def read_parallel(dirpath: str, prefix: str) -> tuple[list[list[str]], list[list
     if len(src) != len(tgt):
         raise CorpusError(f"{prefix}: {len(src)} source vs {len(tgt)} target lines")
     return src, tgt
-
-
-def read_test_pairs(dirpath: str) -> list[StatementPair]:
-    """Rebuild test pairs (with argument tables) from the on-disk trio
-    plus the concrete query/reference files."""
-    def slurp(name: str) -> list[str]:
-        with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
-            return fh.read().splitlines()
-
-    queries = slurp("test.queries")
-    refs = slurp("test.refs")
-    meta = slurp("test.meta.tsv")
-    header = meta[0].split("\t")
-    rows = [dict(zip(header, line.split("\t"))) for line in meta[1:]]
-    if not (len(queries) == len(refs) == len(rows)):
-        raise CorpusError("test corpus files disagree on length")
-    pairs = []
-    for query, ref, row in zip(queries, refs, rows):
-        pre_abs, pre_args = abstract_arguments(tokenize(query))
-        post_abs, post_args = abstract_arguments(tokenize(ref))
-        pairs.append(StatementPair(
-            pre=pre_abs, post=post_abs,
-            pre_args=pre_args, post_args=post_args,
-            commit_pre_origin=row["commit_pre_origin"],
-            commit_post=row["commit_post"],
-            year_pre=int(row["year_pre"]),
-            year_post=int(row["year_post"]),
-            bugfix=row["bugfix"] == "1",
-            category=row.get("category", CATEGORY_UNASSIGNED),
-        ))
-    return pairs

@@ -29,6 +29,7 @@ import numpy as np
 
 from .model import (
     P_FLOOR,
+    LexiconTable,
     ModelParameters,
     attend,
     attention_keys,
@@ -66,7 +67,8 @@ class Decoder:
     encoder states, attention keys and lexicon rows, plus the step that
     advances any number of hypotheses together."""
 
-    def __init__(self, params: ModelParameters, src_ids: list[int]):
+    def __init__(self, params: ModelParameters, src_ids: list[int],
+                 table: LexiconTable | None = None):
         states, h, c = encode(params, src_ids)
         # a new object: the caller's parameters are never modified
         self.params = replace(params, **{
@@ -74,7 +76,7 @@ class Decoder:
             for name in _DECODER_TENSORS})
         self.states = states.astype(np.float64)
         self.keys = attention_keys(self.params, self.states)
-        self.lexicon = lexicon_rows(self.params, src_ids)
+        self.lexicon = lexicon_rows(self.params, src_ids, table)
         self.start: State = (h[None].astype(np.float64),
                              c[None].astype(np.float64),
                              np.zeros((1, params.hidden_size)))
@@ -125,10 +127,13 @@ def beam_search(
     src_ids: list[int],
     beam_size: int = 10,
     max_len: int = 100,
+    table: LexiconTable | None = None,
 ) -> list[Hypothesis]:
+    """Best hypotheses first; table is model.lexicon_table(params), built
+    here when not given."""
     if beam_size < 1:
         raise ValueError("beam_size must be at least 1")
-    decoder = Decoder(params, src_ids)
+    decoder = Decoder(params, src_ids, table)
     state = decoder.start
     tokens: list[tuple[int, ...]] = [()]
     scores = np.zeros(1)

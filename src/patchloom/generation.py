@@ -26,7 +26,7 @@ from .arguments import (
     reinsert_arguments,
 )
 from .decoding import beam_search
-from .model import ModelParameters
+from .model import LexiconTable, ModelParameters
 from .parsing import validate_statement
 from .tokenizer import TokenizedStatement, TokenizeError, tokenize
 from .vocab import Vocabulary
@@ -110,7 +110,11 @@ def generate(
     threshold: float | None = DEFAULT_THRESHOLD,
     beam_size: int = 10,
     max_len: int = 100,
+    table: LexiconTable | None = None,
 ) -> GenerationResult:
+    """The model's patch for one query, or the reason there is none;
+    table is model.lexicon_table(params), built per query when not
+    given."""
     result = GenerationResult(query=query, source="model")
     try:
         query_tok = tokenize(query)
@@ -121,7 +125,8 @@ def generate(
         return result
 
     src_ids = src_vocab.encode(list(query_abs.tokens))
-    hyps = beam_search(params, src_ids, beam_size=beam_size, max_len=max_len)
+    hyps = beam_search(params, src_ids, beam_size=beam_size, max_len=max_len,
+                       table=table)
     best = hyps[0]
     out_tokens = tuple(tgt_vocab.decode(best.output_ids))
     result.score = float(best.log_prob)

@@ -23,14 +23,6 @@ class RawHunk:
     post_start: int
     post_end: int
 
-    @property
-    def deleted(self) -> tuple[int, int]:
-        return self.pre_start, self.pre_end
-
-    @property
-    def added(self) -> tuple[int, int]:
-        return self.post_start, self.post_end
-
 
 def histogram_diff(pre_lines: list[str], post_lines: list[str]) -> list[RawHunk]:
     """Diff two line sequences into an ordered list of zero-context hunks."""

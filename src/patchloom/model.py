@@ -231,24 +231,53 @@ def attentional_vector(
     return np.tanh(joined @ params.W_comb.T + params.b_comb)
 
 
-def lexicon_rows(
-    params: ModelParameters, src_ids: list[int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The lexicon restricted to one source, for predict_distribution:
-    (S, V_tgt) translation rows, all zero where a source token has no
-    row, and the (S,) indicator of those rows that back off to the
-    softmax.  None when the lexicon is off."""
+@dataclass(frozen=True)
+class LexiconTable:
+    """params.lexicon as arrays, the form every computation reads: row
+    sid of ids and probs holds source id sid's entries, padded with
+    probability 0, and has_row marks the source ids that have a row."""
+
+    ids: np.ndarray        # (V_src, width) target ids
+    probs: np.ndarray      # (V_src, width) float64
+    has_row: np.ndarray    # (V_src,) bool
+
+
+def lexicon_table(params: ModelParameters) -> LexiconTable | None:
+    """The arrays of params.lexicon, width its longest row (lexicon.py
+    keeps at most 20 entries); None when the lexicon is off."""
     if not params.lexicon or params.lex_weight <= 0.0:
         return None
-    rows = np.zeros((len(src_ids), params.tgt_vocab_size))
-    backoff = np.zeros(len(src_ids))
-    for i, sid in enumerate(src_ids):
-        row = params.lexicon.get(sid)
-        if row is None:
-            backoff[i] = 1.0
-        else:
-            rows[i, list(row)] = list(row.values())
-    return rows, backoff
+    width = max(len(row) for row in params.lexicon.values())
+    ids = np.zeros((params.src_vocab_size, width), dtype=np.intp)
+    probs = np.zeros((params.src_vocab_size, width))
+    has_row = np.zeros(params.src_vocab_size, dtype=bool)
+    for sid, row in params.lexicon.items():
+        ids[sid, :len(row)] = list(row)
+        probs[sid, :len(row)] = list(row.values())
+        has_row[sid] = True
+    return LexiconTable(ids, probs, has_row)
+
+
+def lexicon_rows(
+    params: ModelParameters, src_ids, table: LexiconTable | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lexicon restricted to source ids of any shape (..., S), for
+    predict_distribution: (..., S, V_tgt) translation rows, all zero
+    where a source token has no row, and the (..., S) indicator of those
+    rows that back off to the softmax.  table defaults to
+    lexicon_table(params); None when the lexicon is off."""
+    if table is None:
+        table = lexicon_table(params)
+        if table is None:
+            return None
+    src = np.asarray(src_ids, dtype=np.intp)
+    rows = np.zeros((src.size, params.tgt_vocab_size))
+    flat = src.reshape(-1)
+    # padding entries add 0.0 to whatever id they name
+    np.add.at(rows, (np.arange(flat.size)[:, None], table.ids[flat]),
+              table.probs[flat])
+    backoff = (~table.has_row[src]).astype(np.float64)
+    return rows.reshape(src.shape + (params.tgt_vocab_size,)), backoff
 
 
 def predict_distribution(

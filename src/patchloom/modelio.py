@@ -18,10 +18,17 @@ Layout (all integers little-endian u32, floats IEEE-754 f32 LE):
 The scalar lexicon mixture weight travels as a shape-(1,) tensor named
 "lex_weight".  Rows and entries are written in canonical ascending
 order, so save -> load -> save is byte-identical.
+
+load_model raises ModelFormatError for any file save_model cannot have
+written: truncated, with trailing bytes or invalid UTF-8, with a tensor
+missing, unknown, non-finite or shaped unlike the vocabularies and the
+hidden and embedding sizes, or with a lexicon id outside the
+vocabularies.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -97,7 +104,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"invalid UTF-8 in a name or token: {exc}") from None
 
 
 def _read_vocab(r: _Reader) -> Vocabulary:
@@ -108,7 +118,38 @@ def _read_vocab(r: _Reader) -> Vocabulary:
     vocab = Vocabulary()
     for tok in tokens[len(RESERVED):]:
         vocab.add(tok)
+    if len(vocab) != count:
+        raise ModelFormatError("vocabulary repeats a token")
     return vocab
+
+
+def _check_tensors(tensors: dict[str, np.ndarray], src_size: int, tgt_size: int) -> None:
+    """Every tensor present, finite, and shaped for the vocabularies and
+    for the embedding and hidden sizes that E_src and W_pred give."""
+    names = {*ModelParameters._TENSOR_NAMES, "lex_weight"}
+    if set(tensors) != names:
+        raise ModelFormatError(
+            f"missing tensors: {sorted(names - set(tensors))}, "
+            f"unknown tensors: {sorted(set(tensors) - names)}")
+    if tensors["E_src"].ndim != 2 or tensors["W_pred"].ndim != 2:
+        raise ModelFormatError("E_src and W_pred must be matrices")
+    d = tensors["E_src"].shape[1]
+    H = tensors["W_pred"].shape[1]
+    expected = {
+        "E_src": (src_size, d), "E_tgt": (tgt_size, d),
+        "W_enc": (4 * H, d + H), "b_enc": (4 * H,),
+        "W_dec": (4 * H, d + 2 * H), "b_dec": (4 * H,),
+        "W_att_x": (H, H), "W_att_h": (H, H), "b_att": (H,), "v_att": (H,),
+        "W_comb": (H, 2 * H), "b_comb": (H,),
+        "W_pred": (tgt_size, H), "b_pred": (tgt_size,),
+        "lex_weight": (1,),
+    }
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise ModelFormatError(
+                f"tensor {name} has shape {tensors[name].shape}, expected {shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise ModelFormatError(f"tensor {name} has non-finite values")
 
 
 def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
@@ -124,24 +165,28 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.string()
-        ndim = r.u32()
-        shape = tuple(r.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
+        if name in tensors:
+            raise ModelFormatError(f"tensor {name} appears twice")
+        shape = tuple(r.u32() for _ in range(r.u32()))
+        arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         tensors[name] = arr.astype(np.float32)
+    _check_tensors(tensors, len(src_vocab), len(tgt_vocab))
     lexicon: dict[int, dict[int, float]] = {}
     for _ in range(r.u32()):
         sid = r.u32()
-        n = r.u32()
+        if sid >= len(src_vocab) or sid in lexicon:
+            raise ModelFormatError(f"bad or repeated lexicon source id {sid}")
         row = {}
-        for _ in range(n):
+        for _ in range(r.u32()):
             tid, prob = struct.unpack("<If", r.take(8))
+            if tid >= len(tgt_vocab) or not np.isfinite(prob):
+                raise ModelFormatError(
+                    f"lexicon row {sid}: bad target id {tid} or probability {prob}")
             row[tid] = float(prob)
         lexicon[sid] = row
+    if r.pos != len(r.data):
+        raise ModelFormatError(f"{len(r.data) - r.pos} trailing bytes after the lexicon")
     lex_weight = float(tensors.pop("lex_weight")[0])
-    missing = set(ModelParameters._TENSOR_NAMES) - set(tensors)
-    if missing:
-        raise ModelFormatError(f"missing tensors: {sorted(missing)}")
     params = ModelParameters(**{n: tensors[n] for n in ModelParameters._TENSOR_NAMES},
                              lexicon=lexicon, lex_weight=lex_weight)
     return params, src_vocab, tgt_vocab

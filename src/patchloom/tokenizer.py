@@ -109,13 +109,6 @@ def tokenize(raw: str) -> TokenizedStatement:
     return TokenizedStatement(tuple(tokens), raw)
 
 
-def try_tokenize(raw: str) -> TokenizedStatement | None:
-    try:
-        return tokenize(raw)
-    except TokenizeError:
-        return None
-
-
 def _scan_number(line: str, i: int, tokens: list[str]) -> int:
     n = len(line)
     j = i

@@ -10,9 +10,13 @@ vector on its way into the output projection.  The learning rate is
 multiplied by decay_factor whenever development loss increases, and the
 returned parameters are the snapshot with the lowest development loss.
 
-All forward quantities are cached per pair and consumed by a manual
-reverse sweep; gradient_check verifies that sweep against central
-finite differences at float64.
+Each minibatch runs as one padded batch: one forward with (B, H) state
+rows caches what the backward needs, and one manual reverse sweep over
+the same arrays turns it into gradients.  Training, development loss
+(corpus_loss) and gradient_check all use that forward.  The lexicon
+mixture gathers p(y | src_i) from model.lexicon_table's arrays, built
+once per train call.  gradient_check verifies the sweep against central
+finite differences.
 """
 
 from __future__ import annotations
@@ -23,8 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import P_FLOOR, ModelParameters, sigmoid
-from .vocab import BOS_ID, EOS_ID
+from .model import (
+    P_FLOOR,
+    LexiconTable,
+    ModelParameters,
+    lexicon_rows,
+    lexicon_table,
+    sigmoid,
+    softmax,
+)
+from .vocab import BOS_ID
 
 log = logging.getLogger(__name__)
 
@@ -73,47 +85,31 @@ class TrainingLog:
 
 # ---------------------------------------------------------------------------
 # forward with caches
+#
+# forward_pair and backward_pair keep the names they had when they took
+# one pair at a time, because perfbench/spans.py times them under those
+# names.  Each now runs a whole minibatch as one padded batch: states are
+# (B, H) rows, sources are padded to the longest S and targets to the
+# longest T, padded source positions get no attention weight, and padded
+# target positions add nothing to the loss or to any gradient.
 
-class _PairCache:
+class _BatchCache:
+    """Forward quantities of one padded batch: (B, S, .) arrays on the
+    source side, (B, T, .) on the target side.  backward_pair overwrites
+    the gate arrays, so a cache serves one backward."""
+
     __slots__ = (
-        "src_ids", "tgt_in", "tgt_out", "S", "T", "loss",
-        "x", "mask_src", "enc_full", "enc_i", "enc_f", "enc_g", "enc_o",
-        "enc_c", "enc_cprev", "Hx",
-        "e", "mask_e", "dec_full", "dec_i", "dec_f", "dec_g", "dec_o",
-        "dec_c", "dec_cprev", "hd", "alpha", "ctx", "htil", "mask_o",
-        "htil_out", "smax", "c0",
+        "src", "src_len", "tgt_in", "tgt_out", "tgt_mask", "tokens", "loss",
+        "x", "mask_src", "enc_gates", "enc_c", "Hx", "keys",
+        "e", "mask_e", "dec_gates", "dec_c", "hd", "query", "alpha", "ctx",
+        "htil", "mask_o", "htil_out", "smax", "smax_y", "p_y",
+        "lex_y", "mix", "backoff",
     )
 
-
-def _run_lstm(W, b, inputs, h0, c0):
-    """Unrolled LSTM over (N, in) inputs; returns per-step caches."""
-    H = h0.shape[0]
-    N = inputs.shape[0]
-    dtype = W.dtype
-    full = np.empty((N, inputs.shape[1] + H), dtype=dtype)
-    gi = np.empty((N, H), dtype=dtype)
-    gf = np.empty((N, H), dtype=dtype)
-    gg = np.empty((N, H), dtype=dtype)
-    go = np.empty((N, H), dtype=dtype)
-    cs = np.empty((N, H), dtype=dtype)
-    cprev = np.empty((N, H), dtype=dtype)
-    hs = np.empty((N, H), dtype=dtype)
-    h, c = h0, c0
-    for n in range(N):
-        fin = np.concatenate([inputs[n], h])
-        z = W @ fin + b
-        i = sigmoid(z[0:H])
-        f = sigmoid(z[H:2 * H])
-        g = np.tanh(z[2 * H:3 * H])
-        o = sigmoid(z[3 * H:4 * H])
-        cprev[n] = c
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        full[n] = fin
-        gi[n], gf[n], gg[n], go[n] = i, f, g, o
-        cs[n] = c
-        hs[n] = h
-    return full, gi, gf, gg, go, cs, cprev, hs, h, c
+    @property
+    def last(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index of each pair's last source position in (B, S, .) arrays."""
+        return np.arange(len(self.src_len)), self.src_len - 1
 
 
 def _drop_mask(rng, shape, rate, dtype):
@@ -123,287 +119,375 @@ def _drop_mask(rng, shape, rate, dtype):
     return (rng.random(shape) < keep).astype(dtype) / dtype.type(keep)
 
 
-def forward_pair(
-    params: ModelParameters,
-    src_ids: list[int],
-    tgt_ids: list[int],
-    rng: np.random.Generator | None = None,
-    dropout: float = 0.0,
-) -> _PairCache:
-    """Teacher-forced forward pass; tgt_ids must end with EOS."""
+def _drop_masks(rng, batch, S, T, d, H, rate, dtype):
+    """Padded (source, target embedding, output) dropout masks.  Each
+    pair's masks are drawn at its own shapes and in that order, pair by
+    pair, so the random stream does not depend on how pairs are batched."""
+    if rng is None or rate <= 0.0:
+        return None, None, None
+    B = len(batch)
+    masks = (np.zeros((B, S, d), dtype), np.zeros((B, T, d), dtype),
+             np.zeros((B, T, H), dtype))
+    for b, (src_ids, tgt_ids) in enumerate(batch):
+        for mask, shape in zip(masks, ((len(src_ids), d), (len(tgt_ids), d),
+                                       (len(tgt_ids), H))):
+            mask[b, :shape[0]] = _drop_mask(rng, shape, rate, dtype)
+    return masks
+
+
+def _flat(a):
+    """(..., n) as (rows, n)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _rows(a, W):
+    """a (..., n) @ W (n, m) as one matrix product over all rows."""
+    return (_flat(a) @ W).reshape(a.shape[:-1] + (W.shape[1],))
+
+
+def _shifted(first, seq):
+    """The (B, N, .) inputs each step saw: first, then seq[:, :-1]."""
+    return np.concatenate([first[:, None], seq[:, :-1]], axis=1)
+
+
+def _padded(batch):
+    """(src, src_len, tgt_in, tgt_out, tgt_mask) id arrays for a batch;
+    padding is id 0 and every target ends with </s>."""
+    B = len(batch)
+    src_len = np.array([len(s) for s, _ in batch])
+    tgt_len = np.array([len(t) for _, t in batch])
+    src = np.zeros((B, src_len.max()), dtype=np.intp)
+    tgt_out = np.zeros((B, tgt_len.max()), dtype=np.intp)
+    for b, (src_ids, tgt_ids) in enumerate(batch):
+        src[b, :len(src_ids)] = src_ids
+        tgt_out[b, :len(tgt_ids)] = tgt_ids
+    tgt_in = np.roll(tgt_out, 1, axis=1)
+    tgt_in[:, 0] = BOS_ID
+    tgt_mask = np.arange(tgt_out.shape[1]) < tgt_len[:, None]
+    return src, src_len, tgt_in, tgt_out, tgt_mask
+
+
+def _lstm_cell(z, c_prev, gates):
+    """One LSTM step from pre-activations z (B, 4H): writes the gate
+    values [i, f, g, o] into gates and returns (h, c)."""
+    H = c_prev.shape[1]
+    gates[:] = sigmoid(z)
+    gates[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+    c = gates[:, H:2 * H] * c_prev + gates[:, 0:H] * gates[:, 2 * H:3 * H]
+    return gates[:, 3 * H:4 * H] * np.tanh(c), c
+
+
+def _encoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
     H = params.hidden_size
     d = params.embed_size
     dtype = params.W_enc.dtype
-    cache = _PairCache()
-    cache.src_ids = list(src_ids)
-    cache.tgt_out = list(tgt_ids)
-    cache.tgt_in = [BOS_ID] + list(tgt_ids[:-1])
-    S, T = len(src_ids), len(tgt_ids)
-    cache.S, cache.T = S, T
-
-    x = params.E_src[src_ids].copy()
-    cache.mask_src = _drop_mask(rng, x.shape, dropout, x.dtype)
+    B, S = cache.src.shape
+    x = params.E_src[cache.src]
     if cache.mask_src is not None:
         x *= cache.mask_src
     cache.x = x
-    (cache.enc_full, cache.enc_i, cache.enc_f, cache.enc_g, cache.enc_o,
-     cache.enc_c, cache.enc_cprev, cache.Hx, h, c) = _run_lstm(
-        params.W_enc, params.b_enc, x, np.zeros(H, dtype), np.zeros(H, dtype))
+    # the input half of every step's pre-activations at once; each step
+    # then overwrites its slot with its gate values
+    gates = _rows(x, params.W_enc[:, :d].T) + params.b_enc
+    # a few rows times a transposed view is several times slower than
+    # times a contiguous copy, and Adam changes the weights every batch
+    W_h = np.ascontiguousarray(params.W_enc[:, d:].T)
+    cache.enc_c = np.empty((B, S, H), dtype=dtype)
+    cache.Hx = np.empty((B, S, H), dtype=dtype)
+    h = np.zeros((B, H), dtype=dtype)
+    c = np.zeros((B, H), dtype=dtype)
+    for n in range(S):
+        h, c = _lstm_cell(gates[:, n] + h @ W_h, c, gates[:, n])
+        cache.enc_c[:, n] = c
+        cache.Hx[:, n] = h
+    cache.enc_gates = gates
 
-    e = params.E_tgt[cache.tgt_in].copy()
-    cache.mask_e = _drop_mask(rng, e.shape, dropout, e.dtype)
+
+def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
+    """Input feeding: each step's recurrent input is [h~_prev; h_prev]."""
+    H = params.hidden_size
+    d = params.embed_size
+    dtype = params.W_enc.dtype
+    B, T = cache.tgt_in.shape
+    S = cache.src.shape[1]
+    e = params.E_tgt[cache.tgt_in]
     if cache.mask_e is not None:
         e *= cache.mask_e
     cache.e = e
+    gates = _rows(e, params.W_dec[:, :d].T) + params.b_dec
+    W_rec = np.ascontiguousarray(params.W_dec[:, d:].T)
+    Hx = cache.Hx
+    keys = cache.keys = _rows(Hx, params.W_att_x.T)
+    pad_scores = np.where(np.arange(S) < cache.src_len[:, None], 0.0,
+                          -np.inf).astype(dtype)
+    for name in ("dec_c", "hd", "query", "ctx", "htil"):
+        setattr(cache, name, np.empty((B, T, H), dtype=dtype))
+    cache.alpha = np.empty((B, T, S), dtype=dtype)
 
-    pre_att = cache.Hx @ params.W_att_x.T                        # (S, H)
-    lam = params.lex_weight if params.lexicon else 0.0
-    lex_rows = [params.lexicon.get(sid) for sid in src_ids] if lam > 0.0 else None
-
-    cache.dec_full = np.empty((T, d + 2 * H), dtype=dtype)
-    cache.dec_i = np.empty((T, H), dtype=dtype)
-    cache.dec_f = np.empty((T, H), dtype=dtype)
-    cache.dec_g = np.empty((T, H), dtype=dtype)
-    cache.dec_o = np.empty((T, H), dtype=dtype)
-    cache.dec_c = np.empty((T, H), dtype=dtype)
-    cache.dec_cprev = np.empty((T, H), dtype=dtype)
-    cache.hd = np.empty((T, H), dtype=dtype)
-    cache.alpha = np.empty((T, S), dtype=dtype)
-    cache.ctx = np.empty((T, H), dtype=dtype)
-    cache.htil = np.empty((T, H), dtype=dtype)
-    cache.htil_out = np.empty((T, H), dtype=dtype)
-    cache.smax = np.empty((T, params.tgt_vocab_size), dtype=dtype)
-    cache.c0 = np.ones(T, dtype=np.float64)
-    cache.mask_o = _drop_mask(rng, (T, H), dropout, np.dtype(dtype))
-
-    htil_prev = np.zeros(H, dtype=dtype)
-    loss = 0.0
+    h, c = Hx[cache.last], cache.enc_c[cache.last]
+    rec = np.concatenate([np.zeros((B, H), dtype=dtype), h], axis=1)
     for t in range(T):
-        u = np.concatenate([e[t], htil_prev, h])
-        z = params.W_dec @ u + params.b_dec
-        gi = sigmoid(z[0:H])
-        gf = sigmoid(z[H:2 * H])
-        gg = np.tanh(z[2 * H:3 * H])
-        go = sigmoid(z[3 * H:4 * H])
-        cache.dec_cprev[t] = c
-        c = gf * c + gi * gg
-        h = go * np.tanh(c)
-        cache.dec_full[t] = u
-        cache.dec_i[t], cache.dec_f[t] = gi, gf
-        cache.dec_g[t], cache.dec_o[t] = gg, go
-        cache.dec_c[t] = c
-        cache.hd[t] = h
+        h, c = _lstm_cell(gates[:, t] + rec @ W_rec, c, gates[:, t])
+        query = h @ params.W_att_h.T + params.b_att
+        act = np.add(keys, query[:, None, :])
+        alpha = softmax(np.tanh(act, out=act) @ params.v_att + pad_scores)
+        ctx = (alpha[:, None, :] @ Hx)[:, 0]
+        htil = np.tanh(np.concatenate([h, ctx], axis=1) @ params.W_comb.T
+                       + params.b_comb)
+        cache.dec_c[:, t] = c
+        cache.hd[:, t] = h
+        cache.query[:, t] = query
+        cache.alpha[:, t] = alpha
+        cache.ctx[:, t] = ctx
+        cache.htil[:, t] = htil
+        rec = np.concatenate([htil, h], axis=1)
+    cache.dec_gates = gates
 
-        m = np.tanh(pre_att + params.W_att_h @ h + params.b_att)  # (S, H)
-        scores = m @ params.v_att
-        scores = scores - scores.max()
-        ex = np.exp(scores)
-        alpha = ex / ex.sum()
-        ctx = alpha @ cache.Hx
-        cache.alpha[t] = alpha
-        cache.ctx[t] = ctx
 
-        htil = np.tanh(params.W_comb @ np.concatenate([h, ctx]) + params.b_comb)
-        cache.htil[t] = htil
-        htil_prev = htil
-        hout = htil if cache.mask_o is None else htil * cache.mask_o[t]
-        cache.htil_out[t] = hout
+def forward_pair(
+    params: ModelParameters,
+    batch: list[tuple[list[int], list[int]]],
+    rng: np.random.Generator | None = None,
+    dropout: float = 0.0,
+    table: LexiconTable | None = None,
+) -> _BatchCache:
+    """Teacher-forced forward over a batch of (src_ids, tgt_ids) pairs,
+    each tgt_ids ending with EOS; cache.loss is the summed negative
+    log-likelihood of its cache.tokens target tokens.  table defaults to
+    lexicon_table(params)."""
+    H = params.hidden_size
+    d = params.embed_size
+    cache = _BatchCache()
+    src, src_len, tgt_in, tgt_out, tgt_mask = _padded(batch)
+    B, S = src.shape
+    T = tgt_out.shape[1]
+    cache.src, cache.src_len = src, src_len
+    cache.tgt_in, cache.tgt_out, cache.tgt_mask = tgt_in, tgt_out, tgt_mask
+    cache.tokens = int(tgt_mask.sum())
+    cache.mask_src, cache.mask_e, cache.mask_o = _drop_masks(
+        rng, batch, S, T, d, H, dropout, params.W_enc.dtype)
+    _encoder_forward(params, cache)
+    _decoder_forward(params, cache)
 
-        logits = params.W_pred @ hout + params.b_pred
-        logits = logits - logits.max()
-        exl = np.exp(logits)
-        smax = exl / exl.sum()
-        cache.smax[t] = smax
-
-        y = cache.tgt_out[t]
-        if lam > 0.0:
-            lex_y = 0.0
-            backoff = 0.0
-            for a_i, row in zip(alpha, lex_rows):
-                if row is None:
-                    backoff += float(a_i)
-                else:
-                    lex_y += float(a_i) * row.get(y, 0.0)
-            c0 = 1.0 - lam + lam * backoff
-            p_y = c0 * float(smax[y]) + lam * lex_y
-            cache.c0[t] = c0
-        else:
-            p_y = float(smax[y])
-        loss -= np.log(max(p_y, P_FLOOR))
-    cache.loss = float(loss)
+    # the output layer for every step at once; probabilities mix in at
+    # least float64
+    mix_dtype = np.promote_types(params.W_enc.dtype, np.float64)
+    htil_out = cache.htil if cache.mask_o is None else cache.htil * cache.mask_o
+    cache.htil_out = htil_out
+    cache.smax = softmax(_rows(htil_out, params.W_pred.T) + params.b_pred)
+    smax_y = np.take_along_axis(cache.smax, tgt_out[..., None], 2)[..., 0]
+    cache.smax_y = smax_y = smax_y.astype(mix_dtype)
+    if table is None:
+        table = lexicon_table(params)
+    if table is not None:
+        lam = params.lex_weight
+        rows, backoff = lexicon_rows(params, src, table)
+        # lex_y[b, t, i] = p(y_bt | src_bi)
+        lex_y = rows[np.arange(B)[:, None, None], np.arange(S),
+                     tgt_out[..., None]]
+        alpha = cache.alpha.astype(mix_dtype)
+        cache.mix = 1.0 - lam + lam * (alpha @ backoff[:, :, None])[..., 0]
+        p_y = cache.mix * smax_y + lam * (alpha * lex_y).sum(axis=2)
+        cache.lex_y, cache.backoff = lex_y, backoff
+    else:
+        p_y = smax_y
+        cache.lex_y = cache.mix = cache.backoff = None
+    cache.p_y = p_y
+    cache.loss = -np.log(np.maximum(p_y[tgt_mask], P_FLOOR)).sum()
     return cache
 
 
 # ---------------------------------------------------------------------------
 # backward
+#
+# Products that do not feed a recurrence run once per batch, outside the
+# time loops.  The (B, S, H) attention activations are recomputed per
+# step rather than kept for every step, the gate arrays turn into gate
+# gradients in place, and each gradient is written straight into its
+# buffer by the product that computes it, so memory stays near one set
+# of gradients plus the cache.
 
-def zero_gradients(params: ModelParameters) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.tensors().items()}
+def _output_backward(params: ModelParameters, cache: _BatchCache,
+                     grads: dict[str, np.ndarray]):
+    """Gradients of the output layer; returns the gradient reaching h~
+    (B, T, H) and the one reaching the attention weights through the
+    lexicon mixture (B, T, S), None without a lexicon."""
+    dtype = params.W_enc.dtype
+    B, T = cache.tgt_out.shape
+    # d/dp_y of the per-token loss -log(max(p_y, P_FLOOR)), which is flat
+    # below the floor (-1 / P_FLOOR would overflow float32 gradients to
+    # inf, and inf * 0 to NaN), and 0 at padded positions
+    live = cache.tgt_mask & (cache.p_y > P_FLOOR)
+    slope = np.where(live, -1.0 / np.where(live, cache.p_y, 1.0), 0.0)
+    if cache.mix is not None:
+        dsmax_y = cache.mix * slope
+        dalpha_mix = (params.lex_weight * slope[..., None]
+                      * (cache.backoff[:, None, :] * cache.smax_y[..., None]
+                         + cache.lex_y)).astype(dtype)
+    else:
+        dsmax_y = slope
+        dalpha_mix = None
+
+    # softmax backward with a single nonzero upstream component
+    g_y = (dsmax_y * cache.smax_y).astype(dtype)
+    DL = cache.smax * -g_y[..., None]
+    DL[np.arange(B)[:, None], np.arange(T), cache.tgt_out] += g_y
+    np.matmul(_flat(DL).T, _flat(cache.htil_out), out=grads["W_pred"])
+    _flat(DL).sum(axis=0, out=grads["b_pred"])
+    dhtil = _rows(DL, params.W_pred)
+    if cache.mask_o is not None:
+        dhtil *= cache.mask_o
+    return dhtil, dalpha_mix
 
 
-def _loss_slope(p_y: float) -> float:
-    """d/dp_y of the forward's per-token loss -log(max(p_y, P_FLOOR)),
-    which is flat below the floor.  (-1 / P_FLOOR there would overflow
-    float32 gradients to inf, and inf * 0 to NaN.)"""
-    return -1.0 / p_y if p_y > P_FLOOR else 0.0
+def _lstm_backward_factors(gates, c, c_first):
+    """Turn an LSTM's gates (B, N, 4H) = [i, f, g, o] into the factors of
+    its backward, in place.  With cell states c (B, N, H) and c_first
+    the state before position 0, a step's backward is dc = dc_next +
+    dh * dc_dh and dz = [dc, dc, dc, dh] * gates; returns (dc_dh, f)."""
+    H = c.shape[2]
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    forget = f.copy()
+    tanh_c = np.tanh(c)
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
+    o *= 1.0 - o
+    o *= tanh_c
+    f *= 1.0 - f
+    f *= _shifted(c_first, c)
+    g_factor = i * (1.0 - g * g)
+    i *= 1.0 - i
+    i *= g
+    g[...] = g_factor
+    return dc_dh, forget
 
 
-def backward_pair(
-    params: ModelParameters, cache: _PairCache, grads: dict[str, np.ndarray]
-) -> None:
-    # Per-step gradient rows are staged in (T, .) buffers so each weight
-    # matrix gets one matmul per pair instead of T rank-1 updates; the
-    # time loops only keep the genuinely recurrent matvecs.
+def _decoder_backward(params: ModelParameters, cache: _BatchCache,
+                      dhtil_out, dalpha_mix, grads: dict[str, np.ndarray]):
+    """Gradients of the decoder and the attention; returns the gradient
+    reaching the encoder states (B, S, H), the decoder's start state
+    included, and the one reaching the start cell state (B, H)."""
     H = params.hidden_size
     d = params.embed_size
     dtype = params.W_enc.dtype
-    S, T = cache.S, cache.T
-    lam = params.lex_weight if params.lexicon else 0.0
-    lex_rows = (
-        [params.lexicon.get(sid) for sid in cache.src_ids] if lam > 0.0 else None
-    )
-    pre_att = cache.Hx @ params.W_att_x.T
-    # all attention pre-activations at once: (T, S, H)
-    M = np.tanh(pre_att[None, :, :] + (cache.hd @ params.W_att_h.T)[:, None, :]
-                + params.b_att)
+    B, T = cache.tgt_out.shape
+    S = cache.src.shape[1]
+    Hx, keys, hd = cache.Hx, cache.keys, cache.hd
+    h0, c0 = Hx[cache.last], cache.enc_c[cache.last]
+    # DZ holds each step's factors until the step overwrites them with
+    # its gate gradient
+    dc_dh, forget = _lstm_backward_factors(cache.dec_gates, cache.dec_c, c0)
+    DZ = cache.dec_gates
+    dtanh_htil = 1.0 - cache.htil * cache.htil
+    W_rec = params.W_dec[:, d:]
 
-    DL = np.empty((T, params.tgt_vocab_size), dtype=dtype)
-    DPC = np.empty((T, H), dtype=dtype)
-    DCTX = np.empty((T, H), dtype=dtype)
-    DMS = np.empty((T, H), dtype=dtype)
-    DZ = np.empty((T, 4 * H), dtype=dtype)
-    DE = np.empty((T, d), dtype=dtype)
-    dM_acc = np.zeros((S, H), dtype=dtype)
-    dv_acc = np.zeros(H, dtype=dtype)
-    dh_next = np.zeros(H, dtype=dtype)
-    dc_next = np.zeros(H, dtype=dtype)
-    dhtil_infeed = np.zeros(H, dtype=dtype)
-
+    DPC = np.empty((B, T, H), dtype=dtype)
+    DCTX = np.empty((B, T, H), dtype=dtype)
+    DMS = np.empty((B, T, H), dtype=dtype)
+    dM = np.zeros((B, S, H), dtype=dtype)
+    dv = np.zeros(H, dtype=dtype)
+    drec = np.zeros((B, 2 * H), dtype=dtype)   # [dh~ fed back; dh_prev]
+    dc_next = np.zeros((B, H), dtype=dtype)
     for t in range(T - 1, -1, -1):
-        y = cache.tgt_out[t]
-        smax = cache.smax[t]
-        alpha = cache.alpha[t]
-        if lam > 0.0:
-            lex_y = 0.0
-            for a_i, row in zip(alpha, lex_rows):
-                if row is not None:
-                    lex_y += float(a_i) * row.get(y, 0.0)
-            c0 = cache.c0[t]
-            p_y = c0 * float(smax[y]) + lam * lex_y
-            dP_y = _loss_slope(p_y)
-            dls_y = c0 * dP_y                      # dL/d smax[y]
-            dalpha_mix = np.empty(S, dtype=dtype)
-            base = lam * float(smax[y]) * dP_y
-            for i, row in enumerate(lex_rows):
-                if row is None:
-                    dalpha_mix[i] = base
-                else:
-                    dalpha_mix[i] = lam * row.get(y, 0.0) * dP_y
-        else:
-            p_y = float(smax[y])
-            dls_y = _loss_slope(p_y)
-            dalpha_mix = None
-
-        # softmax backward with single nonzero upstream component
-        dlogits = smax * (-(dls_y * smax[y]))
-        dlogits[y] += dls_y * smax[y]
-        DL[t] = dlogits
-
-        dhout = params.W_pred.T @ dlogits
-        if cache.mask_o is not None:
-            dhout = dhout * cache.mask_o[t]
-        dhtil = dhout + dhtil_infeed
-
         # combiner
-        htil = cache.htil[t]
-        dpre_c = dhtil * (1.0 - htil * htil)
-        DPC[t] = dpre_c
-        dq = params.W_comb.T @ dpre_c
-        dh = dq[:H].copy()
-        dctx = dq[H:]
-        DCTX[t] = dctx
+        dpre_c = (dhtil_out[:, t] + drec[:, :H]) * dtanh_htil[:, t]
+        DPC[:, t] = dpre_c
+        dq = dpre_c @ params.W_comb
+        dctx = dq[:, H:]
+        DCTX[:, t] = dctx
 
         # context and attention
-        dalpha = cache.Hx @ dctx
+        alpha = cache.alpha[:, t]
+        dalpha = (Hx @ dctx[:, :, None])[..., 0]
         if dalpha_mix is not None:
-            dalpha = dalpha + dalpha_mix
-        dot = float(dalpha @ alpha)
-        dscores = alpha * (dalpha - dot)
-        m = M[t]
-        dv_acc += m.T @ dscores
-        dm = (dscores[:, None] * params.v_att[None, :]) * (1.0 - m * m)
-        dM_acc += dm
-        dm_sum = dm.sum(axis=0)
-        DMS[t] = dm_sum
-        dh += params.W_att_h.T @ dm_sum
+            dalpha += dalpha_mix[:, t]
+        dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+        m = np.add(keys, cache.query[:, t, None, :])
+        np.tanh(m, out=m)
+        dv += dscores.reshape(-1) @ _flat(m)
+        dm = np.multiply(m, m, out=m)
+        np.subtract(1.0, dm, out=dm)
+        dm *= dscores[..., None]
+        dm *= params.v_att
+        dM += dm
+        dm_sum = dm.sum(axis=1)
+        DMS[:, t] = dm_sum
 
-        # decoder LSTM step
-        dh += dh_next
-        gi, gf = cache.dec_i[t], cache.dec_f[t]
-        gg, go = cache.dec_g[t], cache.dec_o[t]
-        tanh_c = np.tanh(cache.dec_c[t])
-        do = dh * tanh_c
-        dc = dc_next + dh * go * (1.0 - tanh_c * tanh_c)
-        di = dc * gg
-        df = dc * cache.dec_cprev[t]
-        dg = dc * gi
-        dc_next = dc * gf
-        dz = DZ[t]
-        dz[0:H] = di * gi * (1.0 - gi)
-        dz[H:2 * H] = df * gf * (1.0 - gf)
-        dz[2 * H:3 * H] = dg * (1.0 - gg * gg)
-        dz[3 * H:4 * H] = do * go * (1.0 - go)
-        dfull = params.W_dec.T @ dz
-        de = dfull[:d]
-        if cache.mask_e is not None:
-            de = de * cache.mask_e[t]
-        DE[t] = de
-        dhtil_infeed = dfull[d:d + H]
-        dh_next = dfull[d + H:]
+        # LSTM step
+        dh = dq[:, :H] + dm_sum @ params.W_att_h + drec[:, H:]
+        dc = dc_next + dh * dc_dh[:, t]
+        dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1), DZ[:, t],
+                         out=DZ[:, t])
+        dc_next = dc * forget[:, t]
+        drec = dz @ W_rec
 
-    grads["W_pred"] += DL.T @ cache.htil_out
-    grads["b_pred"] += DL.sum(axis=0)
-    grads["W_comb"] += DPC.T @ np.concatenate([cache.hd, cache.ctx], axis=1)
-    grads["b_comb"] += DPC.sum(axis=0)
-    grads["v_att"] += dv_acc
-    grads["W_att_x"] += dM_acc.T @ cache.Hx
-    grads["W_att_h"] += DMS.T @ cache.hd
-    grads["b_att"] += DMS.sum(axis=0)
-    grads["W_dec"] += DZ.T @ cache.dec_full
-    grads["b_dec"] += DZ.sum(axis=0)
-    np.add.at(grads["E_tgt"], cache.tgt_in, DE)
+    np.matmul(_flat(DPC).T, _flat(np.concatenate([hd, cache.ctx], axis=2)),
+              out=grads["W_comb"])
+    _flat(DPC).sum(axis=0, out=grads["b_comb"])
+    grads["v_att"][...] = dv
+    np.matmul(_flat(dM).T, _flat(Hx), out=grads["W_att_x"])
+    np.matmul(_flat(DMS).T, _flat(hd), out=grads["W_att_h"])
+    _flat(DMS).sum(axis=0, out=grads["b_att"])
+    # W_dec's columns take [e; h~_prev; h_prev]
+    W_dec = grads["W_dec"]
+    htil_prev = _shifted(np.zeros((B, H), dtype=dtype), cache.htil)
+    np.matmul(_flat(DZ).T, _flat(cache.e), out=W_dec[:, :d])
+    np.matmul(_flat(DZ).T, _flat(htil_prev), out=W_dec[:, d:d + H])
+    np.matmul(_flat(DZ).T, _flat(_shifted(h0, hd)), out=W_dec[:, d + H:])
+    _flat(DZ).sum(axis=0, out=grads["b_dec"])
+    DE = _rows(DZ, params.W_dec[:, :d])
+    if cache.mask_e is not None:
+        DE *= cache.mask_e
+    grads["E_tgt"][...] = 0.0
+    np.add.at(grads["E_tgt"], cache.tgt_in[cache.tgt_mask], DE[cache.tgt_mask])
 
-    # encoder backward; final state seeded the decoder
-    dHx = cache.alpha.T @ DCTX + dM_acc @ params.W_att_x
-    EZ = np.empty((S, 4 * H), dtype=dtype)
-    DX = np.empty((S, d), dtype=dtype)
-    dh_carry = dh_next
-    dc_carry = dc_next
+    dHx = cache.alpha.transpose(0, 2, 1) @ DCTX + _rows(dM, params.W_att_x)
+    dHx[cache.last] += drec[:, H:]
+    return dHx, dc_next
+
+
+def _encoder_backward(params: ModelParameters, cache: _BatchCache, dHx,
+                      dc_last, grads: dict[str, np.ndarray]) -> None:
+    """Gradients of the encoder, from those reaching its states dHx and,
+    at each pair's last source position, its cell state dc_last."""
+    H = params.hidden_size
+    d = params.embed_size
+    dtype = params.W_enc.dtype
+    B, S = cache.src.shape
+    dc_in = np.zeros((B, S, H), dtype=dtype)
+    dc_in[cache.last] = dc_last
+    start = np.zeros((B, H), dtype=dtype)
+    dc_dh, forget = _lstm_backward_factors(cache.enc_gates, cache.enc_c, start)
+    EZ = cache.enc_gates
+    W_h = params.W_enc[:, d:]
+    dh_carry = np.zeros((B, H), dtype=dtype)
+    dc_carry = np.zeros((B, H), dtype=dtype)
     for n in range(S - 1, -1, -1):
-        dh = dh_carry + dHx[n]
-        gi, gf = cache.enc_i[n], cache.enc_f[n]
-        gg, go = cache.enc_g[n], cache.enc_o[n]
-        tanh_c = np.tanh(cache.enc_c[n])
-        do = dh * tanh_c
-        dc = dc_carry + dh * go * (1.0 - tanh_c * tanh_c)
-        di = dc * gg
-        df = dc * cache.enc_cprev[n]
-        dg = dc * gi
-        dc_carry = dc * gf
-        dz = EZ[n]
-        dz[0:H] = di * gi * (1.0 - gi)
-        dz[H:2 * H] = df * gf * (1.0 - gf)
-        dz[2 * H:3 * H] = dg * (1.0 - gg * gg)
-        dz[3 * H:4 * H] = do * go * (1.0 - go)
-        dfull = params.W_enc.T @ dz
-        dx = dfull[:d]
-        if cache.mask_src is not None:
-            dx = dx * cache.mask_src[n]
-        DX[n] = dx
-        dh_carry = dfull[d:]
-    grads["W_enc"] += EZ.T @ cache.enc_full
-    grads["b_enc"] += EZ.sum(axis=0)
-    np.add.at(grads["E_src"], cache.src_ids, DX)
+        dh = dh_carry + dHx[:, n]
+        dc = dc_carry + dc_in[:, n] + dh * dc_dh[:, n]
+        dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1), EZ[:, n],
+                         out=EZ[:, n])
+        dc_carry = dc * forget[:, n]
+        dh_carry = dz @ W_h
+    W_enc = grads["W_enc"]
+    np.matmul(_flat(EZ).T, _flat(cache.x), out=W_enc[:, :d])
+    np.matmul(_flat(EZ).T, _flat(_shifted(start, cache.Hx)), out=W_enc[:, d:])
+    _flat(EZ).sum(axis=0, out=grads["b_enc"])
+    DX = _rows(EZ, params.W_enc[:, :d])
+    if cache.mask_src is not None:
+        DX *= cache.mask_src
+    valid = np.arange(S) < cache.src_len[:, None]
+    grads["E_src"][...] = 0.0
+    np.add.at(grads["E_src"], cache.src[valid], DX[valid])
+
+
+def backward_pair(
+    params: ModelParameters, cache: _BatchCache, grads: dict[str, np.ndarray]
+) -> None:
+    """Write the gradients of cache.loss into grads, one array shaped
+    like each tensor of params.  Consumes the cache."""
+    dhtil, dalpha_mix = _output_backward(params, cache, grads)
+    dHx, dc_last = _decoder_backward(params, cache, dhtil, dalpha_mix, grads)
+    _encoder_backward(params, cache, dHx, dc_last, grads)
 
 
 def batch_loss_and_gradients(
@@ -411,30 +495,35 @@ def batch_loss_and_gradients(
     batch: list[tuple[list[int], list[int]]],
     rng: np.random.Generator | None = None,
     dropout: float = 0.0,
+    table: LexiconTable | None = None,
 ) -> tuple[float, int, dict[str, np.ndarray]]:
-    """Mean-per-token loss over the batch plus matching gradients."""
-    grads = zero_gradients(params)
-    total_loss = 0.0
-    total_tokens = 0
-    for src_ids, tgt_ids in batch:
-        cache = forward_pair(params, src_ids, tgt_ids, rng, dropout)
-        total_loss += cache.loss
-        total_tokens += cache.T
-        backward_pair(params, cache, grads)
+    """Mean-per-token loss over the batch, its token count, and matching
+    gradients."""
+    # the gradient buffers are allocated before the cache, so the memory
+    # the cache frees on return is what Adam's scratch arrays reuse
+    grads = {name: np.empty_like(t) for name, t in params.tensors().items()}
+    cache = forward_pair(params, batch, rng, dropout, table)
+    backward_pair(params, cache, grads)
     for g in grads.values():
-        g /= total_tokens
-    return total_loss / total_tokens, total_tokens, grads
+        g /= cache.tokens
+    return float(cache.loss) / cache.tokens, cache.tokens, grads
 
 
 def corpus_loss(
-    params: ModelParameters, pairs: list[tuple[list[int], list[int]]]
+    params: ModelParameters,
+    pairs: list[tuple[list[int], list[int]]],
+    minibatch_words: int = 2048,
+    table: LexiconTable | None = None,
 ) -> float:
+    """Mean-per-token loss over pairs, forwarded in make_batches batches."""
+    if table is None:
+        table = lexicon_table(params)
     total = 0.0
     tokens = 0
-    for src_ids, tgt_ids in pairs:
-        cache = forward_pair(params, src_ids, tgt_ids)
-        total += cache.loss
-        tokens += cache.T
+    for batch in make_batches(pairs, minibatch_words):
+        cache = forward_pair(params, batch, table=table)
+        total += float(cache.loss)
+        tokens += cache.tokens
     return total / max(tokens, 1)
 
 
@@ -480,16 +569,27 @@ class AdamState:
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
+        # the arithmetic of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+        # tensor -= lr (m / corr1) / (sqrt(v / corr2) + eps), with two
+        # scratch arrays per tensor
         for name, tensor in params.tensors().items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            scratch = np.multiply(g, 1 - b1)
             m *= b1
-            m += (1 - b1) * g
+            m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch *= 1 - b2
             v *= b2
-            v += (1 - b2) * (g * g)
-            tensor -= (learning_rate * (m / corr1)
-                       / (np.sqrt(v / corr2) + self.epsilon)).astype(tensor.dtype)
+            v += scratch
+            np.divide(v, corr2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.epsilon
+            step = np.divide(m, corr1)
+            step *= learning_rate
+            step /= scratch
+            tensor -= step
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +615,7 @@ def train(
     )
     if lexicon:
         params.lexicon = lexicon
+    table = lexicon_table(params)
 
     n_dev = max(1, int(round(len(encoded_pairs) * config.dev_fraction)))
     n_dev = min(n_dev, len(encoded_pairs) - 1) if len(encoded_pairs) > 1 else 0
@@ -543,7 +644,7 @@ def train(
         for bi in rng.permutation(len(batches)):
             batch = batches[int(bi)]
             loss, tokens, grads = batch_loss_and_gradients(
-                params, batch, rng, config.dropout)
+                params, batch, rng, config.dropout, table)
             if not np.isfinite(loss):
                 log.error("non-finite loss at epoch %d; keeping last good "
                           "snapshot", epoch)
@@ -556,7 +657,7 @@ def train(
         if aborted or not params.all_finite():
             logbook.aborted = True
             break
-        dev_loss = corpus_loss(params, dev_pairs)
+        dev_loss = corpus_loss(params, dev_pairs, config.minibatch_words, table)
         train_loss = epoch_loss / max(epoch_tokens, 1)
         logbook.epochs.append(EpochStats(
             epoch, train_loss, dev_loss, lr, time.monotonic() - started))
@@ -581,25 +682,26 @@ def gradient_check(
     step: float = 1e-4,
     dropout: float = 0.0,
 ) -> float:
-    """Max relative error between analytic and central-difference
-    gradients over every parameter tensor, at float64."""
+    """Max relative error between analytic gradients at float64 and
+    central differences over every parameter tensor.  The differences
+    are taken at the platform's extended precision (np.longdouble) where
+    it has one: at float64 the loss's rounding noise, divided by the
+    step, is around 1e-12, which is 1e-4 of the smallest gradients."""
     if dropout != 0.0:
         raise ValueError(
             "gradient_check requires dropout disabled: the stochastic mask "
             "makes the two loss evaluations inconsistent")
     p64 = params.astype(np.float64)
+    table = lexicon_table(p64)
+    _, _, analytic = batch_loss_and_gradients(p64, batch, table=table)
+    wide = params.astype(np.longdouble)
 
-    def objective() -> float:
-        total, tokens = 0.0, 0
-        for src_ids, tgt_ids in batch:
-            cache = forward_pair(p64, src_ids, tgt_ids)
-            total += cache.loss
-            tokens += cache.T
-        return total / tokens
+    def objective():
+        cache = forward_pair(wide, batch, table=table)
+        return cache.loss / cache.tokens
 
-    _, _, analytic = batch_loss_and_gradients(p64, batch)
     worst = 0.0
-    for name, tensor in p64.tensors().items():
+    for name, tensor in wide.tensors().items():
         grad = analytic[name]
         flat = tensor.reshape(-1)
         gflat = grad.reshape(-1)
@@ -610,10 +712,10 @@ def gradient_check(
             flat[idx] = original - step
             down = objective()
             flat[idx] = original
-            numeric = (up - down) / (2.0 * step)
+            numeric = float((up - down) / (2.0 * step))
             denom = abs(gflat[idx]) + abs(numeric)
             if denom < 1e-10:
                 continue
             rel = abs(gflat[idx] - numeric) / denom
             worst = max(worst, rel)
-    return worst
+    return float(worst)

@@ -9,11 +9,18 @@ test here.
 import csv
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import patchloom
 from patchloom.cli import main
+from patchloom.model import ModelParameters
+from patchloom.modelio import save_model
 from patchloom.synthdata import make_repo
+from patchloom.vocab import Vocabulary
 
 from conftest import FIXTURES_DIR
 
@@ -139,3 +146,42 @@ def test_evaluate_category_flag(tmp_path, capsys):
     # the single UQ query is filtered out, leaving an empty battery
     line = next(l for l in out.splitlines() if l.startswith("filtered"))
     assert " 0 " in line
+
+
+def _generate_in_subprocess(tmp_path, model_path):
+    """Run `generate` as its own process, so stderr holds whatever the
+    command prints, tracebacks included."""
+    queries = tmp_path / "queries.txt"
+    queries.write_text("int a = b ;\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(patchloom.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "patchloom.cli", "generate", "--model", str(model_path),
+         "--query-file", str(queries), "--out", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+def _small_model(path, lexicon):
+    params = ModelParameters.initialize(np.random.default_rng(0), 8, 11,
+                                        hidden_size=4, embed_size=3)
+    params.lexicon = lexicon
+    save_model(str(path), params, Vocabulary(("int", "a", "b")),
+               Vocabulary(("int", "a", "b", "=", ";", "c")))
+
+
+def test_truncated_model_exits_1_without_traceback(tmp_path):
+    model = tmp_path / "model.plm"
+    _small_model(model, {})
+    model.write_bytes(model.read_bytes()[:100])
+    proc = _generate_in_subprocess(tmp_path, model)
+    assert proc.returncode == 1
+    assert "truncated model file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_model_with_out_of_vocabulary_lexicon_id_exits_1_without_traceback(tmp_path):
+    model = tmp_path / "model.plm"
+    _small_model(model, {5: {999: 1.0}})
+    proc = _generate_in_subprocess(tmp_path, model)
+    assert proc.returncode == 1
+    assert "target id 999" in proc.stderr
+    assert "Traceback" not in proc.stderr

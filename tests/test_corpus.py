@@ -16,7 +16,6 @@ from patchloom.corpus import (
     categorize,
     drop_identical,
     read_parallel,
-    read_test_pairs,
     replace_rare,
     select_post_correction,
     split_chronological,
@@ -308,15 +307,6 @@ def test_write_and_read_corpus(tmp_path):
     src, tgt = read_parallel(str(out), "train")
     assert src == [list(p.pre.tokens) for p in train.pairs]
     assert tgt == [list(p.post.tokens) for p in train.pairs]
-
-    back = read_test_pairs(str(out))
-    assert len(back) == len(test)
-    assert back[0].pre.tokens == test[0].pre.tokens
-    assert back[0].post.tokens == test[0].post.tokens
-    assert back[0].bugfix == test[0].bugfix
-    assert back[0].category == test[0].category
-    # concrete argument contents survive the trip through queries/refs
-    assert back[0].concrete_pre.tokens == test[0].concrete_pre.tokens
 
     assert Vocabulary.load(str(out / "vocab.src.json")) == train.src_vocab
 

@@ -47,8 +47,9 @@ def test_single_line_replacement():
     post = ["int a ;", "long b ;", "int c ;"]
     hunks = histogram_diff(pre, post)
     assert hunks == [RawHunk(1, 2, 1, 2)]
-    assert pre[slice(*hunks[0].deleted)] == ["int b ;"]
-    assert post[slice(*hunks[0].added)] == ["long b ;"]
+    hunk = hunks[0]
+    assert pre[hunk.pre_start:hunk.pre_end] == ["int b ;"]
+    assert post[hunk.post_start:hunk.post_end] == ["long b ;"]
 
 
 def test_pure_insertion_and_pure_deletion():

@@ -207,6 +207,29 @@ def test_zero_lex_weight_ignores_lexicon():
     assert np.allclose(with_row, without)
 
 
+def test_lexicon_rows_match_the_dict_lexicon():
+    # the arrays behind lexicon_rows must give exactly the dict's rows;
+    # source 4's row is padded with id 0, which source 0's row also uses
+    params = make_params(src=6, tgt=7, lex_weight=0.3)
+    params.lexicon = {0: {0: 0.25, 5: 0.75}, 2: {3: 0.5, 6: 0.5}, 4: {1: 1.0}}
+    src = [2, 3, 4, 0, 2]
+    rows, backoff = lexicon_rows(params, src)
+    assert rows.shape == (5, 7)
+    for i, sid in enumerate(src):
+        row = params.lexicon.get(sid)
+        want = np.zeros(7)
+        if row is not None:
+            want[list(row)] = list(row.values())
+        assert np.array_equal(rows[i], want)
+        assert backoff[i] == (row is None)
+    # a (2, S) batch of sources gives each source's rows
+    both, both_backoff = lexicon_rows(params, [src, src[::-1]])
+    assert np.array_equal(both[0], rows)
+    assert np.array_equal(both[1], rows[::-1])
+    assert np.array_equal(both_backoff[1], backoff[::-1])
+    assert lexicon_rows(replace(params, lex_weight=0.0), src) is None
+
+
 # ---------------------------------------------------------------------------
 # batch axis
 

@@ -1,10 +1,25 @@
-"""Model file format: byte-stable round trips and corruption errors."""
+"""Model file format: byte-stable round trips and corruption errors.
+
+Every file save_model could not have written must fail to load with
+ModelFormatError, never with an error from deeper in the program."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchloom.model import ModelParameters
-from patchloom.modelio import MAGIC, ModelFormatError, load_model, save_model
+from patchloom.modelio import (
+    MAGIC,
+    VERSION,
+    ModelFormatError,
+    _write_str,
+    _write_u32,
+    _write_vocab,
+    load_model,
+    save_model,
+)
 from patchloom.vocab import Vocabulary
 
 
@@ -86,3 +101,143 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ModelFormatError):
         load_model(str(path))
+
+
+# ---------------------------------------------------------------------------
+# files save_model could not have written
+
+
+def write_raw(path, src_vocab, tgt_vocab, tensors, lexicon, trailing=b""):
+    """A model file in the PLM1 layout from explicit parts."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        _write_u32(fh, VERSION)
+        _write_vocab(fh, src_vocab)
+        _write_vocab(fh, tgt_vocab)
+        _write_u32(fh, len(tensors))
+        for name, tensor in tensors.items():
+            _write_str(fh, name)
+            arr = np.ascontiguousarray(tensor, dtype="<f4")
+            _write_u32(fh, arr.ndim)
+            for dim in arr.shape:
+                _write_u32(fh, dim)
+            fh.write(arr.tobytes())
+        _write_u32(fh, len(lexicon))
+        for sid, row in lexicon:
+            _write_u32(fh, sid)
+            _write_u32(fh, len(row))
+            for tid, prob in row:
+                fh.write(struct.pack("<If", tid, prob))
+        fh.write(trailing)
+
+
+def raw_parts(lex_weight=0.125):
+    params, src_vocab, tgt_vocab = fresh(lex_weight=lex_weight)
+    tensors = dict(params.tensors())
+    tensors["lex_weight"] = np.array([lex_weight], dtype=np.float32)
+    return src_vocab, tgt_vocab, tensors, [(5, [(3, 0.25), (6, 0.75)])]
+
+
+def test_raw_writer_matches_save_model(tmp_path):
+    # write_raw writes exactly what save_model writes
+    params, src_vocab, tgt_vocab = fresh()
+    params.lexicon = {5: {3: 0.25, 6: 0.75}}
+    save_model(str(tmp_path / "a.plm"), params, src_vocab, tgt_vocab)
+    write_raw(tmp_path / "b.plm", *raw_parts())
+    assert (tmp_path / "a.plm").read_bytes() == (tmp_path / "b.plm").read_bytes()
+
+
+def _rejected(path, *parts, **kwargs):
+    write_raw(path, *parts, **kwargs)
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("row", [
+    (8, [(3, 1.0)]),        # source id == len(src_vocab)
+    (5, [(999, 1.0)]),      # target id far outside the 9-token vocabulary
+    (5, [(9, 1.0)]),
+    (5, [(3, float("nan"))]),
+])
+def test_bad_lexicon_rows_rejected(tmp_path, row):
+    src_vocab, tgt_vocab, tensors, _ = raw_parts()
+    _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, [row])
+
+
+def test_repeated_lexicon_row_rejected(tmp_path):
+    src_vocab, tgt_vocab, tensors, lexicon = raw_parts()
+    _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon * 2)
+
+
+def test_vocabulary_size_disagreeing_with_tensors_rejected(tmp_path):
+    src_vocab, tgt_vocab, tensors, lexicon = raw_parts()
+    src_vocab.add("delta")
+    _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon)
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("W_dec", (24, 15)),     # 4H x (d + 2H) is 24 x 16
+    ("b_att", (5,)),
+    ("W_comb", (6, 12, 1)),
+    ("E_src", (8,)),
+])
+def test_misshapen_tensor_rejected(tmp_path, name, shape):
+    src_vocab, tgt_vocab, tensors, lexicon = raw_parts()
+    tensors[name] = np.zeros(shape, dtype=np.float32)
+    _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon)
+
+
+@pytest.mark.parametrize("name", ["lex_weight", "W_pred"])
+def test_missing_tensor_rejected(tmp_path, name):
+    src_vocab, tgt_vocab, tensors, lexicon = raw_parts()
+    del tensors[name]
+    _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon)
+
+
+def test_unknown_tensor_rejected(tmp_path):
+    src_vocab, tgt_vocab, tensors, lexicon = raw_parts()
+    tensors["W_extra"] = np.zeros((2, 2), dtype=np.float32)
+    _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon)
+
+
+@pytest.mark.parametrize("name,value", [("W_enc", np.nan), ("lex_weight", np.inf)])
+def test_non_finite_tensor_rejected(tmp_path, name, value):
+    src_vocab, tgt_vocab, tensors, lexicon = raw_parts()
+    tensors[name] = tensors[name].copy()
+    tensors[name].reshape(-1)[0] = value
+    _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    _rejected(tmp_path / "m.plm", *raw_parts(), trailing=b"\0")
+
+
+def test_invalid_utf8_rejected(tmp_path):
+    path = tmp_path / "m.plm"
+    write_raw(path, *raw_parts())
+    blob = path.read_bytes()
+    at = blob.index(b"gamma")
+    path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_truncated_or_mutated_file_loads_or_raises_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "m.plm"
+    write_raw(path, *raw_parts())
+    blob = bytearray(path.read_bytes())
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob[at] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(blob))
+    try:
+        params, src_vocab, tgt_vocab = load_model(str(path))
+    except ModelFormatError:
+        return
+    assert params.all_finite()
+    assert params.src_vocab_size == len(src_vocab)
+    assert params.tgt_vocab_size == len(tgt_vocab)

@@ -12,7 +12,6 @@ from patchloom.tokenizer import (
     is_number,
     strip_line_comment,
     tokenize,
-    try_tokenize,
 )
 
 from conftest import DATA_DIR, load_tagged
@@ -55,12 +54,6 @@ def test_unterminated_string_raises():
 def test_unterminated_char_raises():
     with pytest.raises(TokenizeError):
         tokenize("char c = 'x ;")
-
-
-def test_try_tokenize_swallows_errors():
-    assert try_tokenize('log . warn ( "oops ) ;') is None
-    ok = try_tokenize("int i = 0 ;")
-    assert ok is not None and ok.tokens == ("int", "i", "=", "0", ";")
 
 
 def test_generics_split_one_bracket_at_a_time():

@@ -1,8 +1,9 @@
 """Training loop checks.
 
 The central-difference gradient check is the oracle for the manual
-backward pass; the copy task shows the whole loop can actually learn;
-determinism and the non-finite abort guard the operational behavior.
+backward pass; single-pair batches are the oracle for padding; the copy
+task shows the whole loop can actually learn; determinism and the
+non-finite abort guard the operational behavior.
 """
 
 import numpy as np
@@ -12,13 +13,11 @@ from patchloom.decoding import beam_search
 from patchloom.model import P_FLOOR, ModelParameters
 from patchloom.training import (
     TrainingConfig,
-    backward_pair,
     batch_loss_and_gradients,
     forward_pair,
     gradient_check,
     make_batches,
     train,
-    zero_gradients,
 )
 from patchloom.vocab import EOS_ID
 
@@ -57,11 +56,9 @@ def test_underflowed_target_gives_finite_loss_and_gradients(lex_weight):
     params = small_params(lex_weight=lex_weight)
     params.lexicon = {3: {7: 1.0}}
     params.b_pred[6] = -1e4
-    cache = forward_pair(params, [3, 4], [6, EOS_ID])
-    grads = zero_gradients(params)
-    backward_pair(params, cache, grads)
-    assert cache.loss >= -np.log(P_FLOOR)
-    assert np.isfinite(cache.loss)
+    loss, tokens, grads = batch_loss_and_gradients(params, [([3, 4], [6, EOS_ID])])
+    assert loss * tokens >= -np.log(P_FLOOR)
+    assert np.isfinite(loss)
     for name, grad in grads.items():
         assert np.isfinite(grad).all(), name
 
@@ -72,9 +69,62 @@ def test_batch_loss_is_mean_per_token():
     loss, tokens, _ = batch_loss_and_gradients(params, batch)
     assert tokens == 5
     total = 0.0
-    for src_ids, tgt_ids in batch:
-        total += forward_pair(params.astype(np.float64), src_ids, tgt_ids).loss
+    for pair in batch:
+        total += forward_pair(params.astype(np.float64), [pair]).loss
     assert loss == pytest.approx(total / tokens, rel=1e-5)
+
+
+# a padded batch: sources of 2, 4 and 1 tokens and targets of 3, 2 and 5,
+# listed so that neither the longest source nor the longest target comes
+# first; source token 9 has no lexicon row and backs off to the softmax
+PADDED_BATCH = [([3, 4], [6, 7, EOS_ID]),
+                ([5, 9, 3, 4], [8, EOS_ID]),
+                ([9], [3, 4, 5, 6, EOS_ID])]
+PADDED_LEXICON = {3: {6: 0.7, 7: 0.3}, 4: {7: 1.0}, 5: {2: 0.5, 8: 0.5}}
+
+
+@pytest.mark.parametrize("lex_weight", [0.0, 0.2])
+def test_gradient_check_on_padded_batch(lex_weight):
+    params = small_params(lex_weight=lex_weight)
+    params.lexicon = PADDED_LEXICON
+    assert gradient_check(params, PADDED_BATCH, step=1e-4) < 1e-4
+
+
+def _summed(params, batch, rng=None, dropout=0.0):
+    """Total loss and total gradients (not per-token means) of one batch."""
+    loss, tokens, grads = batch_loss_and_gradients(params, batch, rng, dropout)
+    return loss * tokens, {name: g * tokens for name, g in grads.items()}
+
+
+@pytest.mark.parametrize("lex_weight", [0.0, 0.2])
+def test_padded_batch_equals_sum_of_single_pairs(lex_weight):
+    params = small_params(lex_weight=lex_weight).astype(np.float64)
+    params.lexicon = PADDED_LEXICON
+    loss, grads = _summed(params, PADDED_BATCH)
+    singles = [_summed(params, [pair]) for pair in PADDED_BATCH]
+    assert abs(loss - sum(single_loss for single_loss, _ in singles)) < 1e-10
+    for name, grad in grads.items():
+        want = sum(single[name] for _, single in singles)
+        assert np.abs(grad - want).max() < 1e-10, name
+
+
+def test_dropout_draws_do_not_depend_on_batching():
+    # the same generator state must give each pair the same masks whether
+    # the pairs share one batch or come one per batch
+    params = small_params(lex_weight=0.2).astype(np.float64)
+    params.lexicon = PADDED_LEXICON
+    together = np.random.default_rng(3)
+    loss, grads = _summed(params, PADDED_BATCH, together, dropout=0.5)
+    apart = np.random.default_rng(3)
+    singles = [_summed(params, [pair], apart, dropout=0.5)
+               for pair in PADDED_BATCH]
+    assert together.bit_generator.state == apart.bit_generator.state
+    assert abs(loss - sum(single_loss for single_loss, _ in singles)) < 1e-10
+    for name, grad in grads.items():
+        want = sum(single[name] for _, single in singles)
+        assert np.abs(grad - want).max() < 1e-10, name
+    # and dropout did change the loss
+    assert abs(loss - _summed(params, PADDED_BATCH)[0]) > 1e-6
 
 
 def test_make_batches_respects_word_budget():
