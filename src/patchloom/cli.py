@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .corpus import (
     PipelineLedger,
     build_pairs,
@@ -55,7 +55,7 @@ from .modelio import ModelFormatError, load_model, save_model
 from .repo import RepositoryError, open_repository
 from .tokenizer import TokenizedStatement
 from .training import gradient_check, train as train_model
-from .vocab import EOS_ID, Vocabulary
+from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 log = logging.getLogger("patchloom")
 
@@ -69,11 +69,6 @@ def _read_lines(path: str) -> list[str]:
         raise CliError(f"input file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
-
-
-def _build_config(args: argparse.Namespace, keys: tuple[str, ...]) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in keys}
-    return load_config(getattr(args, "config", None), overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +111,9 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _build_config(args, (
+    config = load_config(args.config, {k: getattr(args, k) for k in (
         "seed", "hidden_size", "embed_size", "max_epochs", "learning_rate",
-        "dropout", "minibatch_words", "lex_weight"))
+        "dropout", "minibatch_words", "lex_weight")})
     src_lines, tgt_lines = read_parallel(args.corpus, "train")
     src_vocab = Vocabulary.load(os.path.join(args.corpus, "vocab.src.json"))
     tgt_vocab = Vocabulary.load(os.path.join(args.corpus, "vocab.tgt.json"))
@@ -131,7 +126,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     ]
     started = time.monotonic()
     params, logbook = train_model(
-        encoded, len(src_vocab), len(tgt_vocab), config.training,
+        encoded, len(src_vocab), len(tgt_vocab), config,
         lexicon=lexicon)
     save_model(args.out, params, src_vocab, tgt_vocab)
     log.info("train: %d pairs, best dev loss %.4f at epoch %d (%.1fs) -> %s",
@@ -157,6 +152,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     params, src_vocab, tgt_vocab = load_model(args.model)
+    # decoding computes in float64 (see decoding.py): cast once, not per query
+    params = params.astype(np.float64)
     queries = _read_lines(args.query_file)
     threshold = None if args.no_threshold else args.threshold
     table = lexicon_table(params)
@@ -203,8 +200,7 @@ def _load_results(path: str) -> list[GenerationResult]:
             result.patch = GeneratedPatch(
                 tokens=TokenizedStatement(tokens, obj["query"]),
                 score=obj["score"] if obj["score"] is not None else 0.0,
-                valid=obj["valid"], arguments_reinserted=True,
-                source=obj["source"])
+                valid=obj["valid"], source=obj["source"])
             result.concrete_output = tokens
         results.append(result)
     return results
@@ -256,6 +252,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params, src_vocab, tgt_vocab = load_model(args.model)
+    # decoding computes in float64 (see decoding.py): cast once, not per query
+    params = params.astype(np.float64)
     queries = _read_lines(os.path.join(args.corpus, "test.queries"))
     ref_lines = _read_lines(os.path.join(args.corpus, "test.refs"))
     refs = [TokenizedStatement(tuple(line.split()), line) for line in ref_lines]
@@ -279,10 +277,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .decoding import beam_search, exhaustive_search
-    from .model import (ModelParameters, attend, attention_keys,
-                        attentional_vector, encode, lexicon_rows,
-                        predict_distribution)
+    from .decoding import Decoder, beam_search, exhaustive_search
+    from .model import ModelParameters
 
     failures = []
     rng = np.random.default_rng(123)
@@ -297,11 +293,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     if not err < 1e-4:
         failures.append(f"gradient check error {err:.2e} >= 1e-4")
 
-    states, h, c = encode(params, [3, 4, 5])
-    weights, context = attend(params, states, attention_keys(params, states), h)
-    probs = predict_distribution(params, attentional_vector(params, h, context),
-                                 weights, lexicon_rows(params, [3, 4, 5]))
-    gap = abs(float(probs.sum()) - 1.0)
+    decoder = Decoder(params, [3, 4, 5])
+    _, logp = decoder.step(decoder.start, np.array([BOS_ID]))
+    gap = abs(float(np.exp(logp).sum()) - 1.0)
     log.info("selftest: distribution sum deviation %.2e", gap)
     if not gap < 1e-6:
         failures.append(f"distribution sum off by {gap:.2e}")

@@ -1,16 +1,17 @@
-"""Run configuration: flat key=value files, CLI overrides, environment
-seed override.
+"""Training configuration: flat key=value files, CLI overrides,
+environment seed override.
 
-Precedence, lowest to highest: dataclass defaults, config file, CLI
-flags, the PATCHLOOM_SEED environment variable.  Unknown keys are
-errors so typos fail loudly instead of silently running defaults.
+The keys are TrainingConfig's fields; `train` is the one subcommand that
+reads a config file.  Precedence, lowest to highest: dataclass defaults,
+config file, CLI flags, the PATCHLOOM_SEED environment variable.
+Unknown keys are errors so typos fail loudly instead of silently running
+defaults.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 from .training import TrainingConfig
 
@@ -21,54 +22,24 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    repo_path: str = ""
-    test_year: int = 0
-    output_dir: str = "out"
-    seed: int = 1
-    threshold: float = -0.7
-    beam_size: int = 10
-    max_len: int = 100
-    bugfix_only: bool = False
-    category: str = "all"
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-
-
 def _coerce(name: str, raw: str, target_type) -> object:
-    raw = raw.strip()
     try:
-        if target_type is bool:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return target_type(raw)
+        return target_type(raw.strip())
     except ValueError:
         raise ConfigError(
-            f"bad value {raw!r} for key {name!r} "
+            f"bad value {raw.strip()!r} for key {name!r} "
             f"(expected {target_type.__name__})") from None
 
 
-def _field_map() -> tuple[dict, dict]:
-    run_fields = {f.name: f.type for f in fields(RunConfig) if f.name != "training"}
-    train_fields = {f.name: f.type for f in fields(TrainingConfig)}
-    return run_fields, train_fields
+_TYPE_NAMES = {"int": int, "float": float}
 
 
-_TYPE_NAMES = {"str": str, "int": int, "float": float, "bool": bool}
-
-
-def _resolve(tp) -> type:
-    if isinstance(tp, str):
-        return _TYPE_NAMES[tp]
-    return tp
+def _field_types() -> dict[str, type]:
+    return {f.name: _TYPE_NAMES[f.type] for f in fields(TrainingConfig)}
 
 
 def parse_config_text(text: str) -> dict[str, object]:
-    run_fields, train_fields = _field_map()
+    types = _field_types()
     values: dict[str, object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -78,41 +49,30 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw_line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key in run_fields:
-            values[key] = _coerce(key, value, _resolve(run_fields[key]))
-        elif key in train_fields:
-            values[key] = _coerce(key, value, _resolve(train_fields[key]))
-        else:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        values[key] = _coerce(key, value, types[key])
     return values
 
 
 def load_config(path: str | None = None,
-                overrides: dict[str, object] | None = None) -> RunConfig:
+                overrides: dict[str, object] | None = None) -> TrainingConfig:
     values: dict[str, object] = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             values.update(parse_config_text(fh.read()))
     if overrides:
-        run_fields, train_fields = _field_map()
+        types = _field_types()
         for key, val in overrides.items():
             if val is None:
                 continue
-            if key not in run_fields and key not in train_fields:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = val
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         values["seed"] = _coerce("seed", env_seed, int)
-
-    run_fields, train_fields = _field_map()
-    run_kwargs = {k: v for k, v in values.items() if k in run_fields}
-    train_kwargs = {k: v for k, v in values.items() if k in train_fields}
-    if "seed" in values and "seed" not in train_kwargs:
-        train_kwargs["seed"] = values["seed"]
     try:
-        training = TrainingConfig(**train_kwargs)
-        config = RunConfig(training=training, **run_kwargs)
+        return TrainingConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return config

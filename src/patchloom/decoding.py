@@ -7,23 +7,26 @@ the best finished one, which preserves top-1 optimality over the
 explored space.  If nothing finishes within max_len, the best
 unfinished hypothesis is returned and flagged via finished=False.
 
-beam_search, sequence_log_prob (teacher-forced rescoring) and
-exhaustive_search (the exact reference a wide beam must match) share
-one step, Decoder.step, which advances K hypotheses at once: the
-decoder state is three (K, H) arrays, attention keys are computed once
-per source and h~ once per step.
+beam_search and exhaustive_search (the exact reference a wide beam must
+match) share one step, Decoder.step, which advances K hypotheses at
+once: the decoder state is three (K, H) arrays, attention keys are
+computed once per source and h~ once per step.  The step is model.py's
+forward, the one training runs, so a hypothesis' score is the negated
+training loss (training.forward_pair) of its tokens at float64.
 
-Decoder steps compute in float64, on copies of the decoder weights cast
-once per decode; the encoder stays float32.  In float32 a BLAS product
-gives a row slightly different values depending on how many rows share
-the call (up to 4e-5 at H=128), so a hypothesis' score would depend on
-the hypotheses it was stepped with.  In float64 the difference is near
-1e-15, and the three searchers agree within 1e-9.
+Decoding computes in float64: Decoder casts the whole model, encoder
+included, unless it is float64 already, so callers that decode many
+sources cast once.  In float32 a BLAS product gives a row slightly
+different values depending on how many rows share the call (up to 4e-5
+at H=128), so a hypothesis' score would depend on the hypotheses it was
+stepped with.  In float64 the difference is near 1e-15, and beam
+search, exhaustive search and the float64 training loss agree within
+1e-9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +43,6 @@ from .model import (
     predict_distribution,
 )
 from .vocab import BOS_ID, EOS_ID
-
-_DECODER_TENSORS = ("E_tgt", "W_dec", "b_dec", "W_att_x", "W_att_h",
-                    "b_att", "v_att", "W_comb", "b_comb", "W_pred", "b_pred")
 
 # (h, c, h~), each (K, H): one row per live hypothesis
 State = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -63,22 +63,26 @@ class Hypothesis:
 
 
 class Decoder:
-    """One source, encoded and ready to decode: float64 decoder weights,
+    """One source, encoded and ready to decode: the model at float64,
     encoder states, attention keys and lexicon rows, plus the step that
     advances any number of hypotheses together."""
 
     def __init__(self, params: ModelParameters, src_ids: list[int],
                  table: LexiconTable | None = None):
-        states, h, c = encode(params, src_ids)
-        # a new object: the caller's parameters are never modified
-        self.params = replace(params, **{
-            name: getattr(params, name).astype(np.float64)
-            for name in _DECODER_TENSORS})
-        self.states = states.astype(np.float64)
-        self.keys = attention_keys(self.params, self.states)
-        self.lexicon = lexicon_rows(self.params, src_ids, table)
-        self.start: State = (h[None].astype(np.float64),
-                             c[None].astype(np.float64),
+        if any(t.dtype != np.float64 for t in params.tensors().values()):
+            # a new object: the caller's parameters are never modified
+            params = params.astype(np.float64)
+        self.params = params
+        d = params.embed_size
+        states, cells, _ = encode(params, params.E_src[src_ids][None])
+        self.states = states
+        self.keys = attention_keys(params, states)
+        self.lexicon = lexicon_rows(params, src_ids, table)
+        # transposed views: a contiguous copy per source costs more than
+        # it saves on a query's few steps
+        self.W_in = params.W_dec[:, :d].T
+        self.W_rec = params.W_dec[:, d:].T
+        self.start: State = (states[:, -1], cells[:, -1],
                              np.zeros((1, params.hidden_size)))
 
     def step(self, state: State, prev_ids: np.ndarray) -> tuple[State, np.ndarray]:
@@ -86,9 +90,10 @@ class Decoder:
         state and (K, V_tgt) log probabilities, floored at log P_FLOOR."""
         p = self.params
         h, c, htilde = state
-        x = np.concatenate([p.E_tgt[prev_ids], htilde], axis=1)
-        h, c = lstm_step(p.W_dec, p.b_dec, x, h, c)
-        weights, context = attend(p, self.states, self.keys, h)
+        z = p.E_tgt[prev_ids] @ self.W_in + p.b_dec
+        z += np.concatenate([htilde, h], axis=1) @ self.W_rec
+        h, c, _ = lstm_step(z, c)
+        weights, context, _ = attend(p, self.states, self.keys, h)
         htilde = attentional_vector(p, h, context)
         probs = predict_distribution(p, htilde, weights, self.lexicon)
         return (h, c, htilde), np.log(np.maximum(probs, P_FLOOR))
@@ -160,22 +165,6 @@ def beam_search(
         return pool[:beam_size]
     # the beam is in candidate order, best first
     return [Hypothesis(tokens=tokens[0], log_prob=float(scores[0]), finished=False)]
-
-
-def sequence_log_prob(
-    params: ModelParameters, src_ids: list[int], tgt_ids: list[int]
-) -> float:
-    """Teacher-forced log P(tgt | src), scored exactly as beam_search
-    scores a hypothesis; tgt_ids ends with </s> unless it is unfinished."""
-    decoder = Decoder(params, src_ids)
-    state = decoder.start
-    total = 0.0
-    prev = BOS_ID
-    for tid in tgt_ids:
-        state, logp = decoder.step(state, np.array([prev]))
-        total += float(logp[0, tid])
-        prev = tid
-    return total
 
 
 def exhaustive_search(

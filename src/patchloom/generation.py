@@ -45,7 +45,6 @@ class GeneratedPatch:
     tokens: TokenizedStatement
     score: float
     valid: bool
-    arguments_reinserted: bool
     source: str   # "model" or "baseline"
 
 
@@ -96,7 +95,6 @@ def _finalize(result: GenerationResult, threshold: float | None) -> GenerationRe
         tokens=TokenizedStatement(result.concrete_output, result.query),
         score=result.score if result.score is not None else 0.0,
         valid=True,
-        arguments_reinserted=result.unfilled_val_sites == 0,
         source=result.source,
     )
     return result

@@ -14,15 +14,17 @@ where lexrow is the renormalized translation row of source token i.
 Source tokens without a lexicon row back off to the softmax itself,
 which keeps the mixture a proper distribution.
 
-Parameters are float32; distributions accumulate in float64 so the
-sum-to-one contract holds tightly.  Gate order in all LSTM weight
-matrices is [input, forget, cell, output].
-
-The decoder-side functions (lstm_step, attend, attentional_vector,
-predict_distribution) take a leading batch axis: rows (..., H) are
-independent, so decoding steps every live hypothesis in one call.  They
-compute in the dtype of what they are given; decoding.Decoder hands
-them float64 copies of the decoder weights (see decoding.py for why).
+This module is the one definition of the forward: lstm_step, the
+encoder recurrence (encode), the attention step (attend), the combiner
+(attentional_vector) and the output layer (predict_distribution).
+training.forward_pair runs them over a padded batch of pairs and
+decoding.Decoder.step over the live hypotheses of one source; rows
+(B, .) are independent.  They compute in the dtype of the parameters:
+training in float32, decoding in float64 (see decoding.py for why).
+Each LSTM's pre-activations are split in two halves: the input half is
+computed for every position in one product, the recurrent half with one
+product per step.  Gate order in all LSTM weight matrices is [input,
+forget, cell, output].
 """
 
 from __future__ import annotations
@@ -168,43 +170,53 @@ class ModelParameters:
         )
 
 
+def _rows(a: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """a (..., n) @ W (n, m) as one matrix product over all rows."""
+    return (a.reshape(-1, a.shape[-1]) @ W).reshape(a.shape[:-1] + (W.shape[1],))
+
+
 def lstm_step(
-    W: np.ndarray, b: np.ndarray, x: np.ndarray,
-    h_prev: np.ndarray, c_prev: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step for inputs (..., n) and states (..., H)."""
-    H = h_prev.shape[-1]
-    assert W.shape == (4 * H, x.shape[-1] + H), (W.shape, x.shape, H)
-    z = np.concatenate([x, h_prev], axis=-1) @ W.T + b
-    gates = sigmoid(z)  # one call; the cell slice is not used
-    i = gates[..., 0:H]
-    f = gates[..., H:2 * H]
-    g = np.tanh(z[..., 2 * H:3 * H])
-    o = gates[..., 3 * H:4 * H]
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
+    z: np.ndarray, c_prev: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM step from pre-activations z (..., 4H) and cell states
+    c_prev (..., H): returns (h, c, gates), gates holding the values
+    [i, f, g, o] that the backward reads."""
+    H = c_prev.shape[-1]
+    gates = sigmoid(z)  # one call; the cell slice is replaced below
+    gates[..., 2 * H:3 * H] = np.tanh(z[..., 2 * H:3 * H])
+    c = gates[..., H:2 * H] * c_prev + gates[..., 0:H] * gates[..., 2 * H:3 * H]
+    return gates[..., 3 * H:4 * H] * np.tanh(c), c, gates
 
 
-def encode(params: ModelParameters, src_ids: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All encoder hidden states (|x|, H) plus the final (h, c)."""
-    if not src_ids:
+def encode(
+    params: ModelParameters, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The encoder over embedded sources x (B, S, d): hidden states and
+    cell states (B, S, H) and gate values (B, S, 4H) at every position."""
+    B, S, d = x.shape
+    if S == 0:
         raise ValueError("cannot encode an empty source")
     H = params.hidden_size
-    dtype = params.W_enc.dtype
-    h = np.zeros(H, dtype=dtype)
-    c = np.zeros(H, dtype=dtype)
-    states = np.empty((len(src_ids), H), dtype=dtype)
-    for i, sid in enumerate(src_ids):
-        h, c = lstm_step(params.W_enc, params.b_enc, params.E_src[sid], h, c)
-        states[i] = h
-    return states, h, c
+    # the input half of every step's pre-activations at once
+    gates = _rows(x, params.W_enc[:, :d].T) + params.b_enc
+    # a few rows times a transposed view is several times slower than
+    # times a contiguous copy
+    W_h = np.ascontiguousarray(params.W_enc[:, d:].T)
+    states = np.empty((B, S, H), dtype=gates.dtype)
+    cells = np.empty((B, S, H), dtype=gates.dtype)
+    h = np.zeros((B, H), dtype=gates.dtype)
+    c = np.zeros((B, H), dtype=gates.dtype)
+    for n in range(S):
+        h, c, gates[:, n] = lstm_step(gates[:, n] + h @ W_h, c)
+        states[:, n] = h
+        cells[:, n] = c
+    return states, cells, gates
 
 
 def attention_keys(params: ModelParameters, encoder_states: np.ndarray) -> np.ndarray:
-    """The source side of the attention MLP, (S, H): it depends only on
-    the encoder states, so it is computed once per source."""
-    return encoder_states @ params.W_att_x.T
+    """The source side of the attention MLP, (..., S, H): it depends only
+    on the encoder states, so it is computed once per source."""
+    return _rows(encoder_states, params.W_att_x.T)
 
 
 def attend(
@@ -212,15 +224,21 @@ def attend(
     encoder_states: np.ndarray,
     keys: np.ndarray,
     decoder_hidden: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(weights (..., S), context (..., H)) for decoder states (..., H);
-    keys is attention_keys(params, encoder_states)."""
-    query = decoder_hidden @ params.W_att_h.T + params.b_att      # (..., H)
-    act = np.tanh(keys + query[..., None, :])                      # (..., S, H)
-    scores = act @ params.v_att                                    # (..., S)
-    weights = softmax(scores.astype(np.float64, copy=False))
-    context = weights @ encoder_states.astype(np.float64, copy=False)
-    return weights, context.astype(encoder_states.dtype, copy=False)
+    pad: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights (B, S), context (B, H), query (B, H)) for decoder states
+    (B, H) over encoder states (B or 1, S, H); keys is
+    attention_keys(params, encoder_states), pad (B, S) is 0 at real and
+    -inf at padded source positions, and query, the decoder side of the
+    attention MLP, is what the backward recomputes the activations from."""
+    query = decoder_hidden @ params.W_att_h.T + params.b_att
+    act = np.add(keys, query[:, None, :])                          # (B, S, H)
+    scores = np.tanh(act, out=act) @ params.v_att
+    if pad is not None:
+        scores += pad
+    weights = softmax(scores)
+    context = (weights[:, None, :] @ encoder_states)[:, 0]
+    return weights, context, query
 
 
 def attentional_vector(
@@ -286,10 +304,11 @@ def predict_distribution(
     weights: np.ndarray,
     lexicon: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
-    """Probability rows (..., V_tgt), float64, from attentional vectors
-    (..., H), attention weights (..., S) and lexicon_rows(params, src)."""
-    logits = (htilde @ params.W_pred.T + params.b_pred).astype(np.float64, copy=False)
-    base = softmax(logits)
+    """Probability rows (..., V_tgt) from attentional vectors (..., H),
+    attention weights (..., S) and lexicon_rows(params, src).  Without a
+    lexicon they are the output softmax, in the dtype of params; training
+    reads them so and mixes in the lexicon at the target ids only."""
+    base = softmax(_rows(htilde, params.W_pred.T) + params.b_pred)
     if lexicon is None:
         return base
     rows, backoff = lexicon

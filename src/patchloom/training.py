@@ -12,10 +12,11 @@ returned parameters are the snapshot with the lowest development loss.
 
 Each minibatch runs as one padded batch: one forward with (B, H) state
 rows caches what the backward needs, and one manual reverse sweep over
-the same arrays turns it into gradients.  Training, development loss
-(corpus_loss) and gradient_check all use that forward.  The lexicon
-mixture gathers p(y | src_i) from model.lexicon_table's arrays, built
-once per train call.  gradient_check verifies the sweep against central
+the same arrays turns it into gradients.  The forward is model.py's
+encoder, LSTM step, attention, combiner and output softmax, the ones
+decoding steps with.  Training, development loss (corpus_loss) and
+gradient_check all use it.  The lexicon mixture gathers p(y | src_i)
+from model.lexicon_table's arrays, built once per train call.  gradient_check verifies the sweep against central
 finite differences.
 """
 
@@ -31,10 +32,15 @@ from .model import (
     P_FLOOR,
     LexiconTable,
     ModelParameters,
+    _rows,
+    attend,
+    attention_keys,
+    attentional_vector,
+    encode,
     lexicon_rows,
     lexicon_table,
-    sigmoid,
-    softmax,
+    lstm_step,
+    predict_distribution,
 )
 from .vocab import BOS_ID
 
@@ -140,11 +146,6 @@ def _flat(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def _rows(a, W):
-    """a (..., n) @ W (n, m) as one matrix product over all rows."""
-    return (_flat(a) @ W).reshape(a.shape[:-1] + (W.shape[1],))
-
-
 def _shifted(first, seq):
     """The (B, N, .) inputs each step saw: first, then seq[:, :-1]."""
     return np.concatenate([first[:, None], seq[:, :-1]], axis=1)
@@ -167,42 +168,6 @@ def _padded(batch):
     return src, src_len, tgt_in, tgt_out, tgt_mask
 
 
-def _lstm_cell(z, c_prev, gates):
-    """One LSTM step from pre-activations z (B, 4H): writes the gate
-    values [i, f, g, o] into gates and returns (h, c)."""
-    H = c_prev.shape[1]
-    gates[:] = sigmoid(z)
-    gates[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
-    c = gates[:, H:2 * H] * c_prev + gates[:, 0:H] * gates[:, 2 * H:3 * H]
-    return gates[:, 3 * H:4 * H] * np.tanh(c), c
-
-
-def _encoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
-    H = params.hidden_size
-    d = params.embed_size
-    dtype = params.W_enc.dtype
-    B, S = cache.src.shape
-    x = params.E_src[cache.src]
-    if cache.mask_src is not None:
-        x *= cache.mask_src
-    cache.x = x
-    # the input half of every step's pre-activations at once; each step
-    # then overwrites its slot with its gate values
-    gates = _rows(x, params.W_enc[:, :d].T) + params.b_enc
-    # a few rows times a transposed view is several times slower than
-    # times a contiguous copy, and Adam changes the weights every batch
-    W_h = np.ascontiguousarray(params.W_enc[:, d:].T)
-    cache.enc_c = np.empty((B, S, H), dtype=dtype)
-    cache.Hx = np.empty((B, S, H), dtype=dtype)
-    h = np.zeros((B, H), dtype=dtype)
-    c = np.zeros((B, H), dtype=dtype)
-    for n in range(S):
-        h, c = _lstm_cell(gates[:, n] + h @ W_h, c, gates[:, n])
-        cache.enc_c[:, n] = c
-        cache.Hx[:, n] = h
-    cache.enc_gates = gates
-
-
 def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
     """Input feeding: each step's recurrent input is [h~_prev; h_prev]."""
     H = params.hidden_size
@@ -214,10 +179,12 @@ def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
     if cache.mask_e is not None:
         e *= cache.mask_e
     cache.e = e
+    # each step overwrites its slot of the input half with its gate values
     gates = _rows(e, params.W_dec[:, :d].T) + params.b_dec
+    # contiguous, as in model.encode; Adam changes the weights every batch
     W_rec = np.ascontiguousarray(params.W_dec[:, d:].T)
     Hx = cache.Hx
-    keys = cache.keys = _rows(Hx, params.W_att_x.T)
+    keys = cache.keys = attention_keys(params, Hx)
     pad_scores = np.where(np.arange(S) < cache.src_len[:, None], 0.0,
                           -np.inf).astype(dtype)
     for name in ("dec_c", "hd", "query", "ctx", "htil"):
@@ -227,13 +194,9 @@ def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
     h, c = Hx[cache.last], cache.enc_c[cache.last]
     rec = np.concatenate([np.zeros((B, H), dtype=dtype), h], axis=1)
     for t in range(T):
-        h, c = _lstm_cell(gates[:, t] + rec @ W_rec, c, gates[:, t])
-        query = h @ params.W_att_h.T + params.b_att
-        act = np.add(keys, query[:, None, :])
-        alpha = softmax(np.tanh(act, out=act) @ params.v_att + pad_scores)
-        ctx = (alpha[:, None, :] @ Hx)[:, 0]
-        htil = np.tanh(np.concatenate([h, ctx], axis=1) @ params.W_comb.T
-                       + params.b_comb)
+        h, c, gates[:, t] = lstm_step(gates[:, t] + rec @ W_rec, c)
+        alpha, ctx, query = attend(params, Hx, keys, h, pad_scores)
+        htil = attentional_vector(params, h, ctx)
         cache.dec_c[:, t] = c
         cache.hd[:, t] = h
         cache.query[:, t] = query
@@ -266,15 +229,18 @@ def forward_pair(
     cache.tokens = int(tgt_mask.sum())
     cache.mask_src, cache.mask_e, cache.mask_o = _drop_masks(
         rng, batch, S, T, d, H, dropout, params.W_enc.dtype)
-    _encoder_forward(params, cache)
+    x = cache.x = params.E_src[src]
+    if cache.mask_src is not None:
+        x *= cache.mask_src
+    cache.Hx, cache.enc_c, cache.enc_gates = encode(params, x)
     _decoder_forward(params, cache)
 
-    # the output layer for every step at once; probabilities mix in at
-    # least float64
+    # the output softmax for every step at once; the lexicon mixes in at
+    # the target ids only, in at least float64
     mix_dtype = np.promote_types(params.W_enc.dtype, np.float64)
     htil_out = cache.htil if cache.mask_o is None else cache.htil * cache.mask_o
     cache.htil_out = htil_out
-    cache.smax = softmax(_rows(htil_out, params.W_pred.T) + params.b_pred)
+    cache.smax = predict_distribution(params, htil_out, cache.alpha, None)
     smax_y = np.take_along_axis(cache.smax, tgt_out[..., None], 2)[..., 0]
     cache.smax_y = smax_y = smax_y.astype(mix_dtype)
     if table is None:

@@ -17,7 +17,7 @@ import pytest
 
 from patchloom.arguments import abstract_arguments, reinsert_arguments
 from patchloom.cli import main
-from patchloom.decoding import beam_search, exhaustive_search
+from patchloom.decoding import Decoder, beam_search, exhaustive_search
 from patchloom.evaluation import evaluate, metrics_from_counts, validity_rate
 from patchloom.generation import (
     BaselineIndex,
@@ -27,20 +27,12 @@ from patchloom.generation import (
 )
 from patchloom.linediff import apply_hunks, histogram_diff
 from patchloom.mining import MiningReport, mine_hunks
-from patchloom.model import (
-    ModelParameters,
-    attend,
-    attention_keys,
-    attentional_vector,
-    encode,
-    lexicon_rows,
-    predict_distribution,
-)
+from patchloom.model import ModelParameters
 from patchloom.repo import open_repository
 from patchloom.synthdata import make_benchmark, make_repo
 from patchloom.tokenizer import tokenize
 from patchloom.training import TrainingConfig, gradient_check, train
-from patchloom.vocab import EOS_ID, Vocabulary
+from patchloom.vocab import BOS_ID, EOS_ID, Vocabulary
 
 from conftest import ACCEPTANCE_LINES, DATA_DIR, FIXTURES_DIR, load_tagged
 
@@ -122,11 +114,9 @@ def test_numeric_core_gradient_distribution_and_beam_guarantees():
             scale=0.8)
         if seed == 2:
             p.lexicon = {3: {4: 0.7, 5: 0.3}, 4: {6: 1.0}}
-        states, h, c = encode(p, [3, 4, 5])
-        weights, context = attend(p, states, attention_keys(p, states), h)
-        probs = predict_distribution(p, attentional_vector(p, h, context),
-                                     weights, lexicon_rows(p, [3, 4, 5]))
-        gap = max(gap, abs(float(probs.sum()) - 1.0))
+        decoder = Decoder(p, [3, 4, 5])
+        _, logp = decoder.step(decoder.start, np.array([BOS_ID]))
+        gap = max(gap, abs(float(np.exp(logp).sum()) - 1.0))
 
     beam_ok = True
     for seed in range(5):

@@ -47,10 +47,12 @@ def test_missing_input_exits_1(tmp_path):
 
 def test_bad_config_exits_2(tmp_path):
     config = tmp_path / "run.conf"
-    config.write_text("hiden_size = 32\n")
-    rc = main(["train", "--corpus", str(tmp_path), "--out",
-               str(tmp_path / "m.bin"), "--config", str(config)])
-    assert rc == 2
+    # a key that train does not read fails as loudly as a typo
+    for line in ("hiden_size = 32", "threshold = -0.5"):
+        config.write_text(line + "\n")
+        rc = main(["train", "--corpus", str(tmp_path), "--out",
+                   str(tmp_path / "m.bin"), "--config", str(config)])
+        assert rc == 2, line
 
 
 def test_evaluate_without_inputs_exits_1(tmp_path):

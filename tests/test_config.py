@@ -1,4 +1,4 @@
-"""Flat key=value run configuration.
+"""Flat key=value training configuration.
 
 Unknown keys are hard errors with the offending line number; the
 environment seed override beats both the file and CLI flags.
@@ -9,10 +9,10 @@ import pytest
 from patchloom.config import (
     SEED_ENV_VAR,
     ConfigError,
-    RunConfig,
     load_config,
     parse_config_text,
 )
+from patchloom.training import TrainingConfig
 
 
 @pytest.fixture(autouse=True)
@@ -22,17 +22,11 @@ def clean_env(monkeypatch):
 
 def test_defaults():
     config = load_config()
-    assert isinstance(config, RunConfig)
+    assert isinstance(config, TrainingConfig)
     assert config.seed == 1
-    assert config.threshold == -0.7
-    assert config.beam_size == 10
-    assert config.max_len == 100
-    assert config.bugfix_only is False
-    assert config.category == "all"
-    assert config.training.hidden_size == 512
-    assert config.training.embed_size == 256
-    assert config.training.dropout == 0.5
-    assert config.training.seed == 1
+    assert config.hidden_size == 512
+    assert config.embed_size == 256
+    assert config.dropout == 0.5
 
 
 def test_parse_basic_file():
@@ -40,13 +34,11 @@ def test_parse_basic_file():
         "# pipeline settings",
         "seed = 7",
         "",
-        "threshold = -0.5   # stricter than default",
-        "bugfix_only = true",
+        "dropout = 0.3   # less than default",
         "hidden_size = 32",
     ])
     values = parse_config_text(text)
-    assert values == {"seed": 7, "threshold": -0.5,
-                      "bugfix_only": True, "hidden_size": 32}
+    assert values == {"seed": 7, "dropout": 0.3, "hidden_size": 32}
 
 
 def test_unknown_key_reports_line_number():
@@ -64,35 +56,22 @@ def test_bad_int_value_names_the_key():
         parse_config_text("seed = lots\n")
 
 
-@pytest.mark.parametrize("raw,expected", [
-    ("1", True), ("true", True), ("YES", True), ("On", True),
-    ("0", False), ("false", False), ("No", False), ("off", False),
-])
-def test_bool_spellings(raw, expected):
-    assert parse_config_text(f"bugfix_only = {raw}\n") == {"bugfix_only": expected}
-
-
-def test_bad_bool_rejected():
-    with pytest.raises(ConfigError):
-        parse_config_text("bugfix_only = maybe\n")
-
-
 def test_file_values_route_to_training(tmp_path):
     path = tmp_path / "run.conf"
-    path.write_text("hidden_size = 48\nlearning_rate = 0.01\nmax_len = 30\n")
+    path.write_text("hidden_size = 48\nlearning_rate = 0.01\nmax_epochs = 30\n")
     config = load_config(str(path))
-    assert config.training.hidden_size == 48
-    assert config.training.learning_rate == pytest.approx(0.01)
-    assert config.max_len == 30
+    assert config.hidden_size == 48
+    assert config.learning_rate == pytest.approx(0.01)
+    assert config.max_epochs == 30
 
 
 def test_override_beats_file(tmp_path):
     path = tmp_path / "run.conf"
-    path.write_text("seed = 5\nthreshold = -0.4\n")
-    config = load_config(str(path), overrides={"seed": 9, "threshold": None})
+    path.write_text("seed = 5\ndropout = 0.4\n")
+    config = load_config(str(path), overrides={"seed": 9, "dropout": None})
     assert config.seed == 9
     # a None override means "flag not given" and keeps the file value
-    assert config.threshold == pytest.approx(-0.4)
+    assert config.dropout == pytest.approx(0.4)
 
 
 def test_env_seed_beats_everything(tmp_path, monkeypatch):
@@ -101,7 +80,6 @@ def test_env_seed_beats_everything(tmp_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "13")
     config = load_config(str(path), overrides={"seed": 9})
     assert config.seed == 13
-    assert config.training.seed == 13
 
 
 def test_env_seed_must_be_integer(monkeypatch):
@@ -111,9 +89,9 @@ def test_env_seed_must_be_integer(monkeypatch):
 
 
 def test_seed_lands_in_both_configs():
+    # the seed flag reaches training's seed, the only one there is
     config = load_config(overrides={"seed": 21})
     assert config.seed == 21
-    assert config.training.seed == 21
 
 
 def test_unknown_override_rejected():

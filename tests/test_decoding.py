@@ -4,7 +4,8 @@ With three target ids and a short length cap the hypothesis space is
 enumerable (31 sequences), so a wide beam must return the true argmax
 exactly; no approximation argument is involved.  Every searcher scores
 through Decoder.step, so a hypothesis' score must not depend on how many
-hypotheses were stepped alongside it.
+hypotheses were stepped alongside it, and must equal the training loss
+of its tokens at float64, the rescoring reference.
 """
 
 import itertools
@@ -17,9 +18,9 @@ from patchloom.decoding import (
     Hypothesis,
     beam_search,
     exhaustive_search,
-    sequence_log_prob,
 )
 from patchloom.model import ModelParameters
+from patchloom.training import forward_pair
 from patchloom.vocab import BOS_ID, EOS_ID
 
 
@@ -29,6 +30,12 @@ def make_params(seed, src=3, tgt=3, hidden=3, embed=2):
         rng, src, tgt, hidden_size=hidden, embed_size=embed,
         lex_weight=0.0, scale=0.8,
     )
+
+
+def rescore(params, src_ids, tgt_ids):
+    """Teacher-forced log P(tgt | src): the negated float64 training loss."""
+    return -float(forward_pair(params.astype(np.float64),
+                               [(src_ids, list(tgt_ids))]).loss)
 
 
 def greedy(params, src_ids, max_len):
@@ -70,7 +77,7 @@ def test_scores_match_teacher_forced_rescoring():
     params = make_params(9, src=6, tgt=6, hidden=5, embed=3)
     for hyp in beam_search(params, [3, 4, 5], beam_size=4, max_len=5):
         assert hyp.log_prob == pytest.approx(
-            sequence_log_prob(params, [3, 4, 5], list(hyp.tokens)), abs=1e-9)
+            rescore(params, [3, 4, 5], hyp.tokens), abs=1e-9)
 
 
 def test_beam_of_one_equals_greedy():
@@ -121,7 +128,7 @@ def test_exhaustive_search_returns_the_best_finished_sequence():
     params = make_params(6)
     non_eos = [t for t in range(params.tgt_vocab_size) if t != EOS_ID]
     scored = [
-        (sequence_log_prob(params, [0, 1], list(prefix) + [EOS_ID]),
+        (rescore(params, [0, 1], list(prefix) + [EOS_ID]),
          tuple(prefix) + (EOS_ID,))
         for length in range(3)
         for prefix in itertools.product(non_eos, repeat=length)]
@@ -142,8 +149,9 @@ def test_exhaustive_search_without_room_returns_the_empty_unfinished():
 @pytest.mark.parametrize("hidden", [3, 16, 128])
 @pytest.mark.parametrize("lexicon", [False, True])
 def test_scores_do_not_depend_on_the_beam(hidden, lexicon):
-    # a beam steps up to beam_size rows together, rescoring steps one; in
-    # float32 the two disagree by up to 1e-4 at H=128
+    # a beam steps up to beam_size rows together, the training forward
+    # one padded row per pair; with a float32 encoder they disagree by up
+    # to 1e-4 at H=128
     worst = 0.0
     for seed in range(30):
         rng = np.random.default_rng(seed)
@@ -158,6 +166,17 @@ def test_scores_do_not_depend_on_the_beam(hidden, lexicon):
         src = rng.integers(0, 8, size=4).tolist()
         hyps = beam_search(params, src, beam_size=6, max_len=6)
         for hyp in hyps:
-            gap = abs(hyp.log_prob - sequence_log_prob(params, src, list(hyp.tokens)))
+            gap = abs(hyp.log_prob - rescore(params, src, hyp.tokens))
             worst = max(worst, gap)
     assert worst <= 1e-9
+
+
+def test_float64_model_is_not_copied():
+    params = make_params(2)
+    p64 = params.astype(np.float64)
+    decoder = Decoder(p64, [0, 1])
+    assert decoder.params is p64
+    assert decoder.params.W_dec is p64.W_dec
+    # a float32 model is cast, and the caller's object is left alone
+    cast = Decoder(params, [0, 1]).params
+    assert cast.W_enc.dtype == np.float64 and params.W_enc.dtype == np.float32

@@ -83,7 +83,7 @@ def patch_result(tokens, score=-0.1):
     return GenerationResult(
         query="q", source="model", score=score,
         patch=GeneratedPatch(tokens=stmt, score=score, valid=True,
-                             arguments_reinserted=True, source="model"),
+                             source="model"),
     )
 
 

@@ -40,7 +40,7 @@ def test_arguments_travel_through_the_rewrite(rule_model):
     assert res.patch is not None
     assert res.patch.tokens.tokens == ("cursor", ".", "debug", "(", "a", "+",
                                        "b", ")", ";")
-    assert res.patch.arguments_reinserted
+    assert res.unfilled_val_sites == 0
     assert res.abstracted_output == ("cursor", ".", "debug", "(", "arg", ")",
                                      ";")
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchloom.decoding import sequence_log_prob
 from patchloom.model import (
     ModelParameters,
     attend,
@@ -25,19 +24,27 @@ from patchloom.model import (
     sigmoid,
     softmax,
 )
+from patchloom.training import forward_pair
 
 
 def make_params(src=6, tgt=7, hidden=5, embed=4, lex_weight=0.0, seed=0,
-                scale=None):
+                scale=None, dtype=np.float32):
     rng = np.random.default_rng(seed)
     return ModelParameters.initialize(
         rng, src, tgt, hidden_size=hidden, embed_size=embed,
-        lex_weight=lex_weight, scale=scale,
+        lex_weight=lex_weight, scale=scale, dtype=dtype,
     )
 
 
+def encode_one(params, src):
+    """(states (1, S, H), h (1, H), c (1, H)) for one source."""
+    states, cells, _ = encode(params, params.E_src[src][None])
+    return states, states[:, -1], cells[:, -1]
+
+
 def attend_to(params, states, h):
-    return attend(params, states, attention_keys(params, states), h)
+    weights, context, _ = attend(params, states, attention_keys(params, states), h)
+    return weights, context
 
 
 def distribution(params, states, h, src):
@@ -81,7 +88,8 @@ def test_lstm_step_matches_hand_computation():
     h_prev = np.array([-0.5])
     c_prev = np.array([0.25])
 
-    h, c = lstm_step(W, b, x, h_prev, c_prev)
+    z = W @ np.concatenate([x, h_prev]) + b
+    h, c, gates = lstm_step(z[None], c_prev[None])
 
     def sg(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -92,8 +100,9 @@ def test_lstm_step_matches_hand_computation():
     o = sg(0.3 * 0.8 + 0.7 * (-0.5) + 0.0)
     c_want = f * 0.25 + i * g
     h_want = o * math.tanh(c_want)
-    assert c[0] == pytest.approx(c_want, abs=1e-12)
-    assert h[0] == pytest.approx(h_want, abs=1e-12)
+    assert c[0, 0] == pytest.approx(c_want, abs=1e-12)
+    assert h[0, 0] == pytest.approx(h_want, abs=1e-12)
+    assert np.allclose(gates[0], [i, f, g, o], rtol=0.0, atol=1e-12)
 
 
 def test_forget_gate_bias_starts_open():
@@ -116,29 +125,45 @@ def test_explicit_scale_gives_flat_uniform_init():
 
 def test_encode_returns_one_state_per_token():
     params = make_params()
-    states, h, c = encode(params, [3, 1, 4])
-    assert states.shape == (3, params.hidden_size)
-    assert np.allclose(states[-1], h)
+    H = params.hidden_size
+    states, cells, gates = encode(params, params.E_src[[3, 1, 4]][None])
+    assert states.shape == cells.shape == (1, 3, H)
+    assert gates.shape == (1, 3, 4 * H)
+    # each state is the last step's h, from its gates and cell state
+    assert np.allclose(states, gates[..., 3 * H:] * np.tanh(cells))
     # prefix property: the first state only saw the first token
-    states_prefix, _, _ = encode(params, [3])
-    assert np.allclose(states_prefix[0], states[0])
+    states_prefix, _, _ = encode_one(params, [3])
+    assert np.allclose(states_prefix[0, 0], states[0, 0])
+    # rows of a batch are encoded independently
+    batch, _, _ = encode(params, params.E_src[[[3, 1, 4], [2, 2, 5]]])
+    assert np.allclose(batch[0], states[0])
+    assert np.allclose(batch[1], encode_one(params, [2, 2, 5])[0][0])
+    with pytest.raises(ValueError):
+        encode(params, params.E_src[[]][None])
 
 
 def test_attention_weights_form_a_distribution():
-    params = make_params()
-    states, h, _ = encode(params, [1, 2, 3, 4])
+    params = make_params(dtype=np.float64)
+    states, h, _ = encode_one(params, [1, 2, 3, 4])
     weights, context = attend_to(params, states, h)
-    assert weights.shape == (4,)
+    assert weights.shape == (1, 4)
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(weights > 0)
-    assert np.allclose(context, weights @ states)
+    assert np.allclose(context, weights @ states[0])
+    # a padded position gets no weight, and the rest renormalize
+    keys = attention_keys(params, states)
+    pad = np.array([[0.0, 0.0, 0.0, -np.inf]])
+    padded, padded_context, _ = attend(params, states, keys, h, pad)
+    assert padded[0, 3] == 0.0
+    assert np.allclose(padded[0, :3], weights[0, :3] / weights[0, :3].sum())
+    assert np.allclose(padded_context, padded @ states[0])
 
 
 def test_identical_states_attract_uniform_attention():
     params = make_params()
-    one, _, _ = encode(params, [2])
-    states = np.tile(one[0], (5, 1))
-    weights, _ = attend_to(params, states, one[0])
+    one, h, _ = encode_one(params, [2])
+    states = np.tile(one, (1, 5, 1))
+    weights, _ = attend_to(params, states, h)
     assert np.allclose(weights, 0.2)
 
 
@@ -146,19 +171,19 @@ def test_identical_states_attract_uniform_attention():
 # output distribution
 
 def test_predict_distribution_sums_to_one():
-    params = make_params()
-    states, h, _ = encode(params, [1, 2, 3])
+    params = make_params(dtype=np.float64)
+    states, h, _ = encode_one(params, [1, 2, 3])
     probs = distribution(params, states, h, [1, 2, 3])
-    assert probs.shape == (7,)
+    assert probs.shape == (1, 7)
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(probs > 0)
 
 
 def test_lexicon_mixture_worked_example():
     lam = 0.25
-    params = make_params(src=6, tgt=4, lex_weight=lam)
+    params = make_params(src=6, tgt=4, lex_weight=lam, dtype=np.float64)
     params.lexicon = {2: {3: 1.0}}
-    states, h, _ = encode(params, [2, 2])
+    states, h, _ = encode_one(params, [2, 2])
     weights, _ = attend_to(params, states, h)
     base = distribution(replace(params, lex_weight=0.0), states, h, [2, 2])
     mixed = distribution(params, states, h, [2, 2])
@@ -174,13 +199,13 @@ def test_lexicon_backoff_rescales_base_distribution():
     # source position 0 (id 1) has no lexicon row; its attention mass
     # backs off onto the softmax instead of vanishing
     lam = 0.25
-    params = make_params(src=6, tgt=4, lex_weight=lam)
+    params = make_params(src=6, tgt=4, lex_weight=lam, dtype=np.float64)
     params.lexicon = {2: {3: 1.0}}
-    states, h, _ = encode(params, [1, 2])
+    states, h, _ = encode_one(params, [1, 2])
     weights, _ = attend_to(params, states, h)
     base = distribution(replace(params, lex_weight=0.0), states, h, [1, 2])
     mixed = distribution(params, states, h, [1, 2])
-    a0, a1 = float(weights[0]), float(weights[1])
+    a0, a1 = float(weights[0, 0]), float(weights[0, 1])
     lex_row = np.zeros(4)
     lex_row[3] = a1
     want = (1.0 - lam + lam * a0) * base + lam * lex_row
@@ -191,7 +216,7 @@ def test_lexicon_backoff_rescales_base_distribution():
 def test_empty_lexicon_dict_falls_back_to_softmax():
     params = make_params(src=6, tgt=4, lex_weight=0.3)
     params.lexicon = {}
-    states, h, _ = encode(params, [1, 2])
+    states, h, _ = encode_one(params, [1, 2])
     mixed = distribution(params, states, h, [1, 2])
     base = distribution(replace(params, lex_weight=0.0), states, h, [1, 2])
     assert np.allclose(mixed, base)
@@ -200,7 +225,7 @@ def test_empty_lexicon_dict_falls_back_to_softmax():
 def test_zero_lex_weight_ignores_lexicon():
     params = make_params(lex_weight=0.0)
     params.lexicon = {1: {1: 1.0}}
-    states, h, _ = encode(params, [1, 1])
+    states, h, _ = encode_one(params, [1, 1])
     with_row = distribution(params, states, h, [1, 1])
     params.lexicon = None
     without = distribution(params, states, h, [1, 1])
@@ -240,27 +265,27 @@ def test_batched_rows_equal_single_rows(lex_weight):
     params = make_params(lex_weight=lex_weight, seed=4).astype(np.float64)
     params.lexicon = {2: {3: 0.5, 6: 0.5}, 4: {1: 1.0}}
     src = [2, 3, 4]
-    states, _, _ = encode(params, src)
+    states, _, _ = encode_one(params, src)
     keys = attention_keys(params, states)
     lex = lexicon_rows(params, src)
     rng = np.random.default_rng(0)
-    H, d = params.hidden_size, params.embed_size
-    x = rng.standard_normal((4, d + H))
-    h0 = rng.standard_normal((4, H))
+    H = params.hidden_size
+    z = rng.standard_normal((4, 4 * H))
     c0 = rng.standard_normal((4, H))
 
-    h, c = lstm_step(params.W_dec, params.b_dec, x, h0, c0)
-    weights, context = attend(params, states, keys, h)
+    h, c, gates = lstm_step(z, c0)
+    weights, context, query = attend(params, states, keys, h)
     htilde = attentional_vector(params, h, context)
     probs = predict_distribution(params, htilde, weights, lex)
     assert probs.shape == (4, params.tgt_vocab_size)
     for k in range(4):
-        hk, ck = lstm_step(params.W_dec, params.b_dec, x[k], h0[k], c0[k])
-        wk, ctxk = attend(params, states, keys, hk)
+        hk, ck, gk = lstm_step(z[k:k + 1], c0[k:k + 1])
+        wk, ctxk, qk = attend(params, states, keys, hk)
         htk = attentional_vector(params, hk, ctxk)
         pk = predict_distribution(params, htk, wk, lex)
-        for got, want in ((h[k], hk), (c[k], ck), (weights[k], wk),
-                          (htilde[k], htk), (probs[k], pk)):
+        for got, want in ((h[k], hk[0]), (c[k], ck[0]), (gates[k], gk[0]),
+                          (weights[k], wk[0]), (query[k], qk[0]),
+                          (htilde[k], htk[0]), (probs[k], pk[0])):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -269,23 +294,26 @@ def test_batched_rows_equal_single_rows(lex_weight):
 # sequence scoring
 
 def test_sequence_log_prob_accumulates_per_step():
-    # the decoder computes in float64, so the hand-unrolled loop does too
+    # the teacher-forced log probability of a sequence, the negated
+    # training loss, is the sum of its per-step log probabilities; the
+    # hand-unrolled loop, like the decoder, computes in float64
     params = make_params().astype(np.float64)
     src = [1, 2, 3]
     tgt = [4, 5, 2]  # ends with </s>
 
-    states, h, c = encode(params, src)
-    htilde = np.zeros(params.hidden_size)
+    states, h, c = encode_one(params, src)
+    htilde = np.zeros((1, params.hidden_size))
     total = 0.0
     prev = 1
     for tid in tgt:
-        x = np.concatenate([params.E_tgt[prev], htilde])
-        h, c = lstm_step(params.W_dec, params.b_dec, x, h, c)
+        x = np.concatenate([params.E_tgt[[prev]], htilde, h], axis=1)
+        h, c, _ = lstm_step(x @ params.W_dec.T + params.b_dec, c)
         weights, context = attend_to(params, states, h)
         htilde = attentional_vector(params, h, context)
         probs = predict_distribution(params, htilde, weights, None)
-        total += math.log(probs[tid])
+        total += math.log(probs[0, tid])
         prev = tid
 
-    assert sequence_log_prob(params, src, tgt) == pytest.approx(total, abs=1e-10)
+    loss = forward_pair(params, [(src, tgt)]).loss
+    assert -loss == pytest.approx(total, abs=1e-10)
     assert total < 0.0
