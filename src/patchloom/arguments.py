@@ -19,11 +19,10 @@ anything still unmatched becomes an empty group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .tokenizer import (
     TokenizedStatement,
-    JAVA_KEYWORDS,
     is_identifier,
     is_literal,
 )
@@ -38,23 +37,14 @@ class AbstractionError(ValueError):
 
 @dataclass(frozen=True)
 class ArgEntry:
-    call_index: int
     kind: str                 # "arg" for calls, "val" for array accesses
     callee: str
     contents: tuple[str, ...]
-
-    @property
-    def original_text(self) -> str:
-        return " ".join(self.contents)
 
 
 @dataclass(frozen=True)
 class ArgumentTable:
     entries: tuple[ArgEntry, ...] = ()
-
-    @property
-    def callee_names(self) -> tuple[str, ...]:
-        return tuple(e.callee for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -102,7 +92,7 @@ def _abstract_region(tokens, lo: int, hi: int, out: list[str], entries: list[Arg
                 out.append("(")
                 out.append(ARG_TOKEN)
                 out.append(")")
-                entries.append(ArgEntry(len(entries), ARG_TOKEN, tokens[i - 1], tuple(inner)))
+                entries.append(ArgEntry(ARG_TOKEN, tokens[i - 1], tuple(inner)))
             else:
                 out.append("(")
                 out.append(")")
@@ -124,7 +114,7 @@ def _abstract_region(tokens, lo: int, hi: int, out: list[str], entries: list[Arg
                 out.append("[")
                 out.append(VAL_TOKEN)
                 out.append("]")
-                entries.append(ArgEntry(len(entries), VAL_TOKEN, callee, tuple(inner)))
+                entries.append(ArgEntry(VAL_TOKEN, callee, tuple(inner)))
                 i = close + 1
                 continue
             out.append("[")

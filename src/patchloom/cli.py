@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, load_config
 from .corpus import (
+    CorpusError,
     PipelineLedger,
     build_pairs,
     read_parallel,
@@ -49,13 +50,13 @@ from .generation import (
     write_results,
 )
 from .lexicon import build_lexicon, lexicon_to_ids
-from .mining import MiningReport, identify_fix_commits, link_inducing, mine_hunks, read_hunks, write_hunks
-from .model import lexicon_table
+from .mining import (HunkFormatError, MiningReport, identify_fix_commits,
+                     link_inducing, mine_hunks, read_hunks, write_hunks)
 from .modelio import ModelFormatError, load_model, save_model
 from .repo import RepositoryError, open_repository
 from .tokenizer import TokenizedStatement
 from .training import gradient_check, train as train_model
-from .vocab import BOS_ID, EOS_ID, Vocabulary
+from .vocab import BOS_ID, EOS_ID, Vocabulary, VocabularyError
 
 log = logging.getLogger("patchloom")
 
@@ -65,8 +66,6 @@ class CliError(RuntimeError):
 
 
 def _read_lines(path: str) -> list[str]:
-    if not os.path.exists(path):
-        raise CliError(f"input file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
 
@@ -156,13 +155,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     params = params.astype(np.float64)
     queries = _read_lines(args.query_file)
     threshold = None if args.no_threshold else args.threshold
-    table = lexicon_table(params)
     results = []
     started = time.monotonic()
     for query in queries:
         results.append(generate_patch(
             query, params, src_vocab, tgt_vocab, threshold=threshold,
-            beam_size=args.beam_size, max_len=args.max_len, table=table))
+            beam_size=args.beam_size, max_len=args.max_len))
     write_results(args.out, results)
     n_provided = sum(1 for r in results if r.patch is not None)
     unfilled = sum(r.unfilled_val_sites for r in results)
@@ -257,11 +255,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     queries = _read_lines(os.path.join(args.corpus, "test.queries"))
     ref_lines = _read_lines(os.path.join(args.corpus, "test.refs"))
     refs = [TokenizedStatement(tuple(line.split()), line) for line in ref_lines]
-    table = lexicon_table(params)
     results = [
         generate_patch(q, params, src_vocab, tgt_vocab, threshold=None,
-                       beam_size=args.beam_size, max_len=args.max_len,
-                       table=table)
+                       beam_size=args.beam_size, max_len=args.max_len)
         for q in queries
     ]
     src_lines, tgt_lines = read_parallel(args.corpus, "train")
@@ -278,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .decoding import Decoder, beam_search, exhaustive_search
-    from .model import ModelParameters
+    from .model import LexiconTable, ModelParameters
 
     failures = []
     rng = np.random.default_rng(123)
@@ -287,7 +283,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     # the central-difference noise floor so relative errors are meaningful
     params = ModelParameters.initialize(rng, 10, 10, hidden_size=4,
                                         embed_size=5, scale=0.8)
-    params.lexicon = {3: {4: 0.6, 5: 0.4}}
+    params.lexicon = LexiconTable.from_rows({3: {4: 0.6, 5: 0.4}}, 10)
     err = gradient_check(params, [([3, 4, 5], [4, 5, EOS_ID])])
     log.info("selftest: gradient check max relative error %.2e", err)
     if not err < 1e-4:
@@ -421,7 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return 2
-    except (CliError, ModelFormatError, RepositoryError, FileNotFoundError) as exc:
+    except (CliError, CorpusError, HunkFormatError, ModelFormatError,
+            RepositoryError, VocabularyError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return 1
     except Exception:

@@ -26,14 +26,14 @@ from __future__ import annotations
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .arguments import ArgumentTable, abstract_arguments, AbstractionError, reinsert_arguments
 from .mining import ChangeHunk, FixLink
 from .parsing import validate_statement
 from .tokenizer import TokenizedStatement, TokenizeError, tokenize
-from .vocab import RESERVED, UNK, Vocabulary
+from .vocab import UNK, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -349,5 +349,6 @@ def read_parallel(dirpath: str, prefix: str) -> tuple[list[list[str]], list[list
     src = slurp(f"{prefix}.src")
     tgt = slurp(f"{prefix}.tgt")
     if len(src) != len(tgt):
-        raise CorpusError(f"{prefix}: {len(src)} source vs {len(tgt)} target lines")
+        raise CorpusError(f"{os.path.join(dirpath, prefix)}.src and .tgt differ: "
+                          f"{len(src)} vs {len(tgt)} lines")
     return src, tgt

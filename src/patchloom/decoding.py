@@ -32,7 +32,6 @@ import numpy as np
 
 from .model import (
     P_FLOOR,
-    LexiconTable,
     ModelParameters,
     attend,
     attention_keys,
@@ -67,8 +66,7 @@ class Decoder:
     encoder states, attention keys and lexicon rows, plus the step that
     advances any number of hypotheses together."""
 
-    def __init__(self, params: ModelParameters, src_ids: list[int],
-                 table: LexiconTable | None = None):
+    def __init__(self, params: ModelParameters, src_ids: list[int]):
         if any(t.dtype != np.float64 for t in params.tensors().values()):
             # a new object: the caller's parameters are never modified
             params = params.astype(np.float64)
@@ -77,7 +75,7 @@ class Decoder:
         states, cells, _ = encode(params, params.E_src[src_ids][None])
         self.states = states
         self.keys = attention_keys(params, states)
-        self.lexicon = lexicon_rows(params, src_ids, table)
+        self.lexicon = lexicon_rows(params, src_ids)
         # transposed views: a contiguous copy per source costs more than
         # it saves on a query's few steps
         self.W_in = params.W_dec[:, :d].T
@@ -132,13 +130,11 @@ def beam_search(
     src_ids: list[int],
     beam_size: int = 10,
     max_len: int = 100,
-    table: LexiconTable | None = None,
 ) -> list[Hypothesis]:
-    """Best hypotheses first; table is model.lexicon_table(params), built
-    here when not given."""
+    """Best hypotheses first."""
     if beam_size < 1:
         raise ValueError("beam_size must be at least 1")
-    decoder = Decoder(params, src_ids, table)
+    decoder = Decoder(params, src_ids)
     state = decoder.start
     tokens: list[tuple[int, ...]] = [()]
     scores = np.zeros(1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arguments import AbstractionError, abstract_arguments
 from .generation import GenerationResult, rethreshold

@@ -15,10 +15,9 @@ with the query's arguments reinserted; no score is attached.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arguments import (
-    ARG_TOKEN,
     VAL_TOKEN,
     AbstractionError,
     _placeholder_sites,
@@ -26,7 +25,7 @@ from .arguments import (
     reinsert_arguments,
 )
 from .decoding import beam_search
-from .model import LexiconTable, ModelParameters
+from .model import ModelParameters
 from .parsing import validate_statement
 from .tokenizer import TokenizedStatement, TokenizeError, tokenize
 from .vocab import Vocabulary
@@ -108,11 +107,8 @@ def generate(
     threshold: float | None = DEFAULT_THRESHOLD,
     beam_size: int = 10,
     max_len: int = 100,
-    table: LexiconTable | None = None,
 ) -> GenerationResult:
-    """The model's patch for one query, or the reason there is none;
-    table is model.lexicon_table(params), built per query when not
-    given."""
+    """The model's patch for one query, or the reason there is none."""
     result = GenerationResult(query=query, source="model")
     try:
         query_tok = tokenize(query)
@@ -123,8 +119,7 @@ def generate(
         return result
 
     src_ids = src_vocab.encode(list(query_abs.tokens))
-    hyps = beam_search(params, src_ids, beam_size=beam_size, max_len=max_len,
-                       table=table)
+    hyps = beam_search(params, src_ids, beam_size=beam_size, max_len=max_len)
     best = hyps[0]
     out_tokens = tuple(tgt_vocab.decode(best.output_ids))
     result.score = float(best.log_prob)

@@ -3,13 +3,16 @@ maximization, without a NULL word.
 
 Ten EM iterations over the aligned corpus, then each source row is
 truncated to its top 20 target entries and renormalized so rows sum to
-one.  The result feeds the decoder's lexicon bias.
+one.  lexicon_to_ids turns the result into the model's LexiconTable,
+which feeds the decoder's lexicon bias.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
+
+from .model import LexiconTable
 
 DEFAULT_ITERATIONS = 10
 DEFAULT_TOP = 20
@@ -67,20 +70,17 @@ def build_lexicon(
     return final
 
 
-def lexicon_to_ids(lexicon: dict, src_vocab, tgt_vocab) -> dict[int, dict[int, float]]:
+def lexicon_to_ids(lexicon: dict, src_vocab, tgt_vocab) -> LexiconTable | None:
     """Re-key a token lexicon by vocabulary ids, dropping rows and
-    entries that fall outside the vocabularies."""
+    entries that fall outside the vocabularies; None when no row is
+    left."""
     out: dict[int, dict[int, float]] = {}
     for src_tok, row in lexicon.items():
         if src_tok not in src_vocab:
             continue
-        sid = src_vocab.index(src_tok)
-        mapped = {}
-        for tgt_tok, p in row.items():
-            if tgt_tok in tgt_vocab:
-                mapped[tgt_vocab.index(tgt_tok)] = p
+        mapped = {tgt_vocab.index(t): p for t, p in row.items() if t in tgt_vocab}
         if not mapped:
             continue
         total = sum(mapped.values())
-        out[sid] = {t: p / total for t, p in sorted(mapped.items())}
-    return out
+        out[src_vocab.index(src_tok)] = {t: p / total for t, p in mapped.items()}
+    return LexiconTable.from_rows(out, len(src_vocab))

@@ -14,10 +14,10 @@ import dataclasses
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .linediff import RawHunk, histogram_diff
+from .linediff import histogram_diff
 from .repo import CommitRecord, normalize_lines
 from .tokenizer import strip_line_comment
 
@@ -318,11 +318,17 @@ def write_hunks(path: str, hunks: Iterable[ChangeHunk]) -> int:
     return count
 
 
+class HunkFormatError(ValueError):
+    """A hunks.jsonl line that write_hunks cannot have written."""
+
+
 def read_hunks(path: str) -> list[ChangeHunk]:
     hunks = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                hunks.append(ChangeHunk.from_json_obj(json.loads(line)))
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    hunks.append(ChangeHunk.from_json_obj(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise HunkFormatError(f"{path}:{lineno}: not a hunk ({exc!r})") from None
     return hunks

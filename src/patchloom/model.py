@@ -12,7 +12,10 @@ With a lexicon present, the output distribution is the mixture
 
 where lexrow is the renormalized translation row of source token i.
 Source tokens without a lexicon row back off to the softmax itself,
-which keeps the mixture a proper distribution.
+which keeps the mixture a proper distribution.  params.lexicon holds the
+rows as a LexiconTable of arrays, built once where a lexicon enters the
+program (lexicon.lexicon_to_ids, modelio.load_model); lexicon_rows
+gathers a source's rows from it.
 
 This module is the one definition of the forward: lstm_step, the
 encoder recurrence (encode), the attention step (attend), the combiner
@@ -29,7 +32,7 @@ forget, cell, output].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +73,7 @@ class ModelParameters:
     b_comb: np.ndarray       # (H,)
     W_pred: np.ndarray       # (V_tgt, H)
     b_pred: np.ndarray       # (V_tgt,)
-    lexicon: dict[int, dict[int, float]] = field(default_factory=dict)
+    lexicon: LexiconTable | None = None
     lex_weight: float = 0.1
 
     @property
@@ -99,14 +102,10 @@ class ModelParameters:
         return {name: getattr(self, name) for name in self._TENSOR_NAMES}
 
     def astype(self, dtype) -> "ModelParameters":
-        kwargs = {n: getattr(self, n).astype(dtype) for n in self._TENSOR_NAMES}
-        return ModelParameters(**kwargs, lexicon=self.lexicon,
-                               lex_weight=self.lex_weight)
+        return replace(self, **{n: t.astype(dtype) for n, t in self.tensors().items()})
 
     def copy(self) -> "ModelParameters":
-        kwargs = {n: getattr(self, n).copy() for n in self._TENSOR_NAMES}
-        return ModelParameters(**kwargs, lexicon=self.lexicon,
-                               lex_weight=self.lex_weight)
+        return replace(self, **{n: t.copy() for n, t in self.tensors().items()})
 
     def all_finite(self) -> bool:
         return all(np.isfinite(t).all() for t in self.tensors().values())
@@ -251,50 +250,52 @@ def attentional_vector(
 
 @dataclass(frozen=True)
 class LexiconTable:
-    """params.lexicon as arrays, the form every computation reads: row
-    sid of ids and probs holds source id sid's entries, padded with
-    probability 0, and has_row marks the source ids that have a row."""
+    """The lexicon p(tgt | src), in the one form the program holds it:
+    row sid of ids and probs holds source id sid's lengths[sid] entries,
+    target ids ascending, padded with id 0 and probability 0.  A source
+    id of length 0 has no row."""
 
     ids: np.ndarray        # (V_src, width) target ids
     probs: np.ndarray      # (V_src, width) float64
-    has_row: np.ndarray    # (V_src,) bool
+    lengths: np.ndarray    # (V_src,) entries per row
 
-
-def lexicon_table(params: ModelParameters) -> LexiconTable | None:
-    """The arrays of params.lexicon, width its longest row (lexicon.py
-    keeps at most 20 entries); None when the lexicon is off."""
-    if not params.lexicon or params.lex_weight <= 0.0:
-        return None
-    width = max(len(row) for row in params.lexicon.values())
-    ids = np.zeros((params.src_vocab_size, width), dtype=np.intp)
-    probs = np.zeros((params.src_vocab_size, width))
-    has_row = np.zeros(params.src_vocab_size, dtype=bool)
-    for sid, row in params.lexicon.items():
-        ids[sid, :len(row)] = list(row)
-        probs[sid, :len(row)] = list(row.values())
-        has_row[sid] = True
-    return LexiconTable(ids, probs, has_row)
+    @classmethod
+    def from_rows(cls, rows: dict[int, dict[int, float]],
+                  src_vocab_size: int) -> "LexiconTable | None":
+        """The table of {sid: {tid: p}} rows, width its longest row
+        (lexicon.py keeps at most 20 entries); None without rows.  The
+        rows are taken as they are: load_model checks those it reads."""
+        if not rows:
+            return None
+        width = max(len(row) for row in rows.values())
+        ids = np.zeros((src_vocab_size, width), dtype=np.intp)
+        probs = np.zeros((src_vocab_size, width))
+        lengths = np.zeros(src_vocab_size, dtype=np.intp)
+        for sid, row in rows.items():
+            entries = sorted(row.items())
+            ids[sid, :len(row)] = [tid for tid, _ in entries]
+            probs[sid, :len(row)] = [p for _, p in entries]
+            lengths[sid] = len(row)
+        return cls(ids, probs, lengths)
 
 
 def lexicon_rows(
-    params: ModelParameters, src_ids, table: LexiconTable | None = None
+    params: ModelParameters, src_ids
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The lexicon restricted to source ids of any shape (..., S), for
+    """params.lexicon restricted to source ids of any shape (..., S), for
     predict_distribution: (..., S, V_tgt) translation rows, all zero
     where a source token has no row, and the (..., S) indicator of those
-    rows that back off to the softmax.  table defaults to
-    lexicon_table(params); None when the lexicon is off."""
-    if table is None:
-        table = lexicon_table(params)
-        if table is None:
-            return None
+    rows that back off to the softmax.  None when the lexicon is off."""
+    table = params.lexicon
+    if table is None or params.lex_weight <= 0.0:
+        return None
     src = np.asarray(src_ids, dtype=np.intp)
     rows = np.zeros((src.size, params.tgt_vocab_size))
     flat = src.reshape(-1)
     # padding entries add 0.0 to whatever id they name
     np.add.at(rows, (np.arange(flat.size)[:, None], table.ids[flat]),
               table.probs[flat])
-    backoff = (~table.has_row[src]).astype(np.float64)
+    backoff = (table.lengths[src] == 0).astype(np.float64)
     return rows.reshape(src.shape + (params.tgt_vocab_size,)), backoff
 
 

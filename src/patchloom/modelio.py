@@ -16,14 +16,17 @@ Layout (all integers little-endian u32, floats IEEE-754 f32 LE):
              entries as (u32 target id, f32 probability), ids ascending
 
 The scalar lexicon mixture weight travels as a shape-(1,) tensor named
-"lex_weight".  Rows and entries are written in canonical ascending
-order, so save -> load -> save is byte-identical.
+"lex_weight".  Lexicon rows and entries are in ascending order, as
+LexiconTable keeps them, so save -> load -> save is byte-identical.
 
 load_model raises ModelFormatError for any file save_model cannot have
-written: truncated, with trailing bytes or invalid UTF-8, with a tensor
-missing, unknown, non-finite or shaped unlike the vocabularies and the
-hidden and embedding sizes, or with a lexicon id outside the
-vocabularies.
+written or whose lexicon would break the output distribution: truncated,
+with trailing bytes or invalid UTF-8, with a tensor missing, unknown,
+non-finite or shaped unlike the vocabularies and H and d, or with a
+lexicon row that is repeated or empty, names an id outside the
+vocabularies, lists target ids not strictly ascending, holds a
+probability outside [0, 1], or sums to more than ROW_SUM_TOLERANCE
+away from 1.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ import struct
 
 import numpy as np
 
-from .model import ModelParameters
+from .model import LexiconTable, ModelParameters
 from .vocab import RESERVED, Vocabulary
 
 MAGIC = b"PLM1"
 VERSION = 1
+# float32 rounding of a row's 20 entries moves its sum by about 1.2e-6
+ROW_SUM_TOLERANCE = 1e-5
 
 
 class ModelFormatError(ValueError):
@@ -78,13 +83,14 @@ def save_model(path: str, params: ModelParameters,
             for dim in arr.shape:
                 _write_u32(fh, dim)
             fh.write(arr.tobytes())
-        rows = sorted(params.lexicon.items())
-        _write_u32(fh, len(rows))
-        for sid, row in rows:
-            _write_u32(fh, sid)
-            entries = sorted(row.items())
-            _write_u32(fh, len(entries))
-            for tid, prob in entries:
+        table = params.lexicon
+        sids = [] if table is None else np.flatnonzero(table.lengths).tolist()
+        _write_u32(fh, len(sids))
+        for sid in sids:
+            n = int(table.lengths[sid])
+            fh.write(struct.pack("<II", sid, n))
+            for tid, prob in zip(table.ids[sid, :n].tolist(),
+                                 table.probs[sid, :n].tolist()):
                 fh.write(struct.pack("<If", tid, prob))
 
 
@@ -115,9 +121,7 @@ def _read_vocab(r: _Reader) -> Vocabulary:
     tokens = [r.string() for _ in range(count)]
     if tokens[: len(RESERVED)] != list(RESERVED):
         raise ModelFormatError("vocabulary lacks the reserved token prefix")
-    vocab = Vocabulary()
-    for tok in tokens[len(RESERVED):]:
-        vocab.add(tok)
+    vocab = Vocabulary(tokens[len(RESERVED):])
     if len(vocab) != count:
         raise ModelFormatError("vocabulary repeats a token")
     return vocab
@@ -171,22 +175,28 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
         arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         tensors[name] = arr.astype(np.float32)
     _check_tensors(tensors, len(src_vocab), len(tgt_vocab))
-    lexicon: dict[int, dict[int, float]] = {}
+    rows: dict[int, dict[int, float]] = {}
     for _ in range(r.u32()):
         sid = r.u32()
-        if sid >= len(src_vocab) or sid in lexicon:
+        if sid >= len(src_vocab) or sid in rows:
             raise ModelFormatError(f"bad or repeated lexicon source id {sid}")
-        row = {}
+        row = rows[sid] = {}
+        prev = -1
         for _ in range(r.u32()):
             tid, prob = struct.unpack("<If", r.take(8))
-            if tid >= len(tgt_vocab) or not np.isfinite(prob):
+            if not prev < tid < len(tgt_vocab) or not 0.0 <= prob <= 1.0:
                 raise ModelFormatError(
-                    f"lexicon row {sid}: bad target id {tid} or probability {prob}")
+                    f"lexicon row {sid}: bad or unordered target id {tid} "
+                    f"or probability {prob}")
             row[tid] = float(prob)
-        lexicon[sid] = row
+            prev = tid
+        total = sum(row.values())
+        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+            raise ModelFormatError(f"lexicon row {sid} sums to {total}, not 1")
     if r.pos != len(r.data):
         raise ModelFormatError(f"{len(r.data) - r.pos} trailing bytes after the lexicon")
     lex_weight = float(tensors.pop("lex_weight")[0])
     params = ModelParameters(**{n: tensors[n] for n in ModelParameters._TENSOR_NAMES},
-                             lexicon=lexicon, lex_weight=lex_weight)
+                             lexicon=LexiconTable.from_rows(rows, len(src_vocab)),
+                             lex_weight=lex_weight)
     return params, src_vocab, tgt_vocab

@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,10 @@ class InMemoryRepo:
     @classmethod
     def from_json(cls, path: str) -> "InMemoryRepo":
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(data["commits"])
+            try:
+                return cls(json.load(fh)["commits"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RepositoryError(f"{path}: not a repository snapshot ({exc!r})") from None
 
     def commits(self) -> list[CommitRecord]:
         return sorted(self._records, key=lambda r: (r.author_time, r.id))

@@ -20,7 +20,7 @@ baselines miss them, a model that learned the rule does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

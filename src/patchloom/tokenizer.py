@@ -13,7 +13,7 @@ re-tokenizing that form yields the identical list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class TokenizeError(ValueError):

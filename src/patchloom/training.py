@@ -16,8 +16,8 @@ the same arrays turns it into gradients.  The forward is model.py's
 encoder, LSTM step, attention, combiner and output softmax, the ones
 decoding steps with.  Training, development loss (corpus_loss) and
 gradient_check all use it.  The lexicon mixture gathers p(y | src_i)
-from model.lexicon_table's arrays, built once per train call.  gradient_check verifies the sweep against central
-finite differences.
+from the rows model.lexicon_rows reads off params.lexicon.
+gradient_check verifies the sweep against central finite differences.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .model import (
     attentional_vector,
     encode,
     lexicon_rows,
-    lexicon_table,
     lstm_step,
     predict_distribution,
 )
@@ -212,12 +211,10 @@ def forward_pair(
     batch: list[tuple[list[int], list[int]]],
     rng: np.random.Generator | None = None,
     dropout: float = 0.0,
-    table: LexiconTable | None = None,
 ) -> _BatchCache:
     """Teacher-forced forward over a batch of (src_ids, tgt_ids) pairs,
     each tgt_ids ending with EOS; cache.loss is the summed negative
-    log-likelihood of its cache.tokens target tokens.  table defaults to
-    lexicon_table(params)."""
+    log-likelihood of its cache.tokens target tokens."""
     H = params.hidden_size
     d = params.embed_size
     cache = _BatchCache()
@@ -243,11 +240,10 @@ def forward_pair(
     cache.smax = predict_distribution(params, htil_out, cache.alpha, None)
     smax_y = np.take_along_axis(cache.smax, tgt_out[..., None], 2)[..., 0]
     cache.smax_y = smax_y = smax_y.astype(mix_dtype)
-    if table is None:
-        table = lexicon_table(params)
-    if table is not None:
+    lexicon = lexicon_rows(params, src)
+    if lexicon is not None:
         lam = params.lex_weight
-        rows, backoff = lexicon_rows(params, src, table)
+        rows, backoff = lexicon
         # lex_y[b, t, i] = p(y_bt | src_bi)
         lex_y = rows[np.arange(B)[:, None, None], np.arange(S),
                      tgt_out[..., None]]
@@ -461,14 +457,13 @@ def batch_loss_and_gradients(
     batch: list[tuple[list[int], list[int]]],
     rng: np.random.Generator | None = None,
     dropout: float = 0.0,
-    table: LexiconTable | None = None,
 ) -> tuple[float, int, dict[str, np.ndarray]]:
     """Mean-per-token loss over the batch, its token count, and matching
     gradients."""
     # the gradient buffers are allocated before the cache, so the memory
     # the cache frees on return is what Adam's scratch arrays reuse
     grads = {name: np.empty_like(t) for name, t in params.tensors().items()}
-    cache = forward_pair(params, batch, rng, dropout, table)
+    cache = forward_pair(params, batch, rng, dropout)
     backward_pair(params, cache, grads)
     for g in grads.values():
         g /= cache.tokens
@@ -479,15 +474,12 @@ def corpus_loss(
     params: ModelParameters,
     pairs: list[tuple[list[int], list[int]]],
     minibatch_words: int = 2048,
-    table: LexiconTable | None = None,
 ) -> float:
     """Mean-per-token loss over pairs, forwarded in make_batches batches."""
-    if table is None:
-        table = lexicon_table(params)
     total = 0.0
     tokens = 0
     for batch in make_batches(pairs, minibatch_words):
-        cache = forward_pair(params, batch, table=table)
+        cache = forward_pair(params, batch)
         total += float(cache.loss)
         tokens += cache.tokens
     return total / max(tokens, 1)
@@ -566,7 +558,7 @@ def train(
     src_vocab_size: int,
     tgt_vocab_size: int,
     config: TrainingConfig,
-    lexicon: dict[int, dict[int, float]] | None = None,
+    lexicon: LexiconTable | None = None,
 ) -> tuple[ModelParameters, TrainingLog]:
     """Train on encoded (src_ids, tgt_ids-with-EOS) pairs.  The last
     dev_fraction of pairs (callers pass them in chronological order)
@@ -579,9 +571,7 @@ def train(
         hidden_size=config.hidden_size, embed_size=config.embed_size,
         lex_weight=config.lex_weight,
     )
-    if lexicon:
-        params.lexicon = lexicon
-    table = lexicon_table(params)
+    params.lexicon = lexicon
 
     n_dev = max(1, int(round(len(encoded_pairs) * config.dev_fraction)))
     n_dev = min(n_dev, len(encoded_pairs) - 1) if len(encoded_pairs) > 1 else 0
@@ -610,7 +600,7 @@ def train(
         for bi in rng.permutation(len(batches)):
             batch = batches[int(bi)]
             loss, tokens, grads = batch_loss_and_gradients(
-                params, batch, rng, config.dropout, table)
+                params, batch, rng, config.dropout)
             if not np.isfinite(loss):
                 log.error("non-finite loss at epoch %d; keeping last good "
                           "snapshot", epoch)
@@ -623,7 +613,7 @@ def train(
         if aborted or not params.all_finite():
             logbook.aborted = True
             break
-        dev_loss = corpus_loss(params, dev_pairs, config.minibatch_words, table)
+        dev_loss = corpus_loss(params, dev_pairs, config.minibatch_words)
         train_loss = epoch_loss / max(epoch_tokens, 1)
         logbook.epochs.append(EpochStats(
             epoch, train_loss, dev_loss, lr, time.monotonic() - started))
@@ -657,13 +647,11 @@ def gradient_check(
         raise ValueError(
             "gradient_check requires dropout disabled: the stochastic mask "
             "makes the two loss evaluations inconsistent")
-    p64 = params.astype(np.float64)
-    table = lexicon_table(p64)
-    _, _, analytic = batch_loss_and_gradients(p64, batch, table=table)
+    _, _, analytic = batch_loss_and_gradients(params.astype(np.float64), batch)
     wide = params.astype(np.longdouble)
 
     def objective():
-        cache = forward_pair(wide, batch, table=table)
+        cache = forward_pair(wide, batch)
         return cache.loss / cache.tokens
 
     worst = 0.0

@@ -23,6 +23,10 @@ BOS_ID = 1
 EOS_ID = 2
 
 
+class VocabularyError(ValueError):
+    """A vocabulary file that Vocabulary.save cannot have written."""
+
+
 class Vocabulary:
     def __init__(self, tokens: Iterable[str] = ()):
         self._tokens: list[str] = list(RESERVED)
@@ -87,10 +91,10 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:
-            tokens = json.load(fh)
-        if tokens[: len(RESERVED)] != list(RESERVED):
-            raise ValueError(f"vocabulary file {path} lacks reserved prefix")
-        vocab = cls()
-        for tok in tokens[len(RESERVED):]:
-            vocab.add(tok)
-        return vocab
+            try:
+                tokens = json.load(fh)
+            except ValueError as exc:
+                raise VocabularyError(f"vocabulary file {path}: {exc}") from None
+        if not isinstance(tokens, list) or tokens[: len(RESERVED)] != list(RESERVED):
+            raise VocabularyError(f"vocabulary file {path} lacks the reserved prefix")
+        return cls(tokens[len(RESERVED):])

@@ -27,7 +27,7 @@ from patchloom.generation import (
 )
 from patchloom.linediff import apply_hunks, histogram_diff
 from patchloom.mining import MiningReport, mine_hunks
-from patchloom.model import ModelParameters
+from patchloom.model import LexiconTable, ModelParameters
 from patchloom.repo import open_repository
 from patchloom.synthdata import make_benchmark, make_repo
 from patchloom.tokenizer import tokenize
@@ -104,7 +104,7 @@ def test_numeric_core_gradient_distribution_and_beam_guarantees():
     params = ModelParameters.initialize(
         rng, 10, 10, hidden_size=4, embed_size=5, scale=0.8,
         dtype=np.float64)
-    params.lexicon = {3: {4: 0.6, 5: 0.4}}
+    params.lexicon = LexiconTable.from_rows({3: {4: 0.6, 5: 0.4}}, 10)
     grad_err = gradient_check(params, [([3, 4, 5], [6, 7, EOS_ID])], step=1e-4)
 
     gap = 0.0
@@ -113,7 +113,7 @@ def test_numeric_core_gradient_distribution_and_beam_guarantees():
             np.random.default_rng(seed), 8, 9, hidden_size=6, embed_size=4,
             scale=0.8)
         if seed == 2:
-            p.lexicon = {3: {4: 0.7, 5: 0.3}, 4: {6: 1.0}}
+            p.lexicon = LexiconTable.from_rows({3: {4: 0.7, 5: 0.3}, 4: {6: 1.0}}, 8)
         decoder = Decoder(p, [3, 4, 5])
         _, logp = decoder.step(decoder.start, np.array([BOS_ID]))
         gap = max(gap, abs(float(np.exp(logp).sum()) - 1.0))

@@ -8,6 +8,7 @@ test here.
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 
 import patchloom
 from patchloom.cli import main
-from patchloom.model import ModelParameters
+from patchloom.model import LexiconTable, ModelParameters
 from patchloom.modelio import save_model
 from patchloom.synthdata import make_repo
 from patchloom.vocab import Vocabulary
@@ -165,7 +166,7 @@ def _generate_in_subprocess(tmp_path, model_path):
 def _small_model(path, lexicon):
     params = ModelParameters.initialize(np.random.default_rng(0), 8, 11,
                                         hidden_size=4, embed_size=3)
-    params.lexicon = lexicon
+    params.lexicon = LexiconTable.from_rows(lexicon, 8)
     save_model(str(path), params, Vocabulary(("int", "a", "b")),
                Vocabulary(("int", "a", "b", "=", ";", "c")))
 
@@ -187,3 +188,45 @@ def test_model_with_out_of_vocabulary_lexicon_id_exits_1_without_traceback(tmp_p
     assert proc.returncode == 1
     assert "target id 999" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _mismatched_corpus(tmp_path):
+    (tmp_path / "train.src").write_text("a b\nc d\n")
+    (tmp_path / "train.tgt").write_text("a\n")
+    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm")], "train.src"
+
+
+def _vocabulary_without_reserved_prefix(tmp_path):
+    (tmp_path / "train.src").write_text("a b\n")
+    (tmp_path / "train.tgt").write_text("a\n")
+    (tmp_path / "vocab.src.json").write_text('["a", "b"]')
+    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm")], "vocab.src.json"
+
+
+def _hunk_line_without_fields(tmp_path):
+    (tmp_path / "repo.json").write_text(json.dumps({"commits": []}))
+    (tmp_path / "hunks.jsonl").write_text('{"bad": 1}\n')
+    return ["build-corpus", "--repo", str(tmp_path / "repo.json"), "--hunks",
+            str(tmp_path / "hunks.jsonl"), "--test-year", "2015", "--out",
+            str(tmp_path / "corpus")], "hunks.jsonl:1"
+
+
+def _snapshot_commit_without_time(tmp_path):
+    (tmp_path / "repo.json").write_text(json.dumps({"commits": [{"id": 1}]}))
+    return ["mine", "--repo", str(tmp_path / "repo.json"), "--out",
+            str(tmp_path / "hunks.jsonl")], "repo.json"
+
+
+@pytest.mark.parametrize("make_case", [
+    _mismatched_corpus,
+    _vocabulary_without_reserved_prefix,
+    _hunk_line_without_fields,
+    _snapshot_commit_without_time,
+])
+def test_malformed_input_exits_1_with_one_error_line(tmp_path, caplog, make_case):
+    argv, names = make_case(tmp_path)
+    assert main(argv) == 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert errors[0].exc_info is None, "logged with a traceback"
+    assert names in errors[0].getMessage()

@@ -19,7 +19,7 @@ from patchloom.decoding import (
     beam_search,
     exhaustive_search,
 )
-from patchloom.model import ModelParameters
+from patchloom.model import LexiconTable, ModelParameters
 from patchloom.training import forward_pair
 from patchloom.vocab import BOS_ID, EOS_ID
 
@@ -159,10 +159,10 @@ def test_scores_do_not_depend_on_the_beam(hidden, lexicon):
             rng, 8, 12, hidden_size=hidden, embed_size=4,
             lex_weight=0.3 if lexicon else 0.0, scale=0.8)
         if lexicon:
-            params.lexicon = {
+            params.lexicon = LexiconTable.from_rows({
                 sid: dict(zip(rng.choice(12, 3, replace=False).tolist(),
                               rng.dirichlet(np.ones(3)).tolist()))
-                for sid in range(0, 8, 2)}
+                for sid in range(0, 8, 2)}, 8)
         src = rng.integers(0, 8, size=4).tolist()
         hyps = beam_search(params, src, beam_size=6, max_len=6)
         for hyp in hyps:

@@ -107,9 +107,12 @@ def test_lexicon_to_ids_drops_unknown_tokens_and_renormalizes():
     }
     by_id = lexicon_to_ids(table, src_vocab, tgt_vocab)
     a = src_vocab.index("alpha")
-    assert a in by_id
-    # GHOST is outside the target vocabulary; its mass redistributes
-    assert by_id[a] == {tgt_vocab.index("ALPHA"): pytest.approx(1.0)}
     # rows for source tokens outside the vocabulary vanish rather than
-    # aliasing everything onto <unk>
-    assert UNK_ID not in by_id
+    # aliasing everything onto <unk>: alpha's is the only row
+    assert by_id.lengths[UNK_ID] == 0
+    assert by_id.lengths.tolist() == [int(sid == a) for sid in range(len(src_vocab))]
+    # GHOST is outside the target vocabulary; its mass redistributes
+    assert by_id.ids[a, 0] == tgt_vocab.index("ALPHA")
+    assert by_id.probs[a, 0] == pytest.approx(1.0)
+    # with no row left there is no lexicon
+    assert lexicon_to_ids({"ghost-src": {"ALPHA": 1.0}}, src_vocab, tgt_vocab) is None

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchloom.model import (
+    LexiconTable,
     ModelParameters,
     attend,
     attention_keys,
@@ -182,7 +183,7 @@ def test_predict_distribution_sums_to_one():
 def test_lexicon_mixture_worked_example():
     lam = 0.25
     params = make_params(src=6, tgt=4, lex_weight=lam, dtype=np.float64)
-    params.lexicon = {2: {3: 1.0}}
+    params.lexicon = LexiconTable.from_rows({2: {3: 1.0}}, 6)
     states, h, _ = encode_one(params, [2, 2])
     weights, _ = attend_to(params, states, h)
     base = distribution(replace(params, lex_weight=0.0), states, h, [2, 2])
@@ -200,7 +201,7 @@ def test_lexicon_backoff_rescales_base_distribution():
     # backs off onto the softmax instead of vanishing
     lam = 0.25
     params = make_params(src=6, tgt=4, lex_weight=lam, dtype=np.float64)
-    params.lexicon = {2: {3: 1.0}}
+    params.lexicon = LexiconTable.from_rows({2: {3: 1.0}}, 6)
     states, h, _ = encode_one(params, [1, 2])
     weights, _ = attend_to(params, states, h)
     base = distribution(replace(params, lex_weight=0.0), states, h, [1, 2])
@@ -215,7 +216,7 @@ def test_lexicon_backoff_rescales_base_distribution():
 
 def test_empty_lexicon_dict_falls_back_to_softmax():
     params = make_params(src=6, tgt=4, lex_weight=0.3)
-    params.lexicon = {}
+    params.lexicon = LexiconTable.from_rows({}, 6)
     states, h, _ = encode_one(params, [1, 2])
     mixed = distribution(params, states, h, [1, 2])
     base = distribution(replace(params, lex_weight=0.0), states, h, [1, 2])
@@ -224,7 +225,7 @@ def test_empty_lexicon_dict_falls_back_to_softmax():
 
 def test_zero_lex_weight_ignores_lexicon():
     params = make_params(lex_weight=0.0)
-    params.lexicon = {1: {1: 1.0}}
+    params.lexicon = LexiconTable.from_rows({1: {1: 1.0}}, 6)
     states, h, _ = encode_one(params, [1, 1])
     with_row = distribution(params, states, h, [1, 1])
     params.lexicon = None
@@ -233,15 +234,17 @@ def test_zero_lex_weight_ignores_lexicon():
 
 
 def test_lexicon_rows_match_the_dict_lexicon():
-    # the arrays behind lexicon_rows must give exactly the dict's rows;
-    # source 4's row is padded with id 0, which source 0's row also uses
+    # the table's rows must give exactly the mapping it was built from;
+    # source 4's row is padded with id 0, which source 0's row also uses,
+    # and source 2's entries are given out of order
+    mapping = {0: {0: 0.25, 5: 0.75}, 2: {6: 0.5, 3: 0.5}, 4: {1: 1.0}}
     params = make_params(src=6, tgt=7, lex_weight=0.3)
-    params.lexicon = {0: {0: 0.25, 5: 0.75}, 2: {3: 0.5, 6: 0.5}, 4: {1: 1.0}}
+    params.lexicon = LexiconTable.from_rows(mapping, 6)
     src = [2, 3, 4, 0, 2]
     rows, backoff = lexicon_rows(params, src)
     assert rows.shape == (5, 7)
     for i, sid in enumerate(src):
-        row = params.lexicon.get(sid)
+        row = mapping.get(sid)
         want = np.zeros(7)
         if row is not None:
             want[list(row)] = list(row.values())
@@ -263,7 +266,7 @@ def test_batched_rows_equal_single_rows(lex_weight):
     # the decoder steps K hypotheses as rows of one array; each row must
     # come out as if it had been computed alone
     params = make_params(lex_weight=lex_weight, seed=4).astype(np.float64)
-    params.lexicon = {2: {3: 0.5, 6: 0.5}, 4: {1: 1.0}}
+    params.lexicon = LexiconTable.from_rows({2: {3: 0.5, 6: 0.5}, 4: {1: 1.0}}, 6)
     src = [2, 3, 4]
     states, _, _ = encode_one(params, src)
     keys = attention_keys(params, states)

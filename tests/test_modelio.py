@@ -1,7 +1,8 @@
 """Model file format: byte-stable round trips and corruption errors.
 
-Every file save_model could not have written must fail to load with
-ModelFormatError, never with an error from deeper in the program."""
+Every file save_model could not have written, or whose lexicon would
+break the output distribution, must fail to load with ModelFormatError,
+never with an error from deeper in the program."""
 
 import struct
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchloom.model import ModelParameters
+from patchloom.model import LexiconTable, ModelParameters
 from patchloom.modelio import (
     MAGIC,
     VERSION,
@@ -36,7 +37,7 @@ def fresh(seed=0, lex_weight=0.125):
 
 def test_round_trip_preserves_everything(tmp_path):
     params, src_vocab, tgt_vocab = fresh()
-    params.lexicon = {5: {6: 0.75, 3: 0.25}, 6: {6: 1.0}}
+    params.lexicon = LexiconTable.from_rows({5: {6: 0.75, 3: 0.25}, 6: {6: 1.0}}, 8)
     path = tmp_path / "model.plm"
     save_model(str(path), params, src_vocab, tgt_vocab)
     loaded, src_back, tgt_back = load_model(str(path))
@@ -45,7 +46,10 @@ def test_round_trip_preserves_everything(tmp_path):
         assert np.array_equal(tensor, loaded.tensors()[name]), name
         assert tensor.dtype == loaded.tensors()[name].dtype
     assert loaded.lex_weight == params.lex_weight
-    assert loaded.lexicon == params.lexicon
+    for name in ("ids", "probs", "lengths"):
+        want = getattr(params.lexicon, name)
+        got = getattr(loaded.lexicon, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype, name
     assert src_back == src_vocab
     assert tgt_back == tgt_vocab
 
@@ -62,11 +66,11 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 def test_empty_lexicon_round_trips(tmp_path):
     params, src_vocab, tgt_vocab = fresh(lex_weight=0.0)
-    params.lexicon = {}
+    params.lexicon = LexiconTable.from_rows({}, 8)
     path = tmp_path / "model.plm"
     save_model(str(path), params, src_vocab, tgt_vocab)
     loaded, _, _ = load_model(str(path))
-    assert loaded.lexicon == {}
+    assert loaded.lexicon is None
     assert loaded.lex_weight == 0.0
 
 
@@ -141,7 +145,7 @@ def raw_parts(lex_weight=0.125):
 def test_raw_writer_matches_save_model(tmp_path):
     # write_raw writes exactly what save_model writes
     params, src_vocab, tgt_vocab = fresh()
-    params.lexicon = {5: {3: 0.25, 6: 0.75}}
+    params.lexicon = LexiconTable.from_rows({5: {3: 0.25, 6: 0.75}}, 8)
     save_model(str(tmp_path / "a.plm"), params, src_vocab, tgt_vocab)
     write_raw(tmp_path / "b.plm", *raw_parts())
     assert (tmp_path / "a.plm").read_bytes() == (tmp_path / "b.plm").read_bytes()
@@ -158,10 +162,34 @@ def _rejected(path, *parts, **kwargs):
     (5, [(999, 1.0)]),      # target id far outside the 9-token vocabulary
     (5, [(9, 1.0)]),
     (5, [(3, float("nan"))]),
+    (5, []),                            # empty: the row's mass would vanish
+    (5, [(6, 0.75), (3, 0.25)]),        # target ids descending
+    (5, [(3, 0.5), (3, 0.5)]),          # a repeated target id
+    (5, [(3, -0.25), (6, 1.25)]),       # sums to 1, probabilities outside [0, 1]
+    (5, [(3, 0.9), (6, 0.9)]),          # sums to 1.8
+    (5, [(3, 0.25), (6, 0.7499)]),      # sums to 1 - 1e-4
 ])
 def test_bad_lexicon_rows_rejected(tmp_path, row):
     src_vocab, tgt_vocab, tensors, _ = raw_parts()
     _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, [row])
+
+
+def test_float32_rounded_lexicon_rows_load(tmp_path):
+    # save_model stores probabilities as float32: 20-entry rows that sum
+    # to 1 in float64 must still load after the rounding
+    rng = np.random.default_rng(5)
+    params = ModelParameters.initialize(rng, 8, 25, hidden_size=6, embed_size=4)
+    src_vocab = Vocabulary(("alpha", "beta", "gamma"))
+    tgt_vocab = Vocabulary([f"t{i}" for i in range(20)])
+    rows = {sid: dict(zip(rng.choice(25, 20, replace=False).tolist(),
+                          rng.dirichlet(np.full(20, 0.3)).tolist()))
+            for sid in range(8)}
+    params.lexicon = LexiconTable.from_rows(rows, 8)
+    path = tmp_path / "m.plm"
+    save_model(str(path), params, src_vocab, tgt_vocab)
+    loaded, _, _ = load_model(str(path))
+    assert np.array_equal(loaded.lexicon.lengths, np.full(8, 20))
+    assert np.allclose(loaded.lexicon.probs, params.lexicon.probs, atol=1e-7)
 
 
 def test_repeated_lexicon_row_rejected(tmp_path):

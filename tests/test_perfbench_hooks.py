@@ -1,9 +1,11 @@
-"""The benchmark's tracer against the package it traces.
+"""The benchmark's code against the package it runs.
 
 perfbench/spans.py patches patchloom's public functions by name.  A
-renamed or deleted function makes its install raise, so this test runs
+renamed or deleted function makes its install raise, so one test runs
 install and restore on the checkout's package: a traced name that goes
-missing fails here, not only in a traced benchmark run.
+missing fails here, not only in a traced benchmark run.  Another runs
+one pass of the train workload, the only caller of the lexicon_to_ids ->
+train(lexicon=) -> corpus_loss path outside the package.
 """
 
 import importlib.util
@@ -12,19 +14,19 @@ import os
 from patchloom import (cli, corpus, decoding, evaluation, generation, lexicon,
                        mining, model, modelio, repo, training)
 
-SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                          "spans.py")
+PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 OWNERS = (cli, corpus, decoding, evaluation, generation, lexicon, mining,
           model, modelio, repo, training, repo.GitCliRepo, repo.InMemoryRepo,
           training.AdamState)
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH_DIR, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def snapshot():
@@ -33,7 +35,7 @@ def snapshot():
 
 
 def test_install_patches_the_traced_names_and_restore_undoes_it():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     before = snapshot()
     tracer = spans.Tracer()
     try:
@@ -58,3 +60,13 @@ def test_install_patches_the_traced_names_and_restore_undoes_it():
     assert after.keys() == before.keys()
     changed = [key for key, value in after.items() if before[key] is not value]
     assert changed == []
+
+
+def test_train_workload_pass_passes_its_checks(tmp_path):
+    workloads = load_perfbench("workloads")
+    train = workloads.Train(1, str(tmp_path))
+    state = train.setup(0)
+    record = train.run_pass(state, 0)
+    record["scale"] = 1.0       # run.py sets each pass's speed scale
+    _, checks = train.report(state, [], [record])
+    assert [name for name, ok, _ in checks if not ok] == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from patchloom.decoding import beam_search
-from patchloom.model import P_FLOOR, ModelParameters
+from patchloom.model import P_FLOOR, LexiconTable, ModelParameters
 from patchloom.training import (
     TrainingConfig,
     batch_loss_and_gradients,
@@ -30,6 +30,10 @@ def small_params(seed=0, src=10, tgt=10, hidden=4, embed=3, lex_weight=0.0):
     )
 
 
+def lexicon(rows, src=10):
+    return LexiconTable.from_rows(rows, src)
+
+
 def test_gradient_check_small_model():
     params = small_params()
     batch = [([3, 4, 5], [6, 7, EOS_ID])]
@@ -38,7 +42,7 @@ def test_gradient_check_small_model():
 
 def test_gradient_check_with_lexicon_mixture():
     params = small_params(lex_weight=0.2)
-    params.lexicon = {3: {6: 0.7, 7: 0.3}, 4: {7: 1.0}}
+    params.lexicon = lexicon({3: {6: 0.7, 7: 0.3}, 4: {7: 1.0}})
     batch = [([3, 4], [6, 7, EOS_ID])]
     assert gradient_check(params, batch, step=1e-4) < 1e-4
 
@@ -54,7 +58,7 @@ def test_underflowed_target_gives_finite_loss_and_gradients(lex_weight):
     # softmax(target logit) underflows to exactly 0: the forward floors
     # p_y at P_FLOOR and the backward must agree instead of dividing by 0
     params = small_params(lex_weight=lex_weight)
-    params.lexicon = {3: {7: 1.0}}
+    params.lexicon = lexicon({3: {7: 1.0}})
     params.b_pred[6] = -1e4
     loss, tokens, grads = batch_loss_and_gradients(params, [([3, 4], [6, EOS_ID])])
     assert loss * tokens >= -np.log(P_FLOOR)
@@ -80,7 +84,7 @@ def test_batch_loss_is_mean_per_token():
 PADDED_BATCH = [([3, 4], [6, 7, EOS_ID]),
                 ([5, 9, 3, 4], [8, EOS_ID]),
                 ([9], [3, 4, 5, 6, EOS_ID])]
-PADDED_LEXICON = {3: {6: 0.7, 7: 0.3}, 4: {7: 1.0}, 5: {2: 0.5, 8: 0.5}}
+PADDED_LEXICON = lexicon({3: {6: 0.7, 7: 0.3}, 4: {7: 1.0}, 5: {2: 0.5, 8: 0.5}})
 
 
 @pytest.mark.parametrize("lex_weight", [0.0, 0.2])
@@ -188,7 +192,7 @@ def test_non_finite_loss_aborts_with_finite_snapshot():
     config = TrainingConfig(hidden_size=8, embed_size=6, max_epochs=8,
                             minibatch_words=8, learning_rate=0.01,
                             dropout=0.0, seed=1, lex_weight=0.1)
-    poisoned = {3: {4: float("nan")}}
+    poisoned = lexicon({3: {4: float("nan")}})
     params, logbook = train(pairs, 10, 10, config, lexicon=poisoned)
     assert logbook.aborted
     assert logbook.epochs == []
