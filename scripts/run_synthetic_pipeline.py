@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Train and score the bundled synthetic rewrite benchmark.
 
-Mirrors the release gate: 2000 training pairs over five rewrite rules
-plus distractors, a held-out exact-match set, and a query set with 40%
-novel statements scored against the pattern-matching baseline.  The
-whole run is deterministic given --seed.
+Runs the release gate (synthdata.run_benchmark with GATE_CONFIG): 2000
+training pairs over five rewrite rules plus distractors, a held-out
+exact-match set, and a query set with 40% novel statements scored
+against the pattern-matching baseline.  Writes model.plm, summary.json
+and sweep.csv to --out-dir.  The whole run is deterministic.
 
 Usage:
     python scripts/run_synthetic_pipeline.py --out-dir out/synth
@@ -15,130 +16,59 @@ import json
 import logging
 import os
 import sys
-import time
-from collections import Counter
 
-from patchloom.arguments import abstract_arguments
-from patchloom.evaluation import (
-    evaluate,
-    render_table,
-    sweep_thresholds,
-    write_sweep_csv,
-)
-from patchloom.generation import BaselineIndex, baseline_suggest, generate
+from patchloom.evaluation import render_table, sweep_thresholds, write_sweep_csv
 from patchloom.modelio import save_model
-from patchloom.synthdata import make_benchmark
-from patchloom.tokenizer import tokenize
-from patchloom.training import TrainingConfig, train
-from patchloom.vocab import Vocabulary
+from patchloom.synthdata import GATE_CONFIG, make_benchmark, run_benchmark
 
 log = logging.getLogger("synthetic-pipeline")
 
 
-def parse_args(argv=None):
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="out/synthetic")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--data-seed", type=int, default=7,
-                        help="seed for benchmark generation, separate from "
-                             "the training seed")
-    parser.add_argument("--n-train", type=int, default=2000)
-    parser.add_argument("--hidden-size", type=int, default=128)
-    parser.add_argument("--embed-size", type=int, default=64)
-    parser.add_argument("--max-epochs", type=int, default=50)
-    parser.add_argument("--learning-rate", type=float, default=0.003)
-    parser.add_argument("--minibatch-words", type=int, default=64)
-    parser.add_argument("--threshold", type=float, default=-0.7)
-    parser.add_argument("--sweep", action="store_true",
-                        help="also sweep the score threshold on the queries")
     parser.add_argument("-v", "--verbose", action="store_true")
-    return parser.parse_args(argv)
-
-
-def abstracted(line):
-    return abstract_arguments(tokenize(line))[0].tokens
-
-
-def main(argv=None) -> int:
-    args = parse_args(argv)
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(levelname)s %(message)s")
     os.makedirs(args.out_dir, exist_ok=True)
-    started = time.monotonic()
 
-    bench = make_benchmark(seed=args.data_seed, n_train=args.n_train)
-    pairs = [(abstracted(a), abstracted(b)) for a, b in bench.train_pairs]
-    src_counts = Counter(t for s, _ in pairs for t in s)
-    tgt_counts = Counter(t for _, t in pairs for t in t)
-    src_vocab = Vocabulary.from_counts(src_counts, unk_threshold=0)
-    tgt_vocab = Vocabulary.from_counts(tgt_counts, unk_threshold=0)
-    encoded = [(src_vocab.encode(s), tgt_vocab.encode(t, eos=True))
-               for s, t in pairs]
-    log.info("benchmark: %d train pairs, vocab %d/%d",
-             len(pairs), len(src_vocab), len(tgt_vocab))
-
-    config = TrainingConfig(
-        hidden_size=args.hidden_size, embed_size=args.embed_size,
-        max_epochs=args.max_epochs, minibatch_words=args.minibatch_words,
-        learning_rate=args.learning_rate, dropout=0.0, seed=args.seed,
-        decay_factor=0.9, dev_fraction=0.1, lex_weight=0.0)
-    params, logbook = train(encoded, len(src_vocab), len(tgt_vocab), config)
-    if logbook.aborted:
+    run = run_benchmark(make_benchmark(), GATE_CONFIG)
+    if run.logbook.aborted:
         log.error("training aborted on non-finite loss")
         return 1
     log.info("trained: best dev loss %.4f at epoch %d (%.0fs)",
-             logbook.best_dev_loss, logbook.best_epoch,
-             time.monotonic() - started)
+             run.logbook.best_dev_loss, run.logbook.best_epoch,
+             run.train_seconds)
     model_path = os.path.join(args.out_dir, "model.plm")
-    save_model(model_path, params, src_vocab, tgt_vocab)
-
-    hits = 0
-    for pre, post in bench.held_out:
-        res = generate(pre, params, src_vocab, tgt_vocab, threshold=None)
-        got = res.patch.tokens.serialized() if res.patch is not None else None
-        if got == " ".join(tokenize(post).tokens):
-            hits += 1
-    exact = hits / len(bench.held_out)
+    save_model(model_path, run.params, run.src_vocab, run.tgt_vocab)
     log.info("held-out exact match: %d/%d = %.3f",
-             hits, len(bench.held_out), exact)
+             run.hits, run.total, run.exact)
+    print(render_table([("model", run.model_report),
+                        ("baseline", run.baseline_report)]))
 
-    queries = [q for q, _, _ in bench.queries]
-    refs = [tokenize(r) for _, r, _ in bench.queries]
-    results = [generate(q, params, src_vocab, tgt_vocab,
-                        threshold=args.threshold) for q in queries]
-    index = BaselineIndex.from_parallel(
-        [list(s) for s, _ in pairs], [list(t) for _, t in pairs])
-    base_results = [baseline_suggest(q, index) for q in queries]
-    model_rep = evaluate(results, refs, threshold=args.threshold)
-    base_rep = evaluate(base_results, refs)
-    print(render_table([("model", model_rep), ("baseline", base_rep)]))
-
-    if args.sweep:
-        sweep = sweep_thresholds(results, refs)
-        write_sweep_csv(os.path.join(args.out_dir, "sweep.csv"),
-                        sweep, base_rep)
-        for threshold, rep in sweep:
-            log.info("sweep %+.1f: F1 %.4f", threshold, rep.f1)
+    sweep = sweep_thresholds(run.results, run.references)
+    write_sweep_csv(os.path.join(args.out_dir, "sweep.csv"),
+                    sweep, run.baseline_report)
+    for threshold, rep in sweep:
+        log.info("sweep %+.1f: F1 %.4f", threshold, rep.f1)
 
     summary = {
-        "held_out_exact": exact,
-        "model": model_rep.as_dict(),
-        "baseline": base_rep.as_dict(),
-        "best_epoch": logbook.best_epoch,
-        "best_dev_loss": logbook.best_dev_loss,
-        "seconds": round(time.monotonic() - started, 1),
+        "held_out_exact": run.exact,
+        "model": run.model_report.as_dict(),
+        "baseline": run.baseline_report.as_dict(),
+        "best_epoch": run.logbook.best_epoch,
+        "best_dev_loss": run.logbook.best_dev_loss,
+        "seconds": round(run.seconds, 1),
         "model_path": model_path,
     }
     with open(os.path.join(args.out_dir, "summary.json"), "w",
               encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
-    log.info("done in %.0fs; summary in %s",
-             summary["seconds"], args.out_dir)
-    beat = model_rep.f1 > base_rep.f1
-    log.info("model %s baseline (F1 %.4f vs %.4f)",
-             "beats" if beat else "does NOT beat", model_rep.f1, base_rep.f1)
-    return 0 if (exact >= 0.90 and beat) else 1
+    log.info("done in %.0fs; summary in %s; gate %s", run.seconds,
+             args.out_dir, "passed" if run.passed else "FAILED")
+    return 0 if run.passed else 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .corpus import (
     split_chronological,
     write_corpus,
 )
+from .decoding import Decoder, beam_search, exhaustive_search
 from .evaluation import (
     DEFAULT_SWEEP,
     evaluate as evaluate_results,
@@ -43,15 +44,16 @@ from .evaluation import (
 )
 from .generation import (
     BaselineIndex,
-    GeneratedPatch,
-    GenerationResult,
+    ResultFormatError,
     baseline_suggest,
     generate as generate_patch,
+    read_results,
     write_results,
 )
 from .lexicon import build_lexicon, lexicon_to_ids
 from .mining import (HunkFormatError, MiningReport, identify_fix_commits,
                      link_inducing, mine_hunks, read_hunks, write_hunks)
+from .model import LexiconTable, ModelParameters
 from .modelio import ModelFormatError, load_model, save_model
 from .repo import RepositoryError, open_repository
 from .tokenizer import TokenizedStatement
@@ -183,29 +185,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_results(path: str) -> list[GenerationResult]:
-    results = []
-    for line in _read_lines(path):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        result = GenerationResult(
-            query=obj["query"], source=obj["source"],
-            na_reason=obj["na_reason"], score=obj["score"],
-            valid=obj["valid"])
-        if obj["patch"] is not None:
-            tokens = tuple(obj["patch"].split())
-            result.patch = GeneratedPatch(
-                tokens=TokenizedStatement(tokens, obj["query"]),
-                score=obj["score"] if obj["score"] is not None else 0.0,
-                valid=obj["valid"], source=obj["source"])
-            result.concrete_output = tokens
-        results.append(result)
-    return results
-
-
 def _load_meta(path: str) -> tuple[list[str], list[bool]]:
     lines = _read_lines(path)
+    if not lines:
+        raise CliError(f"{path}: empty metadata file, expected a header row")
     header = lines[0].split("\t")
     categories, bugfix = [], []
     for line in lines[1:]:
@@ -229,12 +212,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return 0
     if not (args.patches and args.refs):
         raise CliError("evaluate needs either --counts or --patches/--refs")
-    results = _load_results(args.patches)
+    results = read_results(args.patches)
     refs = [TokenizedStatement(tuple(line.split()), line)
             for line in _read_lines(args.refs)]
+    if len(refs) != len(results):
+        raise CliError(f"{args.refs} has {len(refs)} references for "
+                       f"{len(results)} results in {args.patches}")
     categories = bugfix = None
     if args.meta:
         categories, bugfix = _load_meta(args.meta)
+        if len(categories) != len(results):
+            raise CliError(f"{args.meta} has {len(categories)} rows for "
+                           f"{len(results)} results in {args.patches}")
     report = evaluate_results(
         results, refs, categories, bugfix,
         category_filter=args.category,
@@ -272,41 +261,78 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    from .decoding import Decoder, beam_search, exhaustive_search
-    from .model import LexiconTable, ModelParameters
+# the release gate's numeric checks; each passes when its worst case over
+# the fixtures is below its bound
+NUMERIC_BOUNDS = {
+    "gradient error": 1e-4,    # relative, analytic against central differences
+    "distribution gap": 1e-6,  # |sum of a step's probabilities - 1|
+    "beam gap": 1e-9,          # |beam 81 score - exhaustive search score|
+}
 
-    failures = []
+
+def _distribution_gap(params: ModelParameters) -> float:
+    decoder = Decoder(params, [3, 4, 5])
+    _, logp = decoder.step(decoder.start, np.array([BOS_ID]))
+    return abs(float(np.exp(logp).sum()) - 1.0)
+
+
+def _beam_gap(params: ModelParameters) -> float:
+    top = beam_search(params, [0, 2], beam_size=81, max_len=4)[0]
+    best = exhaustive_search(params, [0, 2], max_len=4)
+    return (abs(top.log_prob - best.log_prob) if top.tokens == best.tokens
+            else float("inf"))
+
+
+def numeric_checks() -> dict[str, float]:
+    """The worst case of each of NUMERIC_BOUNDS' checks on small random
+    models with and without a lexicon.  The beam gap is inf when a wide
+    beam's tokens differ from exhaustive search's."""
     rng = np.random.default_rng(123)
-
     # scale well above the training default: keeps true gradients clear of
     # the central-difference noise floor so relative errors are meaningful
     params = ModelParameters.initialize(rng, 10, 10, hidden_size=4,
                                         embed_size=5, scale=0.8)
-    params.lexicon = LexiconTable.from_rows({3: {4: 0.6, 5: 0.4}}, 10)
-    err = gradient_check(params, [([3, 4, 5], [4, 5, EOS_ID])])
-    log.info("selftest: gradient check max relative error %.2e", err)
-    if not err < 1e-4:
-        failures.append(f"gradient check error {err:.2e} >= 1e-4")
-
-    decoder = Decoder(params, [3, 4, 5])
-    _, logp = decoder.step(decoder.start, np.array([BOS_ID]))
-    gap = abs(float(np.exp(logp).sum()) - 1.0)
-    log.info("selftest: distribution sum deviation %.2e", gap)
-    if not gap < 1e-6:
-        failures.append(f"distribution sum off by {gap:.2e}")
-
     tiny = ModelParameters.initialize(rng, 3, 3, hidden_size=3, embed_size=3)
-    top = beam_search(tiny, [0, 2], beam_size=81, max_len=4)[0]
-    best = exhaustive_search(tiny, [0, 2], max_len=4)
-    if top.tokens != best.tokens or abs(top.log_prob - best.log_prob) > 1e-9:
-        failures.append("beam search differs from exhaustive search")
-    else:
-        log.info("selftest: beam search matches exhaustive search")
+    params64 = ModelParameters.initialize(
+        np.random.default_rng(11), 10, 10, hidden_size=4, embed_size=5,
+        scale=0.8, dtype=np.float64)
+    params.lexicon = params64.lexicon = LexiconTable.from_rows(
+        {3: {4: 0.6, 5: 0.4}}, 10)
+    grad_err = max(gradient_check(params, [([3, 4, 5], [4, 5, EOS_ID])]),
+                   gradient_check(params64, [([3, 4, 5], [6, 7, EOS_ID])]))
 
+    distributions = [params]
+    for seed in range(3):
+        distributions.append(ModelParameters.initialize(
+            np.random.default_rng(seed), 8, 9, hidden_size=6, embed_size=4,
+            scale=0.8))
+    distributions[-1].lexicon = LexiconTable.from_rows(
+        {3: {4: 0.7, 5: 0.3}, 4: {6: 1.0}}, 8)
+
+    beams = [tiny] + [
+        ModelParameters.initialize(np.random.default_rng(seed), 3, 3,
+                                   hidden_size=3, embed_size=2,
+                                   lex_weight=0.0, scale=0.8)
+        for seed in range(5)]
+    return {"gradient error": grad_err,
+            "distribution gap": max(map(_distribution_gap, distributions)),
+            "beam gap": max(map(_beam_gap, beams))}
+
+
+def numeric_failures(checks: dict[str, float]) -> list[str]:
+    return [name for name, value in checks.items()
+            if not value < NUMERIC_BOUNDS[name]]
+
+
+def cmd_selftest(args: argparse.Namespace) -> int:
+    checks = numeric_checks()
+    for name, value in checks.items():
+        log.info("selftest: %s %.2e (bound %g)", name, value, NUMERIC_BOUNDS[name])
+    failures = numeric_failures(checks)
+    for name in failures:
+        log.error("selftest FAILED: %s %.2e is not below %g",
+                  name, checks[name], NUMERIC_BOUNDS[name])
     if failures:
-        for failure in failures:
-            log.error("selftest FAILED: %s", failure)
         return 1
     print("selftest: all checks passed")
     return 0
@@ -400,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=float, nargs="+", default=DEFAULT_SWEEP)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("selftest", help="numeric sanity checks")
+    p = sub.add_parser(
+        "selftest", help="the release gate's numeric checks: gradients, "
+                         "distribution sums, beam against exhaustive search")
     p.set_defaults(func=cmd_selftest)
     return parser
 
@@ -418,7 +446,8 @@ def main(argv: list[str] | None = None) -> int:
         log.error("configuration error: %s", exc)
         return 2
     except (CliError, CorpusError, HunkFormatError, ModelFormatError,
-            RepositoryError, VocabularyError, FileNotFoundError) as exc:
+            RepositoryError, ResultFormatError, VocabularyError,
+            FileNotFoundError) as exc:
         log.error("%s", exc)
         return 1
     except Exception:

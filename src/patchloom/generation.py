@@ -72,6 +72,32 @@ class GenerationResult:
             "source": self.source,
         }
 
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "GenerationResult":
+        """Raises KeyError, TypeError or ValueError on an object that
+        to_json_obj cannot have written."""
+        if not (isinstance(obj["query"], str) and isinstance(obj["source"], str)):
+            raise TypeError("query or source is not a string")
+        for key in ("patch", "na_reason"):
+            if obj[key] is not None and not isinstance(obj[key], str):
+                raise TypeError(f"{key} is neither a string nor null")
+        score = obj["score"]
+        if score is not None and (isinstance(score, bool)
+                                  or not isinstance(score, (int, float))):
+            raise TypeError("score is neither a number nor null")
+        if not isinstance(obj["valid"], bool):
+            raise TypeError("valid is not a boolean")
+        result = cls(query=obj["query"], source=obj["source"],
+                     na_reason=obj["na_reason"], score=score, valid=obj["valid"])
+        if obj["patch"] is not None:
+            tokens = tuple(obj["patch"].split())
+            result.patch = GeneratedPatch(
+                tokens=TokenizedStatement(tokens, obj["query"]),
+                score=score if score is not None else 0.0,
+                valid=obj["valid"], source=obj["source"])
+            result.concrete_output = tokens
+        return result
+
 
 def _finalize(result: GenerationResult, threshold: float | None) -> GenerationResult:
     """Apply the NA rules to an already-decoded result."""
@@ -199,3 +225,20 @@ def write_results(path: str, results: list[GenerationResult]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for result in results:
             fh.write(json.dumps(result.to_json_obj(), sort_keys=True) + "\n")
+
+
+class ResultFormatError(ValueError):
+    """A patches.jsonl line that write_results cannot have written."""
+
+
+def read_results(path: str) -> list[GenerationResult]:
+    results = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    results.append(GenerationResult.from_json_obj(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ResultFormatError(
+                        f"{path}:{lineno}: not a generation result ({exc!r})") from None
+    return results

@@ -43,15 +43,29 @@ class ChangeHunk:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ChangeHunk":
+        """Raises KeyError or TypeError on an object that to_json_obj
+        cannot have written."""
+        for key in ("deleted_lines", "added_lines"):
+            if not (isinstance(obj[key], list)
+                    and all(isinstance(line, str) for line in obj[key])):
+                raise TypeError(f"{key} is not a list of strings")
+        for key in ("file_path", "commit_post", "commit_pre_origin"):
+            if not isinstance(obj[key], str):
+                raise TypeError(f"{key} is not a string")
+        for key in ("year_pre", "year_post"):
+            if type(obj[key]) is not int:
+                raise TypeError(f"{key} is not an integer")
+        if not isinstance(obj["method_scoped"], bool):
+            raise TypeError("method_scoped is not a boolean")
         return cls(
             deleted_lines=tuple(obj["deleted_lines"]),
             added_lines=tuple(obj["added_lines"]),
             file_path=obj["file_path"],
             commit_post=obj["commit_post"],
             commit_pre_origin=obj["commit_pre_origin"],
-            year_pre=int(obj["year_pre"]),
-            year_post=int(obj["year_post"]),
-            method_scoped=bool(obj["method_scoped"]),
+            year_pre=obj["year_pre"],
+            year_post=obj["year_post"],
+            method_scoped=obj["method_scoped"],
         )
 
 

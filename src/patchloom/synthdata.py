@@ -1,6 +1,6 @@
 """Deterministic synthetic data: rewrite-rule statement pairs, a
-benchmark corpus, and an in-memory repository for offline pipeline
-runs.
+benchmark corpus with the release gate's harness (run_benchmark), and
+an in-memory repository for offline pipeline runs.
 
 Five deterministic rewrite rules produce (buggy, fixed) statement
 pairs:
@@ -20,9 +20,20 @@ baselines miss them, a model that learned the rule does not.
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+
+from .arguments import abstract_arguments
+from .evaluation import EvalReport, evaluate
+from .generation import (DEFAULT_THRESHOLD, BaselineIndex, GenerationResult,
+                         baseline_suggest, generate)
+from .model import ModelParameters
+from .tokenizer import TokenizedStatement, tokenize
+from .training import TrainingConfig, TrainingLog, train
+from .vocab import Vocabulary
 
 IDENTIFIERS = (
     "height width depth length offset index cursor counter total limit "
@@ -154,6 +165,90 @@ def _is_rule_pair(pair: tuple[str, str]) -> bool:
     if pre.startswith("if ( null != "):
         return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the release gate on the benchmark
+
+# the release gate's training configuration
+GATE_CONFIG = TrainingConfig(
+    hidden_size=128, embed_size=64, max_epochs=50, minibatch_words=64,
+    learning_rate=0.003, dropout=0.0, seed=1, decay_factor=0.9,
+    dev_fraction=0.1, lex_weight=0.0)
+
+# held-out exact match the gate requires, besides model F1 > baseline F1
+GATE_MIN_EXACT = 0.90
+
+
+@dataclass
+class BenchmarkRun:
+    """What run_benchmark measured.  results (the model's query outputs)
+    and references let a threshold sweep re-threshold without decoding."""
+    hits: int
+    total: int
+    model_report: EvalReport
+    baseline_report: EvalReport
+    results: list[GenerationResult]
+    references: list[TokenizedStatement]
+    params: ModelParameters
+    src_vocab: Vocabulary
+    tgt_vocab: Vocabulary
+    logbook: TrainingLog
+    train_seconds: float
+    seconds: float
+
+    @property
+    def exact(self) -> float:
+        return self.hits / self.total
+
+    @property
+    def passed(self) -> bool:
+        return (self.exact >= GATE_MIN_EXACT
+                and self.model_report.f1 > self.baseline_report.f1)
+
+
+def _abstracted(line: str) -> tuple[str, ...]:
+    return abstract_arguments(tokenize(line))[0].tokens
+
+
+def run_benchmark(bench: Benchmark, config: TrainingConfig) -> BenchmarkRun:
+    """Train on bench's pairs, abstracted, with config; then score the
+    model by exact match on the held-out pairs (no threshold) and by
+    evaluate on the queries (at DEFAULT_THRESHOLD) against the
+    exact-match baseline built from the same pairs."""
+    started = time.monotonic()
+    pairs = [(_abstracted(a), _abstracted(b)) for a, b in bench.train_pairs]
+    src_vocab = Vocabulary.from_counts(
+        Counter(t for s, _ in pairs for t in s), unk_threshold=0)
+    tgt_vocab = Vocabulary.from_counts(
+        Counter(t for _, t in pairs for t in t), unk_threshold=0)
+    encoded = [(src_vocab.encode(s), tgt_vocab.encode(t, eos=True))
+               for s, t in pairs]
+    params, logbook = train(encoded, len(src_vocab), len(tgt_vocab), config)
+    train_seconds = time.monotonic() - started
+
+    # decoding computes in float64 (see decoding.py): cast once, not per query
+    params64 = params.astype(np.float64)
+    hits = 0
+    for pre, post in bench.held_out:
+        res = generate(pre, params64, src_vocab, tgt_vocab, threshold=None)
+        hits += (res.patch is not None
+                 and res.patch.tokens.tokens == tokenize(post).tokens)
+
+    queries = [q for q, _, _ in bench.queries]
+    references = [tokenize(r) for _, r, _ in bench.queries]
+    results = [generate(q, params64, src_vocab, tgt_vocab,
+                        threshold=DEFAULT_THRESHOLD) for q in queries]
+    index = BaselineIndex.from_parallel([s for s, _ in pairs],
+                                        [t for _, t in pairs])
+    base_results = [baseline_suggest(q, index) for q in queries]
+    return BenchmarkRun(
+        hits=hits, total=len(bench.held_out),
+        model_report=evaluate(results, references, threshold=DEFAULT_THRESHOLD),
+        baseline_report=evaluate(base_results, references),
+        results=results, references=references, params=params,
+        src_vocab=src_vocab, tgt_vocab=tgt_vocab, logbook=logbook,
+        train_seconds=train_seconds, seconds=time.monotonic() - started)
 
 
 # ---------------------------------------------------------------------------

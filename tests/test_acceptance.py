@@ -3,8 +3,10 @@ tolerance and a time budget, reporting a single verdict line.
 
 The verdict lines are echoed after the run by the terminal-summary hook
 in conftest so they stay visible even though pytest captures stdout.
-The synthetic-benchmark check trains a real model and is the slow one;
-everything else finishes in seconds.
+The numeric-core check is `patchloom selftest`'s (cli.numeric_checks).
+The synthetic-benchmark check runs scripts/run_synthetic_pipeline.py's
+harness (synthdata.run_benchmark); it trains a real model and is the
+one test marked slow.  Everything else finishes in seconds.
 """
 
 import csv
@@ -16,23 +18,19 @@ import numpy as np
 import pytest
 
 from patchloom.arguments import abstract_arguments, reinsert_arguments
-from patchloom.cli import main
-from patchloom.decoding import Decoder, beam_search, exhaustive_search
-from patchloom.evaluation import evaluate, metrics_from_counts, validity_rate
-from patchloom.generation import (
-    BaselineIndex,
-    GenerationResult,
-    baseline_suggest,
-    generate,
-)
+from patchloom.cli import main, numeric_checks, numeric_failures
+from patchloom.evaluation import metrics_from_counts, validity_rate
+from patchloom.generation import GenerationResult
 from patchloom.linediff import apply_hunks, histogram_diff
 from patchloom.mining import MiningReport, mine_hunks
-from patchloom.model import LexiconTable, ModelParameters
 from patchloom.repo import open_repository
-from patchloom.synthdata import make_benchmark, make_repo
+from patchloom.synthdata import (
+    GATE_CONFIG,
+    make_benchmark,
+    make_repo,
+    run_benchmark,
+)
 from patchloom.tokenizer import tokenize
-from patchloom.training import TrainingConfig, gradient_check, train
-from patchloom.vocab import BOS_ID, EOS_ID, Vocabulary
 
 from conftest import ACCEPTANCE_LINES, DATA_DIR, FIXTURES_DIR, load_tagged
 
@@ -100,103 +98,29 @@ def test_reported_validity_fraction_reproduces():
 
 def test_numeric_core_gradient_distribution_and_beam_guarantees():
     started = time.monotonic()
-    rng = np.random.default_rng(11)
-    params = ModelParameters.initialize(
-        rng, 10, 10, hidden_size=4, embed_size=5, scale=0.8,
-        dtype=np.float64)
-    params.lexicon = LexiconTable.from_rows({3: {4: 0.6, 5: 0.4}}, 10)
-    grad_err = gradient_check(params, [([3, 4, 5], [6, 7, EOS_ID])], step=1e-4)
-
-    gap = 0.0
-    for seed in range(3):
-        p = ModelParameters.initialize(
-            np.random.default_rng(seed), 8, 9, hidden_size=6, embed_size=4,
-            scale=0.8)
-        if seed == 2:
-            p.lexicon = LexiconTable.from_rows({3: {4: 0.7, 5: 0.3}, 4: {6: 1.0}}, 8)
-        decoder = Decoder(p, [3, 4, 5])
-        _, logp = decoder.step(decoder.start, np.array([BOS_ID]))
-        gap = max(gap, abs(float(np.exp(logp).sum()) - 1.0))
-
-    beam_ok = True
-    for seed in range(5):
-        p = ModelParameters.initialize(
-            np.random.default_rng(seed), 3, 3, hidden_size=3, embed_size=2,
-            lex_weight=0.0, scale=0.8)
-        want = exhaustive_search(p, [0, 2], max_len=4)
-        top = beam_search(p, [0, 2], beam_size=81, max_len=4)[0]
-        if top.tokens != want.tokens or abs(top.log_prob - want.log_prob) > 1e-9:
-            beam_ok = False
+    checks = numeric_checks()
+    failures = numeric_failures(checks)
     elapsed = time.monotonic() - started
-    ok = grad_err < 1e-4 and gap < 1e-6 and beam_ok and elapsed < 30
-    _report("numeric core", "PASS" if ok else "FAIL",
-            f"gradient error {grad_err:.2e}, distribution gap {gap:.2e}, "
-            f"beam {'==' if beam_ok else '!='} exhaustive, {elapsed:.1f}s")
-    assert grad_err < 1e-4
-    assert gap < 1e-6
-    assert beam_ok
+    _report("numeric core", "PASS" if not failures and elapsed < 30 else "FAIL",
+            ", ".join(f"{name} {value:.2e}" for name, value in checks.items())
+            + f", {elapsed:.1f}s")
+    assert not failures, checks
     assert elapsed < 30
 
 
 # ---------------------------------------------------------------------------
 # synthetic rewrite benchmark: learned model against the exact-match baseline
 
+@pytest.mark.slow
 def test_synthetic_benchmark_training_meets_exact_match_and_beats_baseline():
-    started = time.monotonic()
-    bench = make_benchmark()
-
-    def prep(line):
-        return abstract_arguments(tokenize(line))[0].tokens
-
-    pairs = [(prep(a), prep(b)) for a, b in bench.train_pairs]
-    src_counts, tgt_counts = {}, {}
-    for src, tgt in pairs:
-        for tok in src:
-            src_counts[tok] = src_counts.get(tok, 0) + 1
-        for tok in tgt:
-            tgt_counts[tok] = tgt_counts.get(tok, 0) + 1
-    src_vocab = Vocabulary.from_counts(src_counts, unk_threshold=0)
-    tgt_vocab = Vocabulary.from_counts(tgt_counts, unk_threshold=0)
-    encoded = [
-        (src_vocab.encode(src), tgt_vocab.encode(tgt, eos=True))
-        for src, tgt in pairs
-    ]
-    config = TrainingConfig(
-        hidden_size=128, embed_size=64, max_epochs=50, minibatch_words=64,
-        learning_rate=0.003, dropout=0.0, seed=1, decay_factor=0.9,
-        dev_fraction=0.1, lex_weight=0.0)
-    params, logbook = train(encoded, len(src_vocab), len(tgt_vocab), config)
-    assert not logbook.aborted
-    train_seconds = time.monotonic() - started
-
-    hits = 0
-    for pre, post in bench.held_out:
-        res = generate(pre, params, src_vocab, tgt_vocab, threshold=None)
-        got = res.patch.tokens.serialized() if res.patch is not None else None
-        if got == " ".join(tokenize(post).tokens):
-            hits += 1
-    exact = hits / len(bench.held_out)
-
-    queries = [q for q, _, _ in bench.queries]
-    refs = [tokenize(r) for _, r, _ in bench.queries]
-    results = [generate(q, params, src_vocab, tgt_vocab, threshold=-0.7)
-               for q in queries]
-    index = BaselineIndex.from_parallel(
-        [list(s) for s, _ in pairs], [list(t) for _, t in pairs])
-    base_results = [baseline_suggest(q, index) for q in queries]
-    model_rep = evaluate(results, refs)
-    base_rep = evaluate(base_results, refs)
-    elapsed = time.monotonic() - started
-
-    ok = (exact >= 0.90 and model_rep.f1 > base_rep.f1 and elapsed < 900)
-    _report("synthetic rewrite benchmark", "PASS" if ok else "FAIL",
-            f"held-out exact {hits}/{len(bench.held_out)}, "
-            f"query F1 {model_rep.f1:.4f} vs baseline {base_rep.f1:.4f}, "
-            f"train {train_seconds:.0f}s, total {elapsed:.0f}s")
-    assert exact >= 0.90, f"held-out exact-match rate {exact:.3f} below 0.90"
-    assert model_rep.f1 > base_rep.f1, (
-        f"model F1 {model_rep.f1:.4f} does not beat baseline {base_rep.f1:.4f}")
-    assert elapsed < 900
+    run = run_benchmark(make_benchmark(), GATE_CONFIG)
+    # passed: held-out exact match >= GATE_MIN_EXACT, model F1 > baseline F1
+    ok = not run.logbook.aborted and run.passed and run.seconds < 900
+    detail = (f"held-out exact {run.hits}/{run.total}, query F1 "
+              f"{run.model_report.f1:.4f} vs baseline {run.baseline_report.f1:.4f}, "
+              f"train {run.train_seconds:.0f}s, total {run.seconds:.0f}s")
+    _report("synthetic rewrite benchmark", "PASS" if ok else "FAIL", detail)
+    assert ok, detail
 
 
 # ---------------------------------------------------------------------------

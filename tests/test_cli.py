@@ -211,17 +211,93 @@ def _hunk_line_without_fields(tmp_path):
             str(tmp_path / "corpus")], "hunks.jsonl:1"
 
 
+def _build_corpus_on_hunk(tmp_path, **fields):
+    """build-corpus on make_repo's mined hunks, the first one's fields
+    replaced by fields."""
+    repo, hunks = tmp_path / "repo.json", tmp_path / "hunks.jsonl"
+    repo.write_text(json.dumps(make_repo()))
+    assert main(["mine", "--repo", str(repo), "--out", str(hunks)]) == 0
+    first, *rest = hunks.read_text().splitlines()
+    hunks.write_text("\n".join([json.dumps(dict(json.loads(first), **fields))] + rest))
+    return ["build-corpus", "--repo", str(repo), "--hunks", str(hunks),
+            "--test-year", "2015", "--out", str(tmp_path / "corpus")], "hunks.jsonl:1"
+
+
+def _hunk_with_a_string_for_deleted_lines(tmp_path):
+    return _build_corpus_on_hunk(tmp_path, deleted_lines="abc")
+
+
+def _hunk_with_a_string_for_method_scoped(tmp_path):
+    return _build_corpus_on_hunk(tmp_path, method_scoped="no")
+
+
+def _hunk_with_a_boolean_year(tmp_path):
+    return _build_corpus_on_hunk(tmp_path, year_pre=True)
+
+
+def _hunk_with_a_numeric_commit_id(tmp_path):
+    return _build_corpus_on_hunk(tmp_path, commit_post=2)
+
+
 def _snapshot_commit_without_time(tmp_path):
     (tmp_path / "repo.json").write_text(json.dumps({"commits": [{"id": 1}]}))
     return ["mine", "--repo", str(tmp_path / "repo.json"), "--out",
             str(tmp_path / "hunks.jsonl")], "repo.json"
 
 
+RESULT = json.dumps({"query": "return this . x ;", "patch": "return x ;",
+                     "score": -0.1, "valid": True, "na_reason": None,
+                     "source": "model"})
+
+
+def _evaluate(tmp_path, result_lines, n_refs=None, meta=None):
+    (tmp_path / "patches.jsonl").write_text("\n".join(result_lines) + "\n")
+    n_refs = len(result_lines) if n_refs is None else n_refs
+    (tmp_path / "refs.txt").write_text("return x ;\n" * n_refs)
+    argv = ["evaluate", "--patches", str(tmp_path / "patches.jsonl"),
+            "--refs", str(tmp_path / "refs.txt")]
+    if meta is not None:
+        (tmp_path / "meta.tsv").write_text(meta)
+        argv += ["--meta", str(tmp_path / "meta.tsv")]
+    return argv
+
+
+def _result_line_without_fields(tmp_path):
+    return _evaluate(tmp_path, ['{"x": 1}']), "patches.jsonl:1"
+
+
+def _result_line_with_a_numeric_query(tmp_path):
+    line = json.dumps(dict(json.loads(RESULT), query=3))
+    return _evaluate(tmp_path, [RESULT, line]), "patches.jsonl:2"
+
+
+def _empty_meta(tmp_path):
+    return _evaluate(tmp_path, [RESULT], meta=""), "meta.tsv"
+
+
+def _meta_with_fewer_rows_than_results(tmp_path):
+    argv = _evaluate(tmp_path, [RESULT, RESULT], meta="category\tbugfix\nUQ\t1\n")
+    return argv + ["--category", "NU"], "meta.tsv"
+
+
+def _refs_with_more_lines_than_results(tmp_path):
+    return _evaluate(tmp_path, [RESULT], n_refs=2), "refs.txt"
+
+
 @pytest.mark.parametrize("make_case", [
     _mismatched_corpus,
     _vocabulary_without_reserved_prefix,
     _hunk_line_without_fields,
+    _hunk_with_a_string_for_deleted_lines,
+    _hunk_with_a_string_for_method_scoped,
+    _hunk_with_a_boolean_year,
+    _hunk_with_a_numeric_commit_id,
     _snapshot_commit_without_time,
+    _result_line_without_fields,
+    _result_line_with_a_numeric_query,
+    _empty_meta,
+    _meta_with_fewer_rows_than_results,
+    _refs_with_more_lines_than_results,
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, caplog, make_case):
     argv, names = make_case(tmp_path)

@@ -1,5 +1,8 @@
-"""Synthetic rewrite-rule data: benchmark pairs and the in-memory
-repository used for offline pipeline checks."""
+"""Synthetic rewrite-rule data: benchmark pairs, the release gate's
+harness, and the in-memory repository used for offline pipeline
+checks."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,10 +12,12 @@ from patchloom.mining import MiningReport, identify_fix_commits, mine_hunks
 from patchloom.parsing import validate_statement
 from patchloom.repo import InMemoryRepo
 from patchloom.synthdata import (
+    GATE_CONFIG,
     RULES,
     make_benchmark,
     make_repo,
     make_rule_pair,
+    run_benchmark,
 )
 from patchloom.tokenizer import tokenize
 
@@ -141,3 +146,17 @@ def test_repo_is_deterministic():
     a = make_repo(seed=11, n_train_pairs=6, n_test_pairs=3)
     b = make_repo(seed=11, n_train_pairs=6, n_test_pairs=3)
     assert a == b
+
+
+def test_run_benchmark_is_deterministic():
+    # the release gate's harness at a size that runs in seconds
+    bench = make_benchmark(n_train=100, n_held_out=20, n_queries=20)
+    config = dataclasses.replace(GATE_CONFIG, max_epochs=1, hidden_size=8)
+    first, second = run_benchmark(bench, config), run_benchmark(bench, config)
+    assert (first.hits, first.total) == (second.hits, second.total)
+    assert first.total == 20
+    assert first.model_report == second.model_report
+    assert first.baseline_report == second.baseline_report
+    for run in (first, second):
+        assert run.model_report.n_queries == run.baseline_report.n_queries == 20
+        assert run.model_report.threshold == -0.7
