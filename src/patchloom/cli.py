@@ -76,11 +76,11 @@ def _read_lines(path: str) -> list[str]:
 # subcommands
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    repo = open_repository(args.repo)
     report = MiningReport()
     started = time.monotonic()
-    hunks = list(mine_hunks(repo, since=args.since, until=args.until,
-                            report=report))
+    with open_repository(args.repo) as repo:
+        hunks = list(mine_hunks(repo, since=args.since, until=args.until,
+                                report=report))
     count = write_hunks(args.out, hunks)
     log.info("mine: %d commits, %d hunks -> %s (%.1fs) %s",
              report.commits_seen, count, args.out,
@@ -89,12 +89,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_build_corpus(args: argparse.Namespace) -> int:
-    repo = open_repository(args.repo)
-    if args.hunks:
-        hunks = read_hunks(args.hunks)
-    else:
-        hunks = list(mine_hunks(repo))
-    fix_ids = identify_fix_commits(repo.commits())
+    with open_repository(args.repo) as repo:
+        hunks = read_hunks(args.hunks) if args.hunks else list(mine_hunks(repo))
+        fix_ids = identify_fix_commits(repo.commits())
     links = link_inducing(h for h in hunks if h.commit_post in fix_ids)
     ledger = PipelineLedger()
     pairs = build_pairs(hunks, links,
@@ -202,12 +199,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.counts:
         rows = []
         with open(args.counts, encoding="utf-8") as fh:
-            for record in csv.DictReader(fh):
-                rep = metrics_from_counts(
-                    int(record["correct"]), int(record["arg_incorrect"]),
-                    int(record["incorrect"]), int(record["na"]),
-                    category_filter=record.get("variant", "all"))
-                rows.append((record["project"], rep))
+            reader = csv.DictReader(fh)
+            for record in reader:
+                try:
+                    counts = [int(record[key]) for key in
+                              ("correct", "arg_incorrect", "incorrect", "na")]
+                    project = record["project"]
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise CliError(f"{args.counts}:{reader.line_num}: not a "
+                                   f"counts row ({exc!r})") from None
+                rows.append((project, metrics_from_counts(
+                    *counts, category_filter=record.get("variant", "all"))))
         print(render_table(rows))
         return 0
     if not (args.patches and args.refs):

@@ -3,7 +3,8 @@
 Walks non-merge commits in deterministic order, diffs each modified
 Java file against its first parent on normalized lines, traces deleted
 lines back to the commit that introduced them, and flags bug-fixing
-commits with a keyword heuristic (the first phase of SZZ).  Blame stops
+commits with a keyword heuristic (the first phase of SZZ).  Blame
+visits only the first-parent commits that changed the file and stops
 at file adds and renames; merge commits are skipped.  Both counts are
 tracked in the mining report.
 """
@@ -251,32 +252,35 @@ def blame_origin(
 ) -> tuple[str, int]:
     """Commit that introduced the line at deleted_line_index (indexing
     the normalized parent-side content of commit_post's first-parent
-    diff), walking first parents only."""
+    diff), walking first parents only.  A commit that left the file
+    alone has the same content as its parent, so the walk steps past it
+    without reading or diffing."""
     commit = repo.commit(commit_post)
     if not commit.parent_ids:
         raise OriginUnknown(f"{commit_post} has no parent")
     current = repo.commit(commit.parent_ids[0])
-    lines = repo.file_lines(current.id, file_path)
-    if lines is None:
+    raw = repo.file_lines(current.id, file_path)
+    if raw is None:
         raise OriginUnknown(f"{file_path} missing at {current.id}")
+    lines = normalize_lines(raw)
     index = deleted_line_index
-    if index >= len(normalize_lines(lines)):
+    if index >= len(lines):
         raise OriginUnknown(f"line {index} out of range at {current.id}")
 
     while True:
         if not current.parent_ids:
             return current.id, current.year
         parent = repo.commit(current.parent_ids[0])
-        parent_raw = repo.file_lines(parent.id, file_path)
-        if parent_raw is None:
-            # file added (or renamed into place) here: introduction point
-            return current.id, current.year
-        child_lines = normalize_lines(repo.file_lines(current.id, file_path))
-        parent_lines = normalize_lines(parent_raw)
-        mapped = _map_line_back(parent_lines, child_lines, index)
-        if mapped is None:
-            return current.id, current.year
-        index = mapped
+        if repo.touched(current.id, file_path):
+            parent_raw = repo.file_lines(parent.id, file_path)
+            if parent_raw is None:
+                # file added (or renamed into place) here: introduction point
+                return current.id, current.year
+            parent_lines = normalize_lines(parent_raw)
+            mapped = _map_line_back(parent_lines, lines, index)
+            if mapped is None:
+                return current.id, current.year
+            index, lines = mapped, parent_lines
         current = parent
 
 

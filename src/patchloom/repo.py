@@ -1,10 +1,11 @@
 """Repository access for history mining.
 
-Two adapters expose the same minimal read interface: GitCliRepo shells
-out to the system git with fixed flags, InMemoryRepo serves snapshot
-commits from a JSON description (used by the test suite and by the
-synthetic pipeline so mining stays deterministic without a VCS
-installation).
+Two adapters expose the same minimal read interface: GitCliRepo reads
+a checkout through the system git with fixed flags, InMemoryRepo serves
+snapshot commits from a JSON description (used by the test suite and by
+the synthetic pipeline so mining stays deterministic without a VCS
+installation).  Both are context managers; leaving the `with` block
+ends any git process the adapter started.
 
 All file content is normalized before diffing: runs of whitespace
 collapse to single spaces, leading/trailing whitespace is stripped, and
@@ -49,7 +50,20 @@ class RepositoryError(RuntimeError):
     pass
 
 
-class InMemoryRepo:
+class _Repository:
+    """Context-manager support shared by both adapters."""
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class InMemoryRepo(_Repository):
     """Snapshot-per-commit repository.
 
     JSON shape: {"commits": [{"id": ..., "time": ISO-8601 or unix int,
@@ -110,6 +124,14 @@ class InMemoryRepo:
                 changed.append(path)
         return changed
 
+    def touched(self, commit_id: str, path: str) -> bool:
+        """Whether path differs from the commit's first parent (added,
+        deleted or modified)."""
+        commit = self.commit(commit_id)
+        parent_tree = (self._trees.get(commit.parent_ids[0], {})
+                       if commit.parent_ids else {})
+        return self._trees[commit_id].get(path) != parent_tree.get(path)
+
     def file_lines(self, commit_id: str, path: str) -> list[str] | None:
         tree = self._trees.get(commit_id)
         if tree is None or path not in tree:
@@ -117,33 +139,48 @@ class InMemoryRepo:
         return tree[path].splitlines()
 
 
-class GitCliRepo:
-    """Adapter over the git command-line tool (read-only)."""
+def _decode(data: bytes) -> str:
+    """git output as text: UTF-8 with undecodable bytes replaced, and
+    universal newlines (\r\n and \r become \n)."""
+    text = data.decode("utf-8", errors="replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+class GitCliRepo(_Repository):
+    """Adapter over the git command-line tool (read-only).
+
+    The whole repository is read with at most three git processes, each
+    started on first use: one `git log` for the commit records, one
+    `git log --name-status` for the paths every commit changed against
+    its first parent, and one `git cat-file --batch` that stays open and
+    serves every file read until close().  Paths keep git's raw bytes
+    (decoded as UTF-8, undecodable bytes escaped so they round-trip).
+    """
 
     def __init__(self, root: str):
         self.root = root
-        self._commit_cache: list[CommitRecord] | None = None
+        self._records: list[CommitRecord] | None = None
+        self._by_id: dict[str, CommitRecord] = {}
+        self._changes: dict[str, dict[str, str]] | None = None
         self._file_cache: dict[tuple[str, str], list[str] | None] = {}
+        self._batch: subprocess.Popen | None = None
 
-    def _git(self, *args: str) -> str:
-        proc = subprocess.run(
-            ["git", "-C", self.root, *args],
-            capture_output=True, text=True,
-        )
+    def _git(self, *args: str) -> bytes:
+        proc = subprocess.run(["git", "-C", self.root, *args], capture_output=True)
         if proc.returncode != 0:
             raise RepositoryError(
-                f"git {' '.join(args)} failed: {proc.stderr.strip()}"
+                f"git {' '.join(args)} failed: {_decode(proc.stderr).strip()}"
             )
         return proc.stdout
 
     def commits(self) -> list[CommitRecord]:
-        if self._commit_cache is not None:
-            return self._commit_cache
+        if self._records is not None:
+            return self._records
         sep, end = "\x01", "\x02"
-        out = self._git(
+        out = _decode(self._git(
             "log", "--all", "--topo-order", "--reverse",
             f"--format=%H{sep}%ct{sep}%P{sep}%B{end}",
-        )
+        ))
         records = []
         for chunk in out.split(end):
             chunk = chunk.strip("\n")
@@ -157,35 +194,97 @@ class GitCliRepo:
                 parent_ids=tuple(parents.split()) if parents.strip() else (),
             ))
         records.sort(key=lambda r: (r.author_time, r.id))
-        self._commit_cache = records
+        self._records = records
+        self._by_id = {r.id: r for r in records}
         return records
 
     def commit(self, commit_id: str) -> CommitRecord:
-        for rec in self.commits():
-            if rec.id == commit_id:
-                return rec
-        raise RepositoryError(f"no such commit {commit_id!r}")
+        if self._records is None:
+            self.commits()
+        try:
+            return self._by_id[commit_id]
+        except KeyError:
+            raise RepositoryError(f"no such commit {commit_id!r}") from None
+
+    def _changed_paths(self, commit_id: str) -> dict[str, str]:
+        """{path: status letter} of the paths that differ from the first
+        parent (every path of a root commit, as A)."""
+        if self._changes is None:
+            out = self._git(
+                "log", "--all", "--no-renames", "--name-status", "-z",
+                "--diff-merges=first-parent", "--format=%x01%H",
+            )
+            # NUL-separated tokens: "\x01<hash>" opens a commit, then
+            # status and path alternate; the first status follows a newline
+            changes: dict[str, dict[str, str]] = {}
+            paths: dict[str, str] = {}
+            tokens = iter(out.split(b"\0"))
+            for token in tokens:
+                token = token.lstrip(b"\n")
+                if token.startswith(b"\x01"):
+                    paths = changes[token[1:].decode("ascii")] = {}
+                elif token:
+                    path = next(tokens).decode("utf-8", errors="surrogateescape")
+                    paths[path] = token.decode("ascii")
+            self._changes = changes
+        return self._changes.get(commit_id, {})
 
     def changed_java_files(self, commit: CommitRecord) -> list[str]:
         if not commit.parent_ids:
             return []
-        out = self._git(
-            "diff", "--name-only", "--diff-filter=M",
-            commit.parent_ids[0], commit.id, "--", "*.java",
-        )
-        return sorted(p for p in out.splitlines() if p)
+        return sorted(path for path, status in self._changed_paths(commit.id).items()
+                      if status == "M" and path.endswith(".java"))
+
+    def touched(self, commit_id: str, path: str) -> bool:
+        """Whether path differs from the commit's first parent (added,
+        deleted or modified)."""
+        return path in self._changed_paths(commit_id)
 
     def file_lines(self, commit_id: str, path: str) -> list[str] | None:
         key = (commit_id, path)
         if key in self._file_cache:
             return self._file_cache[key]
-        try:
-            text = self._git("show", f"{commit_id}:{path}")
-            lines: list[str] | None = text.splitlines()
-        except RepositoryError:
-            lines = None
+        blob = self._cat_file(f"{commit_id}:{path}")
+        lines = None if blob is None else _decode(blob).splitlines()
         self._file_cache[key] = lines
         return lines
+
+    def _cat_file(self, name: str) -> bytes | None:
+        """Contents of the blob `name` names, or None when it names no
+        blob."""
+        if "\n" in name:
+            return None     # the batch protocol reads one name per line
+        if self._batch is None:
+            self._batch = subprocess.Popen(
+                ["git", "-C", self.root, "cat-file", "--batch"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+            )
+        batch = self._batch
+        try:
+            batch.stdin.write(name.encode("utf-8", errors="surrogateescape") + b"\n")
+            batch.stdin.flush()
+        except BrokenPipeError:
+            header = b""
+        else:
+            header = batch.stdout.readline()
+        if header.endswith((b" missing\n", b" ambiguous\n")):
+            return None
+        if header:
+            _, kind, size = header.split()
+            body = batch.stdout.read(int(size) + 1)     # content, then LF
+            if len(body) == int(size) + 1:
+                return body[:-1] if kind == b"blob" else None
+        raise RepositoryError(f"git cat-file --batch in {self.root} ended "
+                              f"early (exit code {batch.poll()})")
+
+    def close(self) -> None:
+        """End the cat-file process; a later read starts a new one."""
+        batch, self._batch = self._batch, None
+        if batch is not None:
+            batch.stdin.close()
+            batch.stdout.close()
+            batch.wait()
 
 
 def open_repository(path: str):

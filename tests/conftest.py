@@ -7,11 +7,13 @@ generation tests a model whose outputs are known exactly.
 """
 
 import os
+import shutil
 from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
+from patchloom import repo
 from patchloom.model import ModelParameters
 from patchloom.training import TrainingConfig, train
 from patchloom.vocab import Vocabulary
@@ -110,3 +112,49 @@ def rule_model() -> TrainedFixture:
         pre_lines=[pre.split() for pre, _ in pairs],
         post_lines=[post.split() for _, post in pairs],
     )
+
+
+# ---------------------------------------------------------------------------
+# git repositories
+
+needs_git = pytest.mark.skipif(shutil.which("git") is None,
+                               reason="git not installed")
+
+
+class CountingSubprocess:
+    """Stands in for the subprocess module inside patchloom.repo: counts
+    every process repo starts and keeps the Popen objects."""
+
+    def __init__(self, real):
+        self._real = real
+        self.calls = 0
+        self.popened = []
+
+    def run(self, *args, **kwargs):
+        self.calls += 1
+        return self._real.run(*args, **kwargs)
+
+    def Popen(self, *args, **kwargs):
+        self.calls += 1
+        proc = self._real.Popen(*args, **kwargs)
+        self.popened.append(proc)
+        return proc
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+@pytest.fixture()
+def git_processes(monkeypatch) -> CountingSubprocess:
+    proxy = CountingSubprocess(repo.subprocess)
+    monkeypatch.setattr(repo, "subprocess", proxy)
+    return proxy
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """perfbench/workloads.py from the checkout: its write_git_repo
+    commits a make_repo-style history into a new git repository, one
+    commit per entry, each the previous one's child."""
+    from test_perfbench_hooks import load_perfbench
+    return load_perfbench("workloads")

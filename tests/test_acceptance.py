@@ -226,9 +226,9 @@ def test_external_dataset_smoke_requires_opt_in_env():
     mined = 0
     commits = 0
     for path in sources:
-        repo = open_repository(path)
         report = MiningReport()
-        list(mine_hunks(repo, report=report))
+        with open_repository(path) as repo:
+            list(mine_hunks(repo, report=report))
         assert report.commits_seen > 0, f"{path} yielded no commits"
         mined += report.hunks_emitted
         commits += report.commits_seen

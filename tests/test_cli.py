@@ -284,6 +284,20 @@ def _refs_with_more_lines_than_results(tmp_path):
     return _evaluate(tmp_path, [RESULT], n_refs=2), "refs.txt"
 
 
+def _counts(tmp_path, text):
+    (tmp_path / "counts.csv").write_text(text)
+    return ["evaluate", "--counts", str(tmp_path / "counts.csv")]
+
+
+def _counts_row_with_a_non_integer_count(tmp_path):
+    return _counts(tmp_path, "project,correct\nx,abc\n"), "counts.csv:2"
+
+
+def _counts_row_missing_a_column(tmp_path):
+    text = "project,correct,arg_incorrect,incorrect,na\nx,1,0,0,1\ny,1,0\n"
+    return _counts(tmp_path, text), "counts.csv:3"
+
+
 @pytest.mark.parametrize("make_case", [
     _mismatched_corpus,
     _vocabulary_without_reserved_prefix,
@@ -298,6 +312,8 @@ def _refs_with_more_lines_than_results(tmp_path):
     _empty_meta,
     _meta_with_fewer_rows_than_results,
     _refs_with_more_lines_than_results,
+    _counts_row_with_a_non_integer_count,
+    _counts_row_missing_a_column,
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, caplog, make_case):
     argv, names = make_case(tmp_path)

@@ -2,13 +2,18 @@
 hunk JSONL round trip.
 
 The blame oracle is a handcrafted four-commit history where every
-line's introducing commit is known by construction.
+line's introducing commit is known by construction.  _reference_blame
+is the first-parent walk that diffs at every commit; blame_origin,
+which steps past commits that left the file alone, must agree with it
+on hand-built histories and on every blame of a mined git repository.
 """
 
 import os
 
 import pytest
 
+from patchloom import mining, synthdata
+from patchloom.linediff import histogram_diff
 from patchloom.mining import (
     ChangeHunk,
     FixLink,
@@ -23,9 +28,9 @@ from patchloom.mining import (
     read_hunks,
     write_hunks,
 )
-from patchloom.repo import InMemoryRepo
+from patchloom.repo import GitCliRepo, InMemoryRepo, normalize_lines
 
-from conftest import DATA_DIR, load_tagged
+from conftest import DATA_DIR, load_tagged, needs_git
 
 FIX_CASES = load_tagged(os.path.join(DATA_DIR, "fix_messages.txt"))
 
@@ -190,3 +195,202 @@ def test_hunk_json_obj_round_trip():
         year_pre=2012, year_post=2014, method_scoped=True,
     )
     assert ChangeHunk.from_json_obj(h.to_json_obj()) == h
+
+
+# ---------------------------------------------------------------------------
+# blame against the walk that diffs at every commit
+
+def _reference_blame(repo, commit_post, file_path, deleted_line_index):
+    """blame_origin without the skip: reads and diffs the file at every
+    first-parent commit."""
+    commit = repo.commit(commit_post)
+    if not commit.parent_ids:
+        raise OriginUnknown(f"{commit_post} has no parent")
+    current = repo.commit(commit.parent_ids[0])
+    lines = repo.file_lines(current.id, file_path)
+    if lines is None:
+        raise OriginUnknown(f"{file_path} missing at {current.id}")
+    index = deleted_line_index
+    if index >= len(normalize_lines(lines)):
+        raise OriginUnknown(f"line {index} out of range at {current.id}")
+    while True:
+        if not current.parent_ids:
+            return current.id, current.year
+        parent = repo.commit(current.parent_ids[0])
+        parent_raw = repo.file_lines(parent.id, file_path)
+        if parent_raw is None:
+            return current.id, current.year
+        child_lines = normalize_lines(repo.file_lines(current.id, file_path))
+        parent_lines = normalize_lines(parent_raw)
+        offset = 0
+        for hunk in histogram_diff(parent_lines, child_lines):
+            if hunk.post_start <= index < hunk.post_end:
+                return current.id, current.year
+            if hunk.post_end <= index:
+                offset += (hunk.pre_end - hunk.pre_start) - (hunk.post_end - hunk.post_start)
+            else:
+                break
+        index += offset
+        current = parent
+
+
+def _outcome(blame, *args):
+    try:
+        return blame(*args)
+    except OriginUnknown:
+        return "unknown"
+
+
+def _commit(cid, year, parents, files):
+    return {"id": cid, "time": f"{year}-05-01T00:00:00", "message": "edit",
+            "parents": parents, "files": files}
+
+
+_OTHER = "class O {\n}\n"
+
+ORACLE_HISTORIES = {
+    # k2 and k3 change only O.java, so the walk from k4 steps past them
+    "untouched intermediate commits": ([
+        _commit("k1", 2011, [], {"M.java": _file("int a ;", "int b ;"), "O.java": _OTHER}),
+        _commit("k2", 2012, ["k1"], {"M.java": _file("int a ;", "int b ;"),
+                                     "O.java": "class O {\nint o ;\n}\n"}),
+        _commit("k3", 2013, ["k2"], {"M.java": _file("int a ;", "int b ;"),
+                                     "O.java": "class O {\nint p ;\n}\n"}),
+        _commit("k4", 2014, ["k3"], {"M.java": _file("int a ;", "int b = 1 ;"),
+                                     "O.java": "class O {\nint p ;\n}\n"}),
+    ], ("k4", "M.java", 2, "k1")),
+    # k2 re-indents b: the file changed but its normalized lines did not
+    "whitespace-only edit": ([
+        _commit("k1", 2011, [], {"M.java": _file("int a ;", "int b ;")}),
+        _commit("k2", 2012, ["k1"], {"M.java": _file("int a ;", "    int   b ;")}),
+        _commit("k3", 2013, ["k2"], {"M.java": _file("int a ;", "int b = 1 ;")}),
+    ], ("k3", "M.java", 2, "k1")),
+    "delete then re-add": ([
+        _commit("k1", 2011, [], {"M.java": _file("int a ;", "int b ;"), "O.java": _OTHER}),
+        _commit("k2", 2012, ["k1"], {"O.java": _OTHER}),
+        _commit("k3", 2013, ["k2"], {"M.java": _file("int a ;", "int b ;"), "O.java": _OTHER}),
+        _commit("k4", 2014, ["k3"], {"M.java": _file("int a ;", "int b = 1 ;"),
+                                     "O.java": _OTHER}),
+    ], ("k4", "M.java", 2, "k3")),
+    "rename": ([
+        _commit("k1", 2011, [], {"A.java": _file("int a ;", "int b ;")}),
+        _commit("k2", 2012, ["k1"], {"B.java": _file("int a ;", "int b ;")}),
+        _commit("k3", 2013, ["k2"], {"B.java": _file("int a ;", "int b = 1 ;")}),
+    ], ("k3", "B.java", 2, "k2")),
+    # the side branch s1 rewrites b; against its first parent k2 the
+    # merge m1 introduces that b, so blame from k3 stops at m1
+    "merge with a side-branch change": ([
+        _commit("k1", 2011, [], {"M.java": _file("int a ;", "int b ;"), "O.java": _OTHER}),
+        _commit("s1", 2012, ["k1"], {"M.java": _file("int a ;", "int b = 2 ;"),
+                                     "O.java": _OTHER}),
+        _commit("k2", 2012, ["k1"], {"M.java": _file("int a ;", "int b ;"),
+                                     "O.java": "class O {\nint o ;\n}\n"}),
+        _commit("m1", 2013, ["k2", "s1"], {"M.java": _file("int a ;", "int b = 2 ;"),
+                                           "O.java": "class O {\nint o ;\n}\n"}),
+        _commit("k3", 2014, ["m1"], {"M.java": _file("int a ;", "int b = 3 ;"),
+                                     "O.java": "class O {\nint o ;\n}\n"}),
+    ], ("k3", "M.java", 2, "m1")),
+}
+
+
+def _assert_blame_matches_reference(repo, commits, ids):
+    """blame_origin equals _reference_blame for every line of every file
+    at every commit's first parent; ids maps the history's ids to repo's."""
+    by_id = {c["id"]: c for c in commits}
+    checked = 0
+    for c in commits:
+        if not c["parents"]:
+            continue
+        for path, text in by_id[c["parents"][0]]["files"].items():
+            for index in range(len(normalize_lines(text.splitlines())) + 1):
+                args = (repo, ids[c["id"]], path, index)
+                assert _outcome(blame_origin, *args) == _outcome(_reference_blame, *args), args
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_HISTORIES))
+def test_blame_equals_the_reference_walk(name):
+    commits, (post, path, index, origin) = ORACLE_HISTORIES[name]
+    repo = InMemoryRepo(commits)
+    assert blame_origin(repo, post, path, index)[0] == origin
+    _assert_blame_matches_reference(repo, commits, {c["id"]: c["id"] for c in commits})
+
+
+@needs_git
+@pytest.mark.parametrize("name", sorted(
+    name for name, (commits, _) in ORACLE_HISTORIES.items()
+    if all(len(c["parents"]) <= 1 for c in commits)))
+def test_git_blame_equals_the_reference_walk(tmp_path, workloads, name):
+    commits, (post, path, index, origin) = ORACLE_HISTORIES[name]
+    workloads.write_git_repo(commits, str(tmp_path / "repo"))
+    with GitCliRepo(str(tmp_path / "repo")) as repo:
+        # the writer keeps the history's order and makes each commit the
+        # previous one's child, as these histories are
+        ids = {c["id"]: r.id for c, r in zip(commits, repo.commits())}
+        assert blame_origin(repo, ids[post], path, index)[0] == ids[origin]
+        _assert_blame_matches_reference(repo, commits, ids)
+
+
+def test_untouched_commits_are_not_diffed(monkeypatch):
+    commits, (post, path, index, _) = ORACLE_HISTORIES["untouched intermediate commits"]
+    diffs = []
+    real = mining.histogram_diff
+    monkeypatch.setattr(mining, "histogram_diff",
+                        lambda pre, post: diffs.append(1) or real(pre, post))
+    blame_origin(InMemoryRepo(commits), post, path, index)
+    assert diffs == []      # k3, k2: untouched; k1: the root
+
+
+# ---------------------------------------------------------------------------
+# a real git repository written from synthdata.make_repo
+
+@pytest.fixture(scope="module")
+def synthetic_git(tmp_path_factory, workloads):
+    """{n_train_pairs: (git repository path, commits)}."""
+    out = {}
+    for pairs in (10, 20):
+        commits = synthdata.make_repo(seed=1, n_train_pairs=pairs)["commits"]
+        path = str(tmp_path_factory.mktemp("synthetic") / "repo")
+        workloads.write_git_repo(commits, path)
+        out[pairs] = path, commits
+    return out
+
+
+@needs_git
+def test_git_and_in_memory_adapters_mine_equal_hunks(synthetic_git, workloads):
+    hunk_key = workloads._hunk_key
+    path, commits = synthetic_git[10]
+    with GitCliRepo(path) as repo:
+        got = [hunk_key(h) for h in mine_hunks(repo)]
+    want = [hunk_key(h) for h in mine_hunks(InMemoryRepo(commits))]
+    assert got == want and got
+
+
+@needs_git
+@pytest.mark.parametrize("pairs", [10, 20])
+def test_mining_a_git_repository_starts_at_most_three_git_processes(
+        synthetic_git, git_processes, pairs):
+    path, commits = synthetic_git[pairs]
+    with GitCliRepo(path) as repo:
+        hunks = list(mine_hunks(repo))
+    assert len(hunks) > 0
+    assert git_processes.calls <= 3
+
+
+@needs_git
+def test_blame_equals_the_reference_walk_on_every_mined_hunk(synthetic_git, monkeypatch):
+    path, commits = synthetic_git[10]
+    real = mining.blame_origin
+    with GitCliRepo(path) as git_repo:
+        for repo in (InMemoryRepo(commits), git_repo):
+            calls = []
+
+            def checked(*args):
+                calls.append(args)
+                assert _outcome(real, *args) == _outcome(_reference_blame, *args), args[1:]
+                return real(*args)
+
+            monkeypatch.setattr(mining, "blame_origin", checked)
+            deleting = [h for h in mine_hunks(repo) if h.deleted_lines]
+            assert len(calls) >= len(deleting) > 0
