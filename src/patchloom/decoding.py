@@ -67,7 +67,7 @@ class Decoder:
     advances any number of hypotheses together."""
 
     def __init__(self, params: ModelParameters, src_ids: list[int]):
-        if any(t.dtype != np.float64 for t in params.tensors().values()):
+        if params.flat.dtype != np.float64:
             # a new object: the caller's parameters are never modified
             params = params.astype(np.float64)
         self.params = params

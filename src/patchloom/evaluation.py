@@ -157,18 +157,12 @@ def sweep_thresholds(
     results: list[GenerationResult],
     references: list[TokenizedStatement],
     thresholds: list[float] = DEFAULT_SWEEP,
-    categories: list[str] | None = None,
-    bugfix_flags: list[bool] | None = None,
-    category_filter: str = "all",
-    bugfix_filter: str = "all",
 ) -> list[tuple[float, EvalReport]]:
     """One evaluation per threshold from cached decoder outputs."""
     out = []
     for threshold in thresholds:
         adjusted = [rethreshold(r, threshold) for r in results]
-        out.append((threshold, evaluate(
-            adjusted, references, categories, bugfix_flags,
-            category_filter, bugfix_filter, threshold=threshold)))
+        out.append((threshold, evaluate(adjusted, references, threshold=threshold)))
     return out
 
 

@@ -31,18 +31,6 @@ def histogram_diff(pre_lines: list[str], post_lines: list[str]) -> list[RawHunk]
     return hunks
 
 
-def apply_hunks(pre_lines: list[str], post_lines: list[str], hunks: list[RawHunk]) -> list[str]:
-    """Replay an edit script against pre_lines (added text taken from post_lines)."""
-    out: list[str] = []
-    cursor = 0
-    for h in hunks:
-        out.extend(pre_lines[cursor : h.pre_start])
-        out.extend(post_lines[h.post_start : h.post_end])
-        cursor = h.pre_end
-    out.extend(pre_lines[cursor:])
-    return out
-
-
 def _diff_region(
     a: list[str],
     alo: int,

@@ -28,10 +28,16 @@ Each LSTM's pre-activations are split in two halves: the input half is
 computed for every position in one product, the recurrent half with one
 product per step.  Gate order in all LSTM weight matrices is [input,
 forget, cell, output].
+
+tensor_shapes is the one table of the model's tensors and their order.
+ModelParameters keeps them as views of one 1-D buffer, flat, packed in
+that order with no padding; gradients and Adam's moments (training.py)
+have the same layout, and the model file (modelio.py) the same order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,58 +63,71 @@ def softmax(x: np.ndarray) -> np.ndarray:
 P_FLOOR = 1e-300
 
 
+def tensor_shapes(src_vocab_size: int, tgt_vocab_size: int, hidden_size: int,
+                  embed_size: int) -> dict[str, tuple[int, ...]]:
+    """The model's tensors and their shapes, in the one order the program
+    knows them: the order of ModelParameters.flat, of the model file and
+    of the initializer's random draws."""
+    V_src, V_tgt, H, d = src_vocab_size, tgt_vocab_size, hidden_size, embed_size
+    return {
+        "E_src": (V_src, d),
+        "E_tgt": (V_tgt, d),
+        "W_enc": (4 * H, d + H),
+        "b_enc": (4 * H,),
+        "W_dec": (4 * H, d + 2 * H),    # input feeding: [embed; htilde; h]
+        "b_dec": (4 * H,),
+        "W_att_x": (H, H),              # encoder side of the attention MLP
+        "W_att_h": (H, H),              # decoder side
+        "b_att": (H,),
+        "v_att": (H,),
+        "W_comb": (H, 2 * H),
+        "b_comb": (H,),
+        "W_pred": (V_tgt, H),
+        "b_pred": (V_tgt,),
+    }
+
+
 @dataclass
 class ModelParameters:
-    E_src: np.ndarray        # (V_src, d)
-    E_tgt: np.ndarray        # (V_tgt, d)
-    W_enc: np.ndarray        # (4H, d + H)
-    b_enc: np.ndarray        # (4H,)
-    W_dec: np.ndarray        # (4H, d + 2H)  input feeding: [embed; htilde]
-    b_dec: np.ndarray        # (4H,)
-    W_att_x: np.ndarray      # (H, H) encoder side of the attention MLP
-    W_att_h: np.ndarray      # (H, H) decoder side
-    b_att: np.ndarray        # (H,)
-    v_att: np.ndarray        # (H,)
-    W_comb: np.ndarray       # (H, 2H)
-    b_comb: np.ndarray       # (H,)
-    W_pred: np.ndarray       # (V_tgt, H)
-    b_pred: np.ndarray       # (V_tgt,)
+    """The tensors of tensor_shapes as reshaped views of flat, in table
+    order with no gap: a write through a view is a write to flat, and a
+    cast, a copy or a finiteness test is one call on flat."""
+
+    flat: np.ndarray
+    src_vocab_size: int
+    tgt_vocab_size: int
+    hidden_size: int
+    embed_size: int
     lexicon: LexiconTable | None = None
     lex_weight: float = 0.1
 
-    @property
-    def hidden_size(self) -> int:
-        return self.W_pred.shape[1]
+    def __post_init__(self):
+        shapes = self.shapes()
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if self.flat.shape != (sum(sizes),):
+            raise ValueError(f"flat has shape {self.flat.shape}, "
+                             f"the tensors need ({sum(sizes)},)")
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            setattr(self, name, self.flat[offset:offset + size].reshape(shape))
+            offset += size
 
-    @property
-    def embed_size(self) -> int:
-        return self.E_src.shape[1]
-
-    @property
-    def src_vocab_size(self) -> int:
-        return self.E_src.shape[0]
-
-    @property
-    def tgt_vocab_size(self) -> int:
-        return self.E_tgt.shape[0]
-
-    _TENSOR_NAMES = (
-        "E_src", "E_tgt", "W_enc", "b_enc", "W_dec", "b_dec",
-        "W_att_x", "W_att_h", "b_att", "v_att",
-        "W_comb", "b_comb", "W_pred", "b_pred",
-    )
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return tensor_shapes(self.src_vocab_size, self.tgt_vocab_size,
+                             self.hidden_size, self.embed_size)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self._TENSOR_NAMES}
+        """The named views, in tensor_shapes order."""
+        return {name: getattr(self, name) for name in self.shapes()}
 
     def astype(self, dtype) -> "ModelParameters":
-        return replace(self, **{n: t.astype(dtype) for n, t in self.tensors().items()})
+        return replace(self, flat=self.flat.astype(dtype))
 
     def copy(self) -> "ModelParameters":
-        return replace(self, **{n: t.copy() for n, t in self.tensors().items()})
+        return replace(self, flat=self.flat.copy())
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(t).all() for t in self.tensors().values())
+        return bool(np.isfinite(self.flat).all())
 
     @classmethod
     def initialize(
@@ -126,47 +145,29 @@ class ModelParameters:
         fan-scaled uniform limit (sqrt(6/(fan_in+fan_out))) so signals
         and gradients stay O(1) at depth; a flat init starves the
         attention pathway of gradient and the copy mechanism never
-        bootstraps.  Passing an explicit scale applies that flat limit
-        everywhere (handy for gradient-check probes).  Forget-gate
-        biases start at 1 to keep the cell path open early on.
+        bootstraps.  Embeddings and v_att get sqrt(3/width).  Passing an
+        explicit scale applies that flat limit everywhere (handy for
+        gradient-check probes).  Biases start at 0, forget-gate biases at
+        1 to keep the cell path open early on.  Draws follow table order.
         """
-        H, d = hidden_size, embed_size
-
-        def u(rows, cols=None):
+        H = hidden_size
+        shapes = tensor_shapes(src_vocab_size, tgt_vocab_size, H, embed_size)
+        params = cls(np.zeros(sum(math.prod(s) for s in shapes.values()), dtype=dtype),
+                     src_vocab_size, tgt_vocab_size, H, embed_size,
+                     lex_weight=lex_weight)
+        for name, shape in shapes.items():
+            if name.startswith("b_"):
+                continue
             if scale is not None:
                 limit = scale
-            elif cols is None:
-                limit = np.sqrt(3.0 / rows)
+            elif name.startswith("E_") or len(shape) == 1:
+                limit = np.sqrt(3.0 / shape[-1])
             else:
-                limit = np.sqrt(6.0 / (rows + cols))
-            shape = (rows,) if cols is None else (rows, cols)
-            return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-        def emb(rows, cols):
-            limit = scale if scale is not None else np.sqrt(3.0 / cols)
-            return rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype)
-
-        b_enc = np.zeros(4 * H, dtype=dtype)
-        b_dec = np.zeros(4 * H, dtype=dtype)
-        b_enc[H:2 * H] = 1.0
-        b_dec[H:2 * H] = 1.0
-        return cls(
-            E_src=emb(src_vocab_size, d),
-            E_tgt=emb(tgt_vocab_size, d),
-            W_enc=u(4 * H, d + H),
-            b_enc=b_enc,
-            W_dec=u(4 * H, d + 2 * H),
-            b_dec=b_dec,
-            W_att_x=u(H, H),
-            W_att_h=u(H, H),
-            b_att=np.zeros(H, dtype=dtype),
-            v_att=u(H),
-            W_comb=u(H, 2 * H),
-            b_comb=np.zeros(H, dtype=dtype),
-            W_pred=u(tgt_vocab_size, H),
-            b_pred=np.zeros(tgt_vocab_size, dtype=dtype),
-            lex_weight=lex_weight,
-        )
+                limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            getattr(params, name)[...] = rng.uniform(-limit, limit, size=shape)
+        params.b_enc[H:2 * H] = 1.0
+        params.b_dec[H:2 * H] = 1.0
+        return params
 
 
 def _rows(a: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -15,18 +15,20 @@ Layout (all integers little-endian u32, floats IEEE-754 f32 LE):
              u32 source id, u32 entry count,
              entries as (u32 target id, f32 probability), ids ascending
 
-The scalar lexicon mixture weight travels as a shape-(1,) tensor named
+The tensors are written in model.tensor_shapes order, the order of
+ModelParameters.flat; load_model reads them into one such buffer.  The
+scalar lexicon mixture weight travels as a shape-(1,) tensor named
 "lex_weight".  Lexicon rows and entries are in ascending order, as
 LexiconTable keeps them, so save -> load -> save is byte-identical.
 
 load_model raises ModelFormatError for any file save_model cannot have
 written or whose lexicon would break the output distribution: truncated,
 with trailing bytes or invalid UTF-8, with a tensor missing, unknown,
-non-finite or shaped unlike the vocabularies and H and d, or with a
-lexicon row that is repeated or empty, names an id outside the
-vocabularies, lists target ids not strictly ascending, holds a
-probability outside [0, 1], or sums to more than ROW_SUM_TOLERANCE
-away from 1.
+non-finite or shaped unlike the vocabularies and H and d, with a
+lex_weight outside [0, 1], or with a lexicon row that is repeated or
+empty, names an id outside the vocabularies, lists target ids not
+strictly ascending, holds a probability outside [0, 1], or sums to more
+than ROW_SUM_TOLERANCE away from 1.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .model import LexiconTable, ModelParameters
+from .model import LexiconTable, ModelParameters, tensor_shapes
 from .vocab import RESERVED, Vocabulary
 
 MAGIC = b"PLM1"
@@ -127,33 +129,30 @@ def _read_vocab(r: _Reader) -> Vocabulary:
     return vocab
 
 
-def _check_tensors(tensors: dict[str, np.ndarray], src_size: int, tgt_size: int) -> None:
+def _check_tensors(tensors: dict[str, np.ndarray], src_size: int,
+                   tgt_size: int) -> tuple[int, int]:
     """Every tensor present, finite, and shaped for the vocabularies and
-    for the embedding and hidden sizes that E_src and W_pred give."""
-    names = {*ModelParameters._TENSOR_NAMES, "lex_weight"}
-    if set(tensors) != names:
+    for the hidden and embedding sizes that W_pred and E_src give, which
+    it returns; lex_weight in [0, 1]."""
+    for name in ("W_pred", "E_src"):
+        if name not in tensors or tensors[name].ndim != 2:
+            raise ModelFormatError(f"tensor {name} is missing or not a matrix")
+    H, d = tensors["W_pred"].shape[1], tensors["E_src"].shape[1]
+    expected = {**tensor_shapes(src_size, tgt_size, H, d), "lex_weight": (1,)}
+    if tensors.keys() != expected.keys():
         raise ModelFormatError(
-            f"missing tensors: {sorted(names - set(tensors))}, "
-            f"unknown tensors: {sorted(set(tensors) - names)}")
-    if tensors["E_src"].ndim != 2 or tensors["W_pred"].ndim != 2:
-        raise ModelFormatError("E_src and W_pred must be matrices")
-    d = tensors["E_src"].shape[1]
-    H = tensors["W_pred"].shape[1]
-    expected = {
-        "E_src": (src_size, d), "E_tgt": (tgt_size, d),
-        "W_enc": (4 * H, d + H), "b_enc": (4 * H,),
-        "W_dec": (4 * H, d + 2 * H), "b_dec": (4 * H,),
-        "W_att_x": (H, H), "W_att_h": (H, H), "b_att": (H,), "v_att": (H,),
-        "W_comb": (H, 2 * H), "b_comb": (H,),
-        "W_pred": (tgt_size, H), "b_pred": (tgt_size,),
-        "lex_weight": (1,),
-    }
+            f"missing tensors: {sorted(expected.keys() - tensors.keys())}, "
+            f"unknown tensors: {sorted(tensors.keys() - expected.keys())}")
     for name, shape in expected.items():
         if tensors[name].shape != shape:
             raise ModelFormatError(
                 f"tensor {name} has shape {tensors[name].shape}, expected {shape}")
         if not np.isfinite(tensors[name]).all():
             raise ModelFormatError(f"tensor {name} has non-finite values")
+    if not 0.0 <= tensors["lex_weight"][0] <= 1.0:
+        raise ModelFormatError(
+            f"lex_weight {tensors['lex_weight'][0]} is outside [0, 1]")
+    return H, d
 
 
 def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
@@ -172,9 +171,9 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
         if name in tensors:
             raise ModelFormatError(f"tensor {name} appears twice")
         shape = tuple(r.u32() for _ in range(r.u32()))
-        arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        tensors[name] = arr.astype(np.float32)
-    _check_tensors(tensors, len(src_vocab), len(tgt_vocab))
+        tensors[name] = np.frombuffer(r.take(4 * math.prod(shape)),
+                                      dtype="<f4").reshape(shape)
+    H, d = _check_tensors(tensors, len(src_vocab), len(tgt_vocab))
     rows: dict[int, dict[int, float]] = {}
     for _ in range(r.u32()):
         sid = r.u32()
@@ -195,8 +194,10 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
             raise ModelFormatError(f"lexicon row {sid} sums to {total}, not 1")
     if r.pos != len(r.data):
         raise ModelFormatError(f"{len(r.data) - r.pos} trailing bytes after the lexicon")
-    lex_weight = float(tensors.pop("lex_weight")[0])
-    params = ModelParameters(**{n: tensors[n] for n in ModelParameters._TENSOR_NAMES},
+    shapes = tensor_shapes(len(src_vocab), len(tgt_vocab), H, d)
+    flat = np.concatenate([tensors[name].reshape(-1) for name in shapes],
+                          dtype=np.float32)
+    params = ModelParameters(flat, len(src_vocab), len(tgt_vocab), H, d,
                              lexicon=LexiconTable.from_rows(rows, len(src_vocab)),
-                             lex_weight=lex_weight)
+                             lex_weight=float(tensors["lex_weight"][0]))
     return params, src_vocab, tgt_vocab

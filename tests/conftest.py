@@ -44,6 +44,19 @@ def load_tagged(path: str) -> list[tuple[str, str]]:
     return rows
 
 
+def apply_hunks(pre_lines: list[str], post_lines: list[str], hunks) -> list[str]:
+    """Replay linediff's edit script against pre_lines, added text taken
+    from post_lines: the oracle of the differ tests."""
+    out: list[str] = []
+    cursor = 0
+    for h in hunks:
+        out.extend(pre_lines[cursor : h.pre_start])
+        out.extend(post_lines[h.post_start : h.post_end])
+        cursor = h.pre_end
+    out.extend(pre_lines[cursor:])
+    return out
+
+
 # one line per acceptance check, echoed after the run so the verdicts
 # survive pytest's output capture
 ACCEPTANCE_LINES: list[str] = []

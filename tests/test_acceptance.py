@@ -21,7 +21,7 @@ from patchloom.arguments import abstract_arguments, reinsert_arguments
 from patchloom.cli import main, numeric_checks, numeric_failures
 from patchloom.evaluation import metrics_from_counts, validity_rate
 from patchloom.generation import GenerationResult
-from patchloom.linediff import apply_hunks, histogram_diff
+from patchloom.linediff import histogram_diff
 from patchloom.mining import MiningReport, mine_hunks
 from patchloom.repo import open_repository
 from patchloom.synthdata import (
@@ -32,7 +32,8 @@ from patchloom.synthdata import (
 )
 from patchloom.tokenizer import tokenize
 
-from conftest import ACCEPTANCE_LINES, DATA_DIR, FIXTURES_DIR, load_tagged
+from conftest import (ACCEPTANCE_LINES, DATA_DIR, FIXTURES_DIR, apply_hunks,
+                      load_tagged)
 
 
 def _report(label: str, status: str, detail: str) -> None:

@@ -7,7 +7,9 @@ of line sequences.  Everything else is shape and placement detail.
 
 from hypothesis import given, settings, strategies as st
 
-from patchloom.linediff import RawHunk, apply_hunks, histogram_diff
+from patchloom.linediff import RawHunk, histogram_diff
+
+from conftest import apply_hunks
 
 lines = st.lists(
     st.sampled_from(["a", "b", "c", "int x = 1 ;", "}", "return ;", ""]),

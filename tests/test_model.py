@@ -24,8 +24,11 @@ from patchloom.model import (
     predict_distribution,
     sigmoid,
     softmax,
+    tensor_shapes,
 )
+from patchloom.modelio import load_model, save_model
 from patchloom.training import forward_pair
+from patchloom.vocab import Vocabulary
 
 
 def make_params(src=6, tgt=7, hidden=5, embed=4, lex_weight=0.0, seed=0,
@@ -119,6 +122,49 @@ def test_explicit_scale_gives_flat_uniform_init():
         if name.startswith("b_"):
             continue
         assert float(np.max(np.abs(tensor))) <= 0.8
+
+
+# ---------------------------------------------------------------------------
+# parameter layout
+
+def _loaded(tmp_path):
+    params = make_params()
+    path = str(tmp_path / "m.plm")
+    save_model(path, params, Vocabulary(("a",)), Vocabulary(("b", "c")))
+    return load_model(path)[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: make_params(),
+    lambda tmp_path: make_params().astype(np.float64),
+    lambda tmp_path: make_params().copy(),
+    _loaded,
+], ids=["initialize", "astype", "copy", "load_model"])
+def test_tensors_are_views_tiling_flat_in_table_order(tmp_path, make):
+    params = make(tmp_path)
+    shapes = tensor_shapes(6, 7, 5, 4)
+    flat = params.flat
+    assert flat.ndim == 1 and flat.size == sum(math.prod(s) for s in shapes.values())
+    assert list(params.tensors()) == list(shapes)
+    start = flat.__array_interface__["data"][0]
+    offset = 0
+    for name, shape in shapes.items():
+        view = getattr(params, name)
+        assert view.shape == shape and view.flags.c_contiguous, name
+        assert np.shares_memory(view, flat), name
+        assert view.__array_interface__["data"][0] == start + offset * flat.itemsize, name
+        assert np.array_equal(view.reshape(-1), flat[offset:offset + view.size]), name
+        view.reshape(-1)[-1] = 7.0
+        assert flat[offset + view.size - 1] == 7.0, name
+        offset += view.size
+    assert offset == flat.size
+
+
+def test_astype_and_copy_own_their_buffer():
+    params = make_params()
+    for other in (params.astype(np.float64), params.copy()):
+        assert not np.shares_memory(other.flat, params.flat)
+        assert np.array_equal(other.flat, params.flat)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,19 @@ def test_non_finite_tensor_rejected(tmp_path, name, value):
     _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon)
 
 
+@pytest.mark.parametrize("value", [-0.25, 1.5])
+def test_lex_weight_outside_unit_interval_rejected(tmp_path, value):
+    # the mixture (1 - lam) softmax + lam lexicon is a distribution only
+    # for lam in [0, 1]
+    src_vocab, tgt_vocab, tensors, lexicon = raw_parts()
+    tensors["lex_weight"] = np.array([value], dtype=np.float32)
+    _rejected(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon)
+    for edge in (0.0, 1.0):
+        tensors["lex_weight"] = np.array([edge], dtype=np.float32)
+        write_raw(tmp_path / "m.plm", src_vocab, tgt_vocab, tensors, lexicon)
+        assert load_model(str(tmp_path / "m.plm"))[0].lex_weight == edge
+
+
 def test_trailing_bytes_rejected(tmp_path):
     _rejected(tmp_path / "m.plm", *raw_parts(), trailing=b"\0")
 

@@ -5,7 +5,10 @@ renamed or deleted function makes its install raise, so one test runs
 install and restore on the checkout's package: a traced name that goes
 missing fails here, not only in a traced benchmark run.  Another runs
 one pass of the train workload, the only caller of the lexicon_to_ids ->
-train(lexicon=) -> corpus_loss path outside the package.
+train(lexicon=) -> corpus_loss path outside the package, and a third two
+passes of the pipeline-git workload: the six subcommands over a git
+repository, which train at H=512, save, load and generate at float64,
+and whose second pass must write byte-identical artifacts.
 """
 
 import importlib.util
@@ -13,6 +16,8 @@ import os
 
 from patchloom import (cli, corpus, decoding, evaluation, generation, lexicon,
                        mining, model, modelio, repo, training)
+
+from conftest import needs_git
 
 PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -69,4 +74,16 @@ def test_train_workload_pass_passes_its_checks(tmp_path):
     record = train.run_pass(state, 0)
     record["scale"] = 1.0       # run.py sets each pass's speed scale
     _, checks = train.report(state, [], [record])
+    assert [name for name, ok, _ in checks if not ok] == []
+
+
+@needs_git
+def test_pipeline_git_workload_two_passes_pass_their_checks(tmp_path):
+    workloads = load_perfbench("workloads")
+    pipeline = workloads.PipelineGit(1, str(tmp_path))
+    state = pipeline.setup(0)
+    passes = [pipeline.run_pass(state, index) for index in range(2)]
+    for record in passes:
+        record["scale"] = 1.0
+    _, checks = pipeline.report(state, [], passes)
     assert [name for name, ok, _ in checks if not ok] == []

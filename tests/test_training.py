@@ -63,7 +63,7 @@ def test_underflowed_target_gives_finite_loss_and_gradients(lex_weight):
     loss, tokens, grads = batch_loss_and_gradients(params, [([3, 4], [6, EOS_ID])])
     assert loss * tokens >= -np.log(P_FLOOR)
     assert np.isfinite(loss)
-    for name, grad in grads.items():
+    for name, grad in grads.tensors().items():
         assert np.isfinite(grad).all(), name
 
 
@@ -97,7 +97,7 @@ def test_gradient_check_on_padded_batch(lex_weight):
 def _summed(params, batch, rng=None, dropout=0.0):
     """Total loss and total gradients (not per-token means) of one batch."""
     loss, tokens, grads = batch_loss_and_gradients(params, batch, rng, dropout)
-    return loss * tokens, {name: g * tokens for name, g in grads.items()}
+    return loss * tokens, {name: g * tokens for name, g in grads.tensors().items()}
 
 
 @pytest.mark.parametrize("lex_weight", [0.0, 0.2])
