@@ -77,7 +77,7 @@ def abstract_arguments(stmt: TokenizedStatement) -> tuple[TokenizedStatement, Ar
     out: list[str] = []
     entries: list[ArgEntry] = []
     _abstract_region(tokens, 0, len(tokens), out, entries)
-    abstracted = TokenizedStatement(tuple(out), stmt.raw)
+    abstracted = TokenizedStatement(tuple(out))
     return abstracted, ArgumentTable(tuple(entries))
 
 
@@ -179,4 +179,4 @@ def reinsert_arguments(generated: TokenizedStatement, query_args: ArgumentTable)
             # None: drop the placeholder, leaving an empty ( ) or [ ]
         else:
             result.append(tok)
-    return TokenizedStatement(tuple(result), generated.raw)
+    return TokenizedStatement(tuple(result))

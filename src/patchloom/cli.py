@@ -150,8 +150,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     params, src_vocab, tgt_vocab = load_model(args.model)
-    # decoding computes in float64 (see decoding.py): cast once, not per query
-    params = params.astype(np.float64)
     queries = _read_lines(args.query_file)
     threshold = None if args.no_threshold else args.threshold
     results = []
@@ -215,7 +213,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not (args.patches and args.refs):
         raise CliError("evaluate needs either --counts or --patches/--refs")
     results = read_results(args.patches)
-    refs = [TokenizedStatement(tuple(line.split()), line)
+    refs = [TokenizedStatement(tuple(line.split()))
             for line in _read_lines(args.refs)]
     if len(refs) != len(results):
         raise CliError(f"{args.refs} has {len(refs)} references for "
@@ -241,11 +239,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params, src_vocab, tgt_vocab = load_model(args.model)
-    # decoding computes in float64 (see decoding.py): cast once, not per query
-    params = params.astype(np.float64)
     queries = _read_lines(os.path.join(args.corpus, "test.queries"))
     ref_lines = _read_lines(os.path.join(args.corpus, "test.refs"))
-    refs = [TokenizedStatement(tuple(line.split()), line) for line in ref_lines]
+    refs = [TokenizedStatement(tuple(line.split())) for line in ref_lines]
     results = [
         generate_patch(q, params, src_vocab, tgt_vocab, threshold=None,
                        beam_size=args.beam_size, max_len=args.max_len)

@@ -76,7 +76,6 @@ class Corpus:
     pairs: list[StatementPair]
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
-    span: tuple[int, int]
 
 
 class PipelineLedger:
@@ -230,10 +229,10 @@ def replace_rare(corpus: Corpus, unk_threshold: int = 1) -> Corpus:
     for p in corpus.pairs:
         new_pairs.append(replace(
             p,
-            pre=TokenizedStatement(sub(p.pre.tokens, src_vocab), p.pre.raw),
-            post=TokenizedStatement(sub(p.post.tokens, tgt_vocab), p.post.raw),
+            pre=TokenizedStatement(sub(p.pre.tokens, src_vocab)),
+            post=TokenizedStatement(sub(p.post.tokens, tgt_vocab)),
         ))
-    return Corpus(new_pairs, src_vocab, tgt_vocab, corpus.span)
+    return Corpus(new_pairs, src_vocab, tgt_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +283,8 @@ def split_chronological(
     if not test_pairs:
         raise CorpusError(f"no test pairs inside year {test_year}")
 
-    span = (
-        min(p.year_post for p in train_pairs),
-        max(p.year_post for p in train_pairs),
-    )
     train = replace_rare(
-        Corpus(train_pairs, Vocabulary(), Vocabulary(), span), unk_threshold
+        Corpus(train_pairs, Vocabulary(), Vocabulary()), unk_threshold
     )
     test_final = [
         replace(p, category=categorize(p, train.src_vocab, train.tgt_vocab))

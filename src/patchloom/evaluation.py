@@ -71,7 +71,7 @@ class EvalReport:
 
 def _abstract_tokens(tokens: tuple[str, ...]) -> tuple[str, ...] | None:
     try:
-        abstracted, _ = abstract_arguments(TokenizedStatement(tokens, " ".join(tokens)))
+        abstracted, _ = abstract_arguments(TokenizedStatement(tokens))
         return abstracted.tokens
     except AbstractionError:
         return None

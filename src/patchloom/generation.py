@@ -1,21 +1,24 @@
 """Candidate patch generation and the pattern-matching baseline.
 
-For a raw query line: tokenize, abstract arguments, decode with beam
-search, then apply the NA rules in order: score below threshold,
-identical to the abstracted query (checked before reinsertion, so a
-structural fix to an argument position is not mistaken for identity),
-or invalid after argument reinsertion.  Validity is recorded before
-thresholding so validity rates can be computed from the same outputs.
+Model and baseline answer a raw query line along one path, `_answer`:
+tokenize and abstract it (else NA untokenizable), take a proposer's
+abstracted output (none: NA no-match), reinsert the query's arguments
+and validate.  `generate` proposes beam search's best hypothesis and its
+score; `baseline_suggest` proposes, with no score, the post-statement
+recorded for the abstracted query among training pre-statements.
 
-The baseline looks the abstracted query up among training
-pre-statements verbatim and answers with the recorded post-statement,
-with the query's arguments reinserted; no score is attached.
+`_finalize` alone settles an output's NA reason, by these rules in
+order: score below threshold, identical to the abstracted query (checked
+before reinsertion, so a structural fix to an argument position is not
+mistaken for identity), or invalid after reinsertion.  Validity is
+recorded before thresholding, and `rethreshold` re-runs `_finalize`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .arguments import (
     VAL_TOKEN,
@@ -42,9 +45,6 @@ NA_NO_MATCH = "no-match"
 @dataclass
 class GeneratedPatch:
     tokens: TokenizedStatement
-    score: float
-    valid: bool
-    source: str   # "model" or "baseline"
 
 
 @dataclass
@@ -55,7 +55,6 @@ class GenerationResult:
     patch: GeneratedPatch | None = None
     na_reason: str | None = None
     score: float | None = None
-    abstracted_output: tuple[str, ...] | None = None
     concrete_output: tuple[str, ...] | None = None
     valid: bool = False
     identical: bool = False
@@ -81,6 +80,8 @@ class GenerationResult:
         for key in ("patch", "na_reason"):
             if obj[key] is not None and not isinstance(obj[key], str):
                 raise TypeError(f"{key} is neither a string nor null")
+        if (obj["patch"] is None) == (obj["na_reason"] is None):
+            raise ValueError("exactly one of patch and na_reason must be set")
         score = obj["score"]
         if score is not None and (isinstance(score, bool)
                                   or not isinstance(score, (int, float))):
@@ -90,39 +91,59 @@ class GenerationResult:
         result = cls(query=obj["query"], source=obj["source"],
                      na_reason=obj["na_reason"], score=score, valid=obj["valid"])
         if obj["patch"] is not None:
-            tokens = tuple(obj["patch"].split())
-            result.patch = GeneratedPatch(
-                tokens=TokenizedStatement(tokens, obj["query"]),
-                score=score if score is not None else 0.0,
-                valid=obj["valid"], source=obj["source"])
-            result.concrete_output = tokens
+            result.concrete_output = tuple(obj["patch"].split())
+            result.patch = GeneratedPatch(TokenizedStatement(result.concrete_output))
         return result
 
 
 def _finalize(result: GenerationResult, threshold: float | None) -> GenerationResult:
-    """Apply the NA rules to an already-decoded result."""
-    if result.na_reason == NA_UNTOKENIZABLE:
+    """Settle the NA reason and the patch of a proposed output.  An
+    untokenizable or unmatched query has no output to judge."""
+    if result.na_reason in (NA_UNTOKENIZABLE, NA_NO_MATCH):
         return result
     if threshold is not None and result.score is not None and result.score < threshold:
-        result.patch = None
         result.na_reason = NA_LOW_SCORE
-        return result
-    if result.identical:
-        result.patch = None
+    elif result.identical:
         result.na_reason = NA_IDENTICAL
-        return result
-    if not result.valid:
-        result.patch = None
+    elif not result.valid:
         result.na_reason = NA_INVALID
-        return result
-    result.na_reason = None
-    result.patch = GeneratedPatch(
-        tokens=TokenizedStatement(result.concrete_output, result.query),
-        score=result.score if result.score is not None else 0.0,
-        valid=True,
-        source=result.source,
-    )
+    else:
+        result.na_reason = None
+    result.patch = (None if result.na_reason is not None else
+                    GeneratedPatch(TokenizedStatement(result.concrete_output)))
     return result
+
+
+def _answer(query: str, source: str, propose: Callable,
+            threshold: float | None) -> GenerationResult:
+    """The answer to one query.  propose maps the abstracted query's
+    tokens to (abstracted output, score, finished), or to None when it
+    has no output for them."""
+    result = GenerationResult(query=query, source=source)
+    try:
+        query_abs, query_args = abstract_arguments(tokenize(query))
+    except (TokenizeError, AbstractionError):
+        result.na_reason = NA_UNTOKENIZABLE
+        return result
+    proposal = propose(query_abs.tokens)
+    if proposal is None:
+        result.na_reason = NA_NO_MATCH
+        return result
+    out_tokens, result.score, result.finished = proposal
+    result.identical = out_tokens == query_abs.tokens
+
+    concrete = reinsert_arguments(TokenizedStatement(out_tokens), query_args)
+    result.concrete_output = concrete.tokens
+    sites = _placeholder_sites(list(out_tokens))
+    val_sites = sum(1 for _, kind, _ in sites if kind == VAL_TOKEN)
+    val_avail = sum(1 for e in query_args.entries if e.kind == VAL_TOKEN)
+    result.unfilled_val_sites = max(0, val_sites - val_avail)
+    result.valid = (
+        result.finished
+        and len(concrete.tokens) > 0
+        and validate_statement(concrete)
+    )
+    return _finalize(result, threshold)
 
 
 def generate(
@@ -135,52 +156,18 @@ def generate(
     max_len: int = 100,
 ) -> GenerationResult:
     """The model's patch for one query, or the reason there is none."""
-    result = GenerationResult(query=query, source="model")
-    try:
-        query_tok = tokenize(query)
-        query_abs, query_args = abstract_arguments(query_tok)
-    except (TokenizeError, AbstractionError):
-        result.na_reason = NA_UNTOKENIZABLE
-        result.valid = False
-        return result
-
-    src_ids = src_vocab.encode(list(query_abs.tokens))
-    hyps = beam_search(params, src_ids, beam_size=beam_size, max_len=max_len)
-    best = hyps[0]
-    out_tokens = tuple(tgt_vocab.decode(best.output_ids))
-    result.score = float(best.log_prob)
-    result.finished = best.finished
-    result.abstracted_output = out_tokens
-    result.identical = out_tokens == query_abs.tokens
-
-    concrete = reinsert_arguments(
-        TokenizedStatement(out_tokens, query), query_args)
-    result.concrete_output = concrete.tokens
-    sites = _placeholder_sites(list(out_tokens))
-    val_sites = sum(1 for _, kind, _ in sites if kind == VAL_TOKEN)
-    val_avail = sum(1 for e in query_args.entries if e.kind == VAL_TOKEN)
-    result.unfilled_val_sites = max(0, val_sites - val_avail)
-    result.valid = (
-        best.finished
-        and len(concrete.tokens) > 0
-        and validate_statement(concrete)
-    )
-    return _finalize(result, threshold)
+    def propose(query_abs: tuple[str, ...]):
+        best = beam_search(params, src_vocab.encode(list(query_abs)),
+                           beam_size=beam_size, max_len=max_len)[0]
+        return (tuple(tgt_vocab.decode(best.output_ids)),
+                float(best.log_prob), best.finished)
+    return _answer(query, "model", propose, threshold)
 
 
 def rethreshold(result: GenerationResult, threshold: float | None) -> GenerationResult:
     """Re-apply the NA rules at a different threshold using cached
     decoder output; no model call involved."""
-    clone = GenerationResult(**{k: getattr(result, k) for k in (
-        "query", "source", "score", "abstracted_output", "concrete_output",
-        "valid", "identical", "finished", "unfilled_val_sites")})
-    if result.na_reason == NA_UNTOKENIZABLE:
-        clone.na_reason = NA_UNTOKENIZABLE
-        return clone
-    if result.source == "baseline" and result.na_reason == NA_NO_MATCH:
-        clone.na_reason = NA_NO_MATCH
-        return clone
-    return _finalize(clone, threshold)
+    return _finalize(replace(result), threshold)
 
 
 class BaselineIndex:
@@ -202,23 +189,12 @@ class BaselineIndex:
 
 
 def baseline_suggest(query: str, index: BaselineIndex) -> GenerationResult:
-    result = GenerationResult(query=query, source="baseline")
-    try:
-        query_tok = tokenize(query)
-        query_abs, query_args = abstract_arguments(query_tok)
-    except (TokenizeError, AbstractionError):
-        result.na_reason = NA_UNTOKENIZABLE
-        return result
-    post = index.entries.get(query_abs.tokens)
-    if post is None:
-        result.na_reason = NA_NO_MATCH
-        return result
-    result.abstracted_output = post
-    result.identical = post == query_abs.tokens
-    concrete = reinsert_arguments(TokenizedStatement(post, query), query_args)
-    result.concrete_output = concrete.tokens
-    result.valid = len(concrete.tokens) > 0 and validate_statement(concrete)
-    return _finalize(result, threshold=None)
+    """The post-statement recorded for the query's abstracted form, with
+    the query's arguments reinserted, or the reason there is none."""
+    def propose(query_abs: tuple[str, ...]):
+        post = index.entries.get(query_abs)
+        return None if post is None else (post, None, True)
+    return _answer(query, "baseline", propose, threshold=None)
 
 
 def write_results(path: str, results: list[GenerationResult]) -> None:

@@ -55,30 +55,29 @@ def _pick(rng: np.random.Generator, pool) -> str:
     return pool[int(rng.integers(len(pool)))]
 
 
-def make_rule_pair(rng: np.random.Generator, rule: str,
-                   idents=IDENTIFIERS) -> tuple[str, str]:
+def make_rule_pair(rng: np.random.Generator, rule: str) -> tuple[str, str]:
     if rule == "this-removal":
-        name = _pick(rng, idents)
+        name = _pick(rng, IDENTIFIERS)
         return f"return this . {name} ;", f"return {name} ;"
     if rule == "index-increment":
         arr = _pick(rng, ARRAY_NAMES)
         key = CONST_KEYS[int(rng.integers(len(CONST_KEYS)))]
-        obj = _pick(rng, idents)
+        obj = _pick(rng, IDENTIFIERS)
         rhs = f"this . {obj} . toString ( )"
         return (f"{arr} [ {key} ] = {rhs} ;",
                 f"{arr} [ {key + 1} ] = {rhs} ;")
     if rule == "diamond":
         elem = _pick(rng, ELEM_TYPES)
-        name = _pick(rng, idents)
+        name = _pick(rng, IDENTIFIERS)
         return (f"List < {elem} > {name} = new ArrayList < {elem} > ( ) ;",
                 f"List < {elem} > {name} = new ArrayList < > ( ) ;")
     if rule == "log-level":
         logger = _pick(rng, LOGGER_NAMES)
-        msg = _pick(rng, idents)
+        msg = _pick(rng, IDENTIFIERS)
         return (f'{logger} . trace ( "{msg}" , cause ) ;',
                 f'{logger} . info ( "{msg}" , cause ) ;')
     if rule == "yoda-flip":
-        name = _pick(rng, idents)
+        name = _pick(rng, IDENTIFIERS)
         return (f"if ( null != {name} ) {{", f"if ( {name} != null ) {{")
     raise ValueError(f"unknown rule {rule!r}")
 

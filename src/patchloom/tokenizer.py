@@ -23,7 +23,6 @@ class TokenizeError(ValueError):
 @dataclass(frozen=True)
 class TokenizedStatement:
     tokens: tuple[str, ...]
-    raw: str
 
     def serialized(self) -> str:
         return " ".join(self.tokens)
@@ -106,7 +105,7 @@ def tokenize(raw: str) -> TokenizedStatement:
             continue
         tokens.append(c)
         i += 1
-    return TokenizedStatement(tuple(tokens), raw)
+    return TokenizedStatement(tuple(tokens))
 
 
 def _scan_number(line: str, i: int, tokens: list[str]) -> int:

@@ -60,10 +60,8 @@ class Vocabulary:
     def token(self, index: int) -> str:
         return self._tokens[index]
 
-    def encode(self, tokens: Iterable[str], bos: bool = False, eos: bool = False) -> list[int]:
+    def encode(self, tokens: Iterable[str], eos: bool = False) -> list[int]:
         ids = [self.index(t) for t in tokens]
-        if bos:
-            ids.insert(0, BOS_ID)
         if eos:
             ids.append(EOS_ID)
         return ids

@@ -83,9 +83,7 @@ def test_reinsert_prefers_matching_callee_name():
     # generated output reorders the calls; the table still maps by name
     _, table = _abstract("first ( a ) ; second ( b ) ;")
     generated = TokenizedStatement(
-        ("second", "(", "arg", ")", ";", "first", "(", "arg", ")", ";"),
-        raw="",
-    )
+        ("second", "(", "arg", ")", ";", "first", "(", "arg", ")", ";"))
     rebuilt = reinsert_arguments(generated, table)
     assert rebuilt.tokens == ("second", "(", "b", ")", ";",
                               "first", "(", "a", ")", ";")
@@ -94,9 +92,7 @@ def test_reinsert_prefers_matching_callee_name():
 def test_reinsert_falls_back_to_positional_order():
     _, table = _abstract("alpha ( a ) ; beta ( b ) ;")
     generated = TokenizedStatement(
-        ("gamma", "(", "arg", ")", ";", "delta", "(", "arg", ")", ";"),
-        raw="",
-    )
+        ("gamma", "(", "arg", ")", ";", "delta", "(", "arg", ")", ";"))
     rebuilt = reinsert_arguments(generated, table)
     # no callee names match, so groups fill left to right
     assert rebuilt.tokens == ("gamma", "(", "a", ")", ";",
@@ -104,7 +100,7 @@ def test_reinsert_falls_back_to_positional_order():
 
 
 def test_reinsert_empty_group_when_table_runs_out():
-    generated = TokenizedStatement(("probe", "(", "arg", ")", ";"), raw="")
+    generated = TokenizedStatement(("probe", "(", "arg", ")", ";"))
     rebuilt = reinsert_arguments(generated, ArgumentTable(entries=[]))
     assert rebuilt.tokens == ("probe", "(", ")", ";")
 
@@ -112,7 +108,7 @@ def test_reinsert_empty_group_when_table_runs_out():
 def test_val_site_without_donor_leaves_empty_brackets():
     # the caller counts unfilled val sites before reinsertion; the
     # reinserter itself just drops the placeholder
-    generated = TokenizedStatement(("x", "[", "val", "]", ";"), raw="")
+    generated = TokenizedStatement(("x", "[", "val", "]", ";"))
     rebuilt = reinsert_arguments(generated, ArgumentTable(entries=[]))
     assert rebuilt.tokens == ("x", "[", "]", ";")
 

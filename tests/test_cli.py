@@ -271,6 +271,16 @@ def _result_line_with_a_numeric_query(tmp_path):
     return _evaluate(tmp_path, [RESULT, line]), "patches.jsonl:2"
 
 
+def _result_line_with_both_patch_and_na_reason(tmp_path):
+    line = json.dumps(dict(json.loads(RESULT), na_reason="low-score"))
+    return _evaluate(tmp_path, [RESULT, line]), "patches.jsonl:2"
+
+
+def _result_line_with_neither_patch_nor_na_reason(tmp_path):
+    line = json.dumps(dict(json.loads(RESULT), patch=None))
+    return _evaluate(tmp_path, [line, RESULT]), "patches.jsonl:1"
+
+
 def _empty_meta(tmp_path):
     return _evaluate(tmp_path, [RESULT], meta=""), "meta.tsv"
 
@@ -309,6 +319,8 @@ def _counts_row_missing_a_column(tmp_path):
     _snapshot_commit_without_time,
     _result_line_without_fields,
     _result_line_with_a_numeric_query,
+    _result_line_with_both_patch_and_na_reason,
+    _result_line_with_neither_patch_nor_na_reason,
     _empty_meta,
     _meta_with_fewer_rows_than_results,
     _refs_with_more_lines_than_results,

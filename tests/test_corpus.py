@@ -175,7 +175,7 @@ def test_replace_rare_substitutes_singletons_per_side():
         pair("int shared = zebra ;", "int shared = 1 ;"),
         pair("int shared = 2 ;", "int shared = 2 ;"),
     ]
-    corpus = Corpus(pairs, Vocabulary(), Vocabulary(), (2013, 2014))
+    corpus = Corpus(pairs, Vocabulary(), Vocabulary())
     out = replace_rare(corpus, unk_threshold=1)
     assert "zebra" not in out.src_vocab
     assert UNK in out.pairs[0].pre.tokens
@@ -227,7 +227,6 @@ def test_split_routes_by_year_and_excludes_straddlers():
     assert [p.pre.tokens[1] for p in test] == ["c"]
     dropped = {row["step"]: row["dropped"] for row in ledger.rows()}
     assert dropped["straddling or post-test-year"] == 2
-    assert train.span == (2013, 2013)
 
 
 def test_split_categorizes_test_pairs():

@@ -79,12 +79,9 @@ def test_undefined_row_is_the_baseline_without_correct_patches():
 # classification
 
 def patch_result(tokens, score=-0.1):
-    stmt = TokenizedStatement(tuple(tokens.split()), raw=tokens)
-    return GenerationResult(
-        query="q", source="model", score=score,
-        patch=GeneratedPatch(tokens=stmt, score=score, valid=True,
-                             source="model"),
-    )
+    stmt = TokenizedStatement(tuple(tokens.split()))
+    return GenerationResult(query="q", source="model", score=score,
+                            patch=GeneratedPatch(tokens=stmt))
 
 
 def test_classify_exact_match():
@@ -201,8 +198,7 @@ def scored_result(text, score, identical=False):
     tokens = tuple(text.split())
     return GenerationResult(
         query=text, source="model", score=score,
-        abstracted_output=tokens, concrete_output=tokens,
-        valid=True, identical=identical, finished=True,
+        concrete_output=tokens, valid=True, identical=identical, finished=True,
     )
 
 

@@ -30,7 +30,7 @@ def test_learned_rewrite_is_provided(rule_model):
     assert res.na_reason is None
     assert res.patch is not None
     assert res.patch.tokens.tokens == ("return", "width", ";")
-    assert res.patch.valid
+    assert res.valid
     assert res.score is not None and res.score < 0.0
     assert res.source == "model"
 
@@ -41,8 +41,6 @@ def test_arguments_travel_through_the_rewrite(rule_model):
     assert res.patch.tokens.tokens == ("cursor", ".", "debug", "(", "a", "+",
                                        "b", ")", ";")
     assert res.unfilled_val_sites == 0
-    assert res.abstracted_output == ("cursor", ".", "debug", "(", "arg", ")",
-                                     ";")
 
 
 def test_identity_output_is_withheld(rule_model):
@@ -95,23 +93,34 @@ def test_rethreshold_preserves_untokenizable(rule_model):
     assert rethreshold(res, None).na_reason == NA_UNTOKENIZABLE
 
 
+RETHRESHOLD_QUERIES = ["return this . width ;", "int cursor = 0 ;",
+                       "monitor . log ( k ) ;", "return this . queue ;"]
+THRESHOLDS = (None, -0.7, -0.05, 0.0)
+
+
 def test_rethreshold_is_monotonic_in_threshold(rule_model):
-    queries = ["return this . width ;", "int cursor = 0 ;",
-               "monitor . log ( k ) ;", "return this . queue ;"]
-    results = [run(rule_model, q) for q in queries]
+    results = [run(rule_model, q) for q in RETHRESHOLD_QUERIES]
     provided_at = []
-    for threshold in (None, -0.7, -0.05, 0.0):
+    for threshold in THRESHOLDS:
         adjusted = [rethreshold(r, threshold) for r in results]
         provided_at.append(sum(1 for r in adjusted if r.patch is not None))
     # tightening the threshold never provides more patches
     assert provided_at == sorted(provided_at, reverse=True)
 
 
+def test_rethreshold_equals_generating_at_that_threshold(rule_model):
+    # sweep re-thresholds one unthresholded run instead of decoding again
+    for query in RETHRESHOLD_QUERIES:
+        loose = run(rule_model, query)
+        for threshold in THRESHOLDS:
+            assert rethreshold(loose, threshold) == run(
+                rule_model, query, threshold=threshold), (query, threshold)
+
+
 def test_invalid_concrete_output_is_withheld():
     # finalization logic alone: a decoded but unparseable candidate
     res = GenerationResult(
         query="int a = 0 ;", source="model", score=-0.01,
-        abstracted_output=("int", "a", "=", ";"),
         concrete_output=("int", "a", "=", ";"),
         valid=False, identical=False, finished=True,
     )
@@ -147,7 +156,16 @@ def test_baseline_unseen_query_is_na(rule_model):
     res = baseline_suggest("byte [ ] raw = decode ( s ) ;", index)
     assert res.patch is None
     assert res.na_reason == NA_NO_MATCH
-    assert rethreshold(res, -0.7).na_reason == NA_NO_MATCH
+
+
+@pytest.mark.parametrize("query", ["return this . width ;",
+                                   "byte [ ] raw = decode ( s ) ;"])
+def test_baseline_answers_ignore_the_threshold(rule_model, query):
+    index = BaselineIndex.from_parallel(rule_model.pre_lines,
+                                        rule_model.post_lines)
+    res = baseline_suggest(query, index)
+    for threshold in THRESHOLDS:
+        assert rethreshold(res, threshold) == res, threshold
 
 
 def test_baseline_identity_mapping_is_withheld():

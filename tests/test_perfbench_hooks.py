@@ -5,10 +5,12 @@ renamed or deleted function makes its install raise, so one test runs
 install and restore on the checkout's package: a traced name that goes
 missing fails here, not only in a traced benchmark run.  Another runs
 one pass of the train workload, the only caller of the lexicon_to_ids ->
-train(lexicon=) -> corpus_loss path outside the package, and a third two
-passes of the pipeline-git workload: the six subcommands over a git
-repository, which train at H=512, save, load and generate at float64,
-and whose second pass must write byte-identical artifacts.
+train(lexicon=) -> corpus_loss path outside the package, a third one
+pass of the generate workload, which reads each answer's patch tokens,
+NA reason, score and finished flag, and a fourth two passes of the
+pipeline-git workload: the six subcommands over a git repository, which
+train at H=512, save, load and generate at float64, and whose second
+pass must write byte-identical artifacts.
 """
 
 import importlib.util
@@ -74,6 +76,17 @@ def test_train_workload_pass_passes_its_checks(tmp_path):
     record = train.run_pass(state, 0)
     record["scale"] = 1.0       # run.py sets each pass's speed scale
     _, checks = train.report(state, [], [record])
+    assert [name for name, ok, _ in checks if not ok] == []
+
+
+def test_generate_workload_pass_passes_its_checks(tmp_path):
+    workloads = load_perfbench("workloads")
+    generate = workloads.Generate(1, str(tmp_path))
+    state = generate.setup(0)
+    state.update(setup_s=0.0, scale=1.0)    # run.py records both per setup
+    record = generate.run_pass(state, 0)
+    record["scale"] = 1.0
+    _, checks = generate.report(state, [state], [record])
     assert [name for name, ok, _ in checks if not ok] == []
 
 

@@ -49,9 +49,9 @@ def test_reserved_words_in_counts_not_duplicated():
 
 def test_encode_decode_with_markers():
     v = Vocabulary(("alpha", "beta"))
-    ids = v.encode(["alpha", "beta"], bos=True, eos=True)
-    assert ids[0] == BOS_ID and ids[-1] == EOS_ID
-    assert v.decode(ids[1:-1]) == ["alpha", "beta"]
+    ids = v.encode(["alpha", "beta"], eos=True)
+    assert ids[-1] == EOS_ID
+    assert v.decode(ids[:-1]) == ["alpha", "beta"]
 
 
 def test_unknown_token_encodes_to_unk():
