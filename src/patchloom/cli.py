@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -69,7 +70,18 @@ class CliError(RuntimeError):
 
 def _read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        try:
+            return fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def positive_int(text: str) -> int:
+    """argparse type for --beam-size and --max-len: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
              len(encoded), logbook.best_dev_loss, logbook.best_epoch,
              time.monotonic() - started, args.out)
     with open(args.out + ".log.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "best_epoch": logbook.best_epoch,
-            "best_dev_loss": logbook.best_dev_loss,
-            "aborted": logbook.aborted,
-            "epochs": [
-                {"epoch": e.epoch, "train_loss": e.train_loss,
-                 "dev_loss": e.dev_loss, "learning_rate": e.learning_rate,
-                 "seconds": e.seconds}
-                for e in logbook.epochs
-            ],
-        }, fh, indent=2)
+        json.dump(dataclasses.asdict(logbook), fh, indent=2)
     if logbook.aborted:
         log.error("train: aborted on non-finite loss; saved last good snapshot")
         return 1
@@ -196,18 +198,17 @@ def _load_meta(path: str) -> tuple[list[str], list[bool]]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.counts:
         rows = []
-        with open(args.counts, encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for record in reader:
-                try:
-                    counts = [int(record[key]) for key in
-                              ("correct", "arg_incorrect", "incorrect", "na")]
-                    project = record["project"]
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CliError(f"{args.counts}:{reader.line_num}: not a "
-                                   f"counts row ({exc!r})") from None
-                rows.append((project, metrics_from_counts(
-                    *counts, category_filter=record.get("variant", "all"))))
+        reader = csv.DictReader(_read_lines(args.counts))
+        for record in reader:
+            try:
+                counts = [int(record[key]) for key in
+                          ("correct", "arg_incorrect", "incorrect", "na")]
+                project = record["project"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CliError(f"{args.counts}:{reader.line_num}: not a "
+                               f"counts row ({exc!r})") from None
+            rows.append((project, metrics_from_counts(
+                *counts, category_filter=record.get("variant", "all"))))
         print(render_table(rows))
         return 0
     if not (args.patches and args.refs):
@@ -390,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=-0.7)
     p.add_argument("--no-threshold", action="store_true",
                    help="disable the score threshold (validity studies)")
-    p.add_argument("--beam-size", dest="beam_size", type=int, default=10)
-    p.add_argument("--max-len", dest="max_len", type=int, default=100)
+    p.add_argument("--beam-size", dest="beam_size", type=positive_int, default=10)
+    p.add_argument("--max-len", dest="max_len", type=positive_int, default=100)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("baseline", help="pattern-matching baseline")
@@ -419,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="sweep CSV path")
-    p.add_argument("--beam-size", dest="beam_size", type=int, default=10)
-    p.add_argument("--max-len", dest="max_len", type=int, default=100)
+    p.add_argument("--beam-size", dest="beam_size", type=positive_int, default=10)
+    p.add_argument("--max-len", dest="max_len", type=positive_int, default=100)
     p.add_argument("--thresholds", type=float, nargs="+", default=DEFAULT_SWEEP)
     p.set_defaults(func=cmd_sweep)
 

@@ -60,7 +60,11 @@ def load_config(path: str | None = None,
     values: dict[str, object] = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read()))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        values.update(parse_config_text(text))
     if overrides:
         types = _field_types()
         for key, val in overrides.items():

@@ -338,8 +338,12 @@ def _meta_rows(pairs: list[StatementPair], with_category: bool) -> Iterable[str]
 def read_parallel(dirpath: str, prefix: str) -> tuple[list[list[str]], list[list[str]]]:
     """Aligned token lists from <prefix>.src / <prefix>.tgt."""
     def slurp(name: str) -> list[list[str]]:
-        with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
-            return [line.split() for line in fh.read().splitlines()]
+        path = os.path.join(dirpath, name)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                return [line.split() for line in fh.read().splitlines()]
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}: not UTF-8 text ({exc})") from None
 
     src = slurp(f"{prefix}.src")
     tgt = slurp(f"{prefix}.tgt")

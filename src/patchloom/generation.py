@@ -40,6 +40,7 @@ NA_LOW_SCORE = "low-score"
 NA_IDENTICAL = "identical"
 NA_INVALID = "invalid"
 NA_NO_MATCH = "no-match"
+NA_REASONS = (NA_UNTOKENIZABLE, NA_LOW_SCORE, NA_IDENTICAL, NA_INVALID, NA_NO_MATCH)
 
 
 @dataclass
@@ -75,11 +76,14 @@ class GenerationResult:
     def from_json_obj(cls, obj: dict) -> "GenerationResult":
         """Raises KeyError, TypeError or ValueError on an object that
         to_json_obj cannot have written."""
-        if not (isinstance(obj["query"], str) and isinstance(obj["source"], str)):
-            raise TypeError("query or source is not a string")
-        for key in ("patch", "na_reason"):
-            if obj[key] is not None and not isinstance(obj[key], str):
-                raise TypeError(f"{key} is neither a string nor null")
+        if not isinstance(obj["query"], str):
+            raise TypeError("query is not a string")
+        if obj["source"] not in ("model", "baseline"):
+            raise ValueError(f"source {obj['source']!r} is neither model nor baseline")
+        if obj["na_reason"] not in (None, *NA_REASONS):
+            raise ValueError(f"unknown na_reason {obj['na_reason']!r}")
+        if obj["patch"] is not None and not isinstance(obj["patch"], str):
+            raise TypeError("patch is neither a string nor null")
         if (obj["patch"] is None) == (obj["na_reason"] is None):
             raise ValueError("exactly one of patch and na_reason must be set")
         score = obj["score"]
@@ -88,6 +92,8 @@ class GenerationResult:
             raise TypeError("score is neither a number nor null")
         if not isinstance(obj["valid"], bool):
             raise TypeError("valid is not a boolean")
+        if obj["patch"] is not None and not obj["valid"]:
+            raise ValueError("a patch is never invalid")
         result = cls(query=obj["query"], source=obj["source"],
                      na_reason=obj["na_reason"], score=score, valid=obj["valid"])
         if obj["patch"] is not None:
@@ -209,11 +215,12 @@ class ResultFormatError(ValueError):
 
 def read_results(path: str) -> list[GenerationResult]:
     results = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    results.append(GenerationResult.from_json_obj(json.loads(line)))
+                    results.append(GenerationResult.from_json_obj(
+                        json.loads(line.decode("utf-8"))))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ResultFormatError(
                         f"{path}:{lineno}: not a generation result ({exc!r})") from None

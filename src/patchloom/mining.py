@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .linediff import histogram_diff
 from .repo import CommitRecord, normalize_lines
-from .tokenizer import strip_line_comment
+from .tokenizer import literal_end, strip_line_comment
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +128,7 @@ def method_ranges(lines: list[str]) -> list[tuple[int, int]]:
     entry_depth = 0
     for i, raw in enumerate(lines):
         line = strip_line_comment(raw)
-        opens = _brace_count(line, "{")
-        closes = _brace_count(line, "}")
+        opens, closes = _braces(line)
         if not in_method and _looks_like_signature(line):
             in_method = True
             start = i
@@ -143,28 +142,24 @@ def method_ranges(lines: list[str]) -> list[tuple[int, int]]:
     return ranges
 
 
-def _brace_count(line: str, brace: str) -> int:
-    count = 0
+def _braces(line: str) -> tuple[int, int]:
+    """(opens, closes): the braces outside string and char literals."""
+    opens = closes = 0
     i = 0
     n = len(line)
     while i < n:
         c = line[i]
         if c in "\"'":
-            quote = c
-            i += 1
-            while i < n:
-                if line[i] == "\\":
-                    i += 2
-                    continue
-                if line[i] == quote:
-                    i += 1
-                    break
-                i += 1
-        else:
-            if c == brace:
-                count += 1
-            i += 1
-    return count
+            i = literal_end(line, i)
+            if i is None:
+                break
+            continue
+        if c == "{":
+            opens += 1
+        elif c == "}":
+            closes += 1
+        i += 1
+    return opens, closes
 
 
 def _inside_one_range(lo: int, hi: int, ranges: list[tuple[int, int]]) -> bool:
@@ -342,11 +337,11 @@ class HunkFormatError(ValueError):
 
 def read_hunks(path: str) -> list[ChangeHunk]:
     hunks = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    hunks.append(ChangeHunk.from_json_obj(json.loads(line)))
+                    hunks.append(ChangeHunk.from_json_obj(json.loads(line.decode("utf-8"))))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise HunkFormatError(f"{path}:{lineno}: not a hunk ({exc!r})") from None
     return hunks

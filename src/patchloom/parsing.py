@@ -9,6 +9,13 @@ trailing '{'.  Lines that could only occur outside a method body
 are constructs we deliberately do not model (block-bodied lambdas,
 anonymous classes).  Rejection is the conservative direction: invalid
 statements are dropped from the corpus.
+
+Each piece of syntax is one rule of ``_Parser``: ``attempt`` is the only
+backtracking (declaration or expression, foreach or classic for header,
+lambda, cast), and ``comma_list``, ``parens``, ``dims``, ``class_type``
+and ``left_open`` are the comma-separated list, parenthesized
+expression, ``[ ]`` pairs, qualified generic type and elided or open
+body that several statements and expressions share.
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ _ASSIGN_OPS = frozenset(
 )
 
 _STATEMENT_EXPR_KINDS = frozenset({"assign", "call", "incdec", "new"})
+
+# Statements that open with a keyword of their own; ';' is the empty one.
+_KEYWORD_STATEMENTS = frozenset(
+    {";", "return", "throw", "break", "continue", "assert", "if", "while",
+     "for", "switch", "do", "try", "synchronized"}
+)
 
 
 class _Fail(Exception):
@@ -79,85 +92,110 @@ class _Parser:
             raise _Fail(f"expected identifier, got {tok!r}")
         return tok
 
+    def attempt(self, *rules) -> bool:
+        """Run rules in order; if one fails, rewind to where they began
+        and return False."""
+        save = self.i
+        try:
+            for rule in rules:
+                rule()
+        except _Fail:
+            self.i = save
+            return False
+        return True
+
+    # -- shared fragments ----------------------------------------------
+
+    def comma_list(self, rule) -> None:
+        rule()
+        while self.accept(","):
+            rule()
+
+    def parens(self) -> None:
+        self.expect("(")
+        self.expression()
+        self.expect(")")
+
+    def dims(self) -> None:
+        while self.peek() == "[" and self.peek(1) == "]":
+            self.i += 2
+
+    def class_type(self) -> None:
+        """Qualified name with optional type arguments."""
+        self.ident()
+        while self.peek() == "." and is_identifier(self.peek(1) or ""):
+            self.i += 2
+        if self.peek() == "<":
+            self.type_arguments()
+
+    def left_open(self) -> bool:
+        """Consume a control body that is elided or a '{' left open at the
+        end of the line."""
+        if self.i >= len(self.toks) - 1 and self.peek() in (None, "{"):
+            self.i = len(self.toks)
+            return True
+        return False
+
     # -- statements ----------------------------------------------------
 
     def statement(self) -> None:
         tok = self.peek()
         if tok is None:
             raise _Fail("empty statement")
-        if tok == ";":
-            self.next()
-            return
         if tok == "{":
             self.block()
             return
-        if tok == "return":
+        if tok in ("this", "super") and self.peek(1) == "(":
             self.next()
+            self.call_arguments()
+            self.expect(";")
+            return
+        if tok not in _KEYWORD_STATEMENTS:
+            if not self.attempt(self.declaration):
+                kind = self.expression()
+                if kind not in _STATEMENT_EXPR_KINDS:
+                    raise _Fail(f"expression of kind {kind!r} is not a statement")
+                self.expect(";")
+            return
+        self.next()
+        if tok == "return":
             if not self.accept(";"):
                 self.expression()
                 self.expect(";")
-            return
-        if tok == "throw":
-            self.next()
+        elif tok == "throw":
             self.expression()
             self.expect(";")
-            return
-        if tok in ("break", "continue"):
-            self.next()
-            if self.peek() != ";" and self.peek() is not None and is_identifier(self.peek()):
+        elif tok in ("break", "continue"):
+            if is_identifier(self.peek() or ""):
                 self.next()
             self.expect(";")
-            return
-        if tok == "assert":
-            self.next()
+        elif tok == "assert":
             self.expression()
             if self.accept(":"):
                 self.expression()
             self.expect(";")
-            return
-        if tok == "if":
-            self.next()
-            self.expect("(")
-            self.expression()
-            self.expect(")")
+        elif tok == "if":
+            self.parens()
             self.tail()
             if self.accept("else"):
                 self.tail()
-            return
-        if tok == "while":
-            self.next()
-            self.expect("(")
-            self.expression()
-            self.expect(")")
+        elif tok in ("while", "synchronized"):
+            self.parens()
             self.tail()
-            return
-        if tok == "for":
-            self.next()
+        elif tok == "for":
             self.for_header_and_tail()
-            return
-        if tok == "switch":
-            self.next()
-            self.expect("(")
-            self.expression()
-            self.expect(")")
-            self.open_block_only()
-            return
-        if tok == "do":
-            self.next()
+        elif tok == "switch":
+            self.parens()
+            self.switch_body()
+        elif tok == "do":
             self.tail()
             if self.accept("while"):
-                self.expect("(")
-                self.expression()
-                self.expect(")")
+                self.parens()
                 self.expect(";")
-            return
-        if tok == "try":
-            self.next()
+        elif tok == "try":
             if self.accept("("):
                 self.resource()
-                while self.accept(";"):
-                    if self.peek() == ")":
-                        break
+                while self.accept(";") and self.peek() != ")":
                     self.resource()
                 self.expect(")")
             self.tail()
@@ -168,69 +206,23 @@ class _Parser:
                 self.tail()
             if self.accept("finally"):
                 self.tail()
-            return
-        if tok == "synchronized":
-            self.next()
-            self.expect("(")
-            self.expression()
-            self.expect(")")
-            self.tail()
-            return
-        if tok in ("this", "super") and self.peek(1) == "(":
-            self.next()
-            self.call_arguments()
-            self.expect(";")
-            return
-        # declaration, then expression statement, with backtracking
-        save = self.i
-        try:
-            self.declaration()
-            return
-        except _Fail:
-            self.i = save
-        kind = self.expression()
-        if kind not in _STATEMENT_EXPR_KINDS:
-            raise _Fail(f"expression of kind {kind!r} is not a statement")
-        self.expect(";")
+        # the remaining keyword is ';', the empty statement
 
     def tail(self) -> None:
         """Body of a control statement: elided, an open '{' at end of
         line, a complete block, or a single embedded statement."""
-        if self.at_end():
-            return
-        if self.peek() == "{":
-            if self.i == len(self.toks) - 1:
-                self.next()
-                return
-            self.block()
+        if self.left_open():
             return
         if self.peek() in ("else", "catch", "finally", "while") and self.peek(1) in ("(", "{", None):
             # let the caller consume its continuation keyword
             return
         self.statement()
 
-    def open_block_only(self) -> None:
-        """switch body: either elided or '{' (possibly with full body)."""
-        if self.at_end():
+    def switch_body(self) -> None:
+        """Elided, an open '{', or a complete body of case groups, which
+        is rare and accepted by scanning to the matching brace."""
+        if self.left_open():
             return
-        if self.peek() == "{":
-            if self.i == len(self.toks) - 1:
-                self.next()
-                return
-            # a complete inline switch body is rare; accept a full block
-            # of case groups by scanning to the matching brace
-            self.balanced_braces()
-            return
-        raise _Fail("switch requires a block")
-
-    def block(self) -> None:
-        self.expect("{")
-        while not self.accept("}"):
-            if self.at_end():
-                raise _Fail("unterminated block")
-            self.statement()
-
-    def balanced_braces(self) -> None:
         self.expect("{")
         depth = 1
         while depth:
@@ -240,37 +232,38 @@ class _Parser:
             elif tok == "}":
                 depth -= 1
 
+    def block(self) -> None:
+        self.expect("{")
+        while not self.accept("}"):
+            if self.at_end():
+                raise _Fail("unterminated block")
+            self.statement()
+
     def for_header_and_tail(self) -> None:
         self.expect("(")
-        # try foreach: [final] type ident : expr
-        save = self.i
-        try:
-            self.accept("final")
-            self.type_ref()
-            self.ident()
-            self.expect(":")
-            self.expression()
-            self.expect(")")
-            self.tail()
+        if self.attempt(self.foreach_header, self.tail):
             return
-        except _Fail:
-            self.i = save
         # classic three-part header
         if not self.accept(";"):
-            save = self.i
-            try:
-                self.declaration_body()
-            except _Fail:
-                self.i = save
-                self.expression_list()
+            if not self.attempt(self.declaration_body):
+                self.comma_list(self.expression)
             self.expect(";")
         if not self.accept(";"):
             self.expression()
             self.expect(";")
         if not self.accept(")"):
-            self.expression_list()
+            self.comma_list(self.expression)
             self.expect(")")
         self.tail()
+
+    def foreach_header(self) -> None:
+        """[final] type ident : expression )"""
+        self.accept("final")
+        self.type_ref()
+        self.ident()
+        self.expect(":")
+        self.expression()
+        self.expect(")")
 
     def resource(self) -> None:
         self.accept("final")
@@ -293,15 +286,11 @@ class _Parser:
     def declaration_body(self) -> None:
         self.accept("final")
         self.type_ref()
-        self.declarator()
-        while self.accept(","):
-            self.declarator()
+        self.comma_list(self.declarator)
 
     def declarator(self) -> None:
         self.ident()
-        while self.peek() == "[" and self.peek(1) == "]":
-            self.next()
-            self.next()
+        self.dims()
         if self.accept("="):
             self.variable_initializer()
 
@@ -325,28 +314,17 @@ class _Parser:
     # -- types ---------------------------------------------------------
 
     def type_ref(self) -> None:
-        tok = self.peek()
-        if tok in PRIMITIVE_TYPES or tok == "void":
+        if self.peek() in PRIMITIVE_TYPES or self.peek() == "void":
             self.next()
         else:
-            self.ident()
-            while self.peek() == "." and self.peek(1) is not None and is_identifier(self.peek(1)):
-                self.next()
-                self.next()
-            if self.peek() == "<":
-                self.type_arguments()
-        while self.peek() == "[" and self.peek(1) == "]":
-            self.next()
-            self.next()
+            self.class_type()
+        self.dims()
 
     def type_arguments(self) -> None:
         self.expect("<")
-        if self.accept(">"):          # diamond
-            return
-        self.type_argument()
-        while self.accept(","):
-            self.type_argument()
-        self.expect(">")
+        if not self.accept(">"):  # '< >' is the diamond
+            self.comma_list(self.type_argument)
+            self.expect(">")
 
     def type_argument(self) -> None:
         if self.accept("?"):
@@ -358,20 +336,11 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------
 
-    def expression_list(self) -> None:
-        self.expression()
-        while self.accept(","):
-            self.expression()
-
     def expression(self) -> str:
         """Parse an expression, returning its statement-expression kind:
         'assign', 'call', 'incdec', 'new', or 'other'."""
-        save = self.i
-        try:
-            kind = self.lambda_expr()
-            return kind
-        except _Fail:
-            self.i = save
+        if self.attempt(self.lambda_expr):
+            return "other"
         kind = self.ternary()
         if self.peek() in _ASSIGN_OPS:
             self.next()
@@ -379,31 +348,17 @@ class _Parser:
             return "assign"
         return kind
 
-    def lambda_expr(self) -> str:
-        if is_identifier(self.peek() or "") and self.peek(1) == "->":
-            self.next()
-            self.next()
-        elif self.peek() == "(":
-            save = self.i
-            self.next()
+    def lambda_expr(self) -> None:
+        if self.accept("("):
             if not self.accept(")"):
-                try:
-                    self.ident()
-                    while self.accept(","):
-                        self.ident()
-                    self.expect(")")
-                except _Fail:
-                    self.i = save
-                    raise
-            if not self.accept("->"):
-                self.i = save
-                raise _Fail("not a lambda")
+                self.comma_list(self.ident)
+                self.expect(")")
         else:
-            raise _Fail("not a lambda")
+            self.ident()
+        self.expect("->")
         if self.peek() == "{":
             raise _Fail("block-bodied lambda unsupported")
         self.expression()
-        return "other"
 
     def ternary(self) -> str:
         kind = self.binary(0)
@@ -442,53 +397,30 @@ class _Parser:
 
     def unary(self) -> str:
         tok = self.peek()
-        if tok in ("!", "~"):
+        if tok in ("!", "~", "+", "-", "++", "--"):
             self.next()
             self.unary()
+            return "incdec" if tok in ("++", "--") else "other"
+        if tok == "(" and self.attempt(self.cast, self.unary):
             return "other"
-        if tok in ("+", "-"):
-            self.next()
-            self.unary()
-            return "other"
-        if tok in ("++", "--"):
-            self.next()
-            self.unary()
-            return "incdec"
-        if tok == "(":
-            save = self.i
-            try:
-                self.cast()
-                self.unary()
-                return "other"
-            except _Fail:
-                self.i = save
         return self.postfix()
 
     def cast(self) -> None:
         self.expect("(")
-        tok = self.peek()
-        if tok in PRIMITIVE_TYPES:
-            self.type_ref()
-            self.expect(")")
-            nxt = self.peek()
-            if nxt is None or not self._starts_unary(nxt):
-                raise _Fail("not a cast")
-            return
+        primitive = self.peek() in PRIMITIVE_TYPES
         self.type_ref()
         self.expect(")")
-        nxt = self.peek()
-        # reference cast only when clearly followed by an operand, to keep
-        # '( a ) + b' a grouping
-        if nxt is None or not (
-            is_identifier(nxt) or is_number(nxt) or nxt[0] in "\"'" or nxt in ("(", "!", "~", "new", "this", "super")
-        ):
+        if not self._starts_operand(self.peek(), signed=primitive):
             raise _Fail("not a cast")
 
     @staticmethod
-    def _starts_unary(tok: str) -> bool:
-        return (
+    def _starts_operand(tok: str | None, signed: bool) -> bool:
+        """Whether tok can begin a cast's operand.  A sign or ++/-- counts
+        only after a primitive type, to keep '( a ) + b' a grouping."""
+        return tok is not None and (
             is_identifier(tok) or is_number(tok) or tok[0] in "\"'"
-            or tok in ("(", "!", "~", "+", "-", "++", "--", "new", "this", "super")
+            or tok in ("(", "!", "~", "new", "this", "super")
+            or (signed and tok in ("+", "-", "++", "--"))
         )
 
     def postfix(self) -> str:
@@ -533,78 +465,58 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise _Fail("expected expression")
-        if is_number(tok) or tok[0] in "\"'":
-            self.next()
-            return "other"
         if tok == "(":
-            self.next()
-            self.expression()
-            self.expect(")")
+            self.parens()
             return "other"
         if tok == "new":
             self.next()
             return self.creator()
-        if tok in ("this", "super"):
-            self.next()
-            return "other"
-        if tok == "void" and self.peek(1) == "." and self.peek(2) == "class":
-            self.next(); self.next(); self.next()
-            return "other"
-        if tok in PRIMITIVE_TYPES:
-            # primitive class literal: int . class
-            self.next()
-            while self.peek() == "[" and self.peek(1) == "]":
-                self.next(); self.next()
-            self.expect(".")
-            if self.next() != "class":
-                raise _Fail("expected class literal")
-            return "other"
+        self.next()
         if is_identifier(tok):
-            self.next()
-            if tok != "class" and self.peek() == "(":
+            if self.peek() == "(":
                 self.call_arguments()
                 return "call"
             return "other"
-        raise _Fail(f"unexpected token {tok!r}")
+        if tok in PRIMITIVE_TYPES or tok == "void":
+            # class literal: int [ ] . class, void . class
+            if tok != "void":
+                self.dims()
+            self.expect(".")
+            self.expect("class")
+            return "other"
+        if not (is_number(tok) or tok[0] in "\"'" or tok in ("this", "super")):
+            raise _Fail(f"unexpected token {tok!r}")
+        return "other"
 
     def creator(self) -> str:
-        tok = self.peek()
-        if tok in PRIMITIVE_TYPES:
+        if self.peek() in PRIMITIVE_TYPES:
             self.next()
         else:
-            self.ident()
-            while self.peek() == "." and self.peek(1) is not None and is_identifier(self.peek(1)):
-                self.next()
-                self.next()
-            if self.peek() == "<":
-                self.type_arguments()
+            self.class_type()
         if self.peek() == "(":
             self.call_arguments()
             if self.peek() == "{":
                 raise _Fail("anonymous class unsupported")
             return "new"
-        if self.peek() == "[":
-            saw_dim = False
-            while self.accept("["):
-                if not self.accept("]"):
-                    self.expression()
-                    self.expect("]")
-                    saw_dim = True
-            if self.peek() == "{":
-                self.array_initializer()
-            elif not saw_dim:
-                raise _Fail("array creation needs a dimension or initializer")
-            return "new"
-        raise _Fail("malformed creator")
+        if self.peek() != "[":
+            raise _Fail("malformed creator")
+        saw_dim = False
+        while self.accept("["):
+            if not self.accept("]"):
+                self.expression()
+                self.expect("]")
+                saw_dim = True
+        if self.peek() == "{":
+            self.array_initializer()
+        elif not saw_dim:
+            raise _Fail("array creation needs a dimension or initializer")
+        return "new"
 
     def call_arguments(self) -> None:
         self.expect("(")
-        if self.accept(")"):
-            return
-        self.expression()
-        while self.accept(","):
-            self.expression()
-        self.expect(")")
+        if not self.accept(")"):
+            self.comma_list(self.expression)
+            self.expect(")")
 
 
 def validate_statement(stmt: TokenizedStatement) -> bool:

@@ -6,6 +6,8 @@ like ``Set < String >`` split apart; as a consequence shift operators
 also split and such statements later fail validation, which is the
 conservative direction.  String and char literals are opaque single
 tokens including their quotes.  ``//`` comments are stripped first.
+``literal_end`` is the one scan over a string or char literal, shared by
+the tokenizer, ``strip_line_comment`` and mining's brace count.
 
 The canonical serialized form of a token list is the single-space join;
 re-tokenizing that form yields the identical list.
@@ -49,6 +51,23 @@ _IDENT_CONT = _IDENT_START | frozenset("0123456789")
 _DIGITS = frozenset("0123456789")
 
 
+def literal_end(line: str, i: int) -> int | None:
+    """Index just past the string or char literal that opens at
+    ``line[i]``, or None when the line ends inside it.  A backslash
+    escapes the character after it."""
+    quote = line[i]
+    n = len(line)
+    j = i + 1
+    while j < n:
+        if line[j] == "\\":
+            j += 2
+        elif line[j] == quote:
+            return j + 1
+        else:
+            j += 1
+    return None
+
+
 def strip_line_comment(line: str) -> str:
     """Remove a // comment that is not inside a string or char literal."""
     i = 0
@@ -56,16 +75,9 @@ def strip_line_comment(line: str) -> str:
     while i < n:
         c = line[i]
         if c in "\"'":
-            quote = c
-            i += 1
-            while i < n:
-                if line[i] == "\\":
-                    i += 2
-                    continue
-                if line[i] == quote:
-                    i += 1
-                    break
-                i += 1
+            i = literal_end(line, i)
+            if i is None:
+                return line
         elif c == "/" and i + 1 < n and line[i + 1] == "/":
             return line[:i]
         else:
@@ -96,7 +108,12 @@ def tokenize(raw: str) -> TokenizedStatement:
             i = _scan_number(line, i, tokens)
             continue
         if c in "\"'":
-            i = _scan_literal(line, i, tokens)
+            j = literal_end(line, i)
+            if j is None:
+                kind = "string" if c == '"' else "char"
+                raise TokenizeError(f"unterminated {kind} literal: {line[i:]!r}")
+            tokens.append(line[i:j])
+            i = j
             continue
         two = line[i : i + 2]
         if two in _MULTI_OPS:
@@ -125,22 +142,6 @@ def _scan_number(line: str, i: int, tokens: list[str]) -> int:
             break
     tokens.append(line[i:j])
     return j
-
-
-def _scan_literal(line: str, i: int, tokens: list[str]) -> int:
-    quote = line[i]
-    n = len(line)
-    j = i + 1
-    while j < n:
-        if line[j] == "\\":
-            j += 2
-            continue
-        if line[j] == quote:
-            tokens.append(line[i : j + 1])
-            return j + 1
-        j += 1
-    kind = "string" if quote == '"' else "char"
-    raise TokenizeError(f"unterminated {kind} literal: {line[i:]!r}")
 
 
 def is_identifier(token: str) -> bool:

@@ -96,10 +96,10 @@ class EpochStats:
 
 @dataclass
 class TrainingLog:
-    epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = -1
     best_dev_loss: float = float("inf")
     aborted: bool = False
+    epochs: list[EpochStats] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +607,6 @@ def train(
         started = time.monotonic()
         epoch_loss = 0.0
         epoch_tokens = 0
-        aborted = False
         # visit batches in a fresh seeded order each epoch; a fixed order
         # cycles the same pairs last and starves whatever came first once
         # the learning rate decays
@@ -619,12 +618,11 @@ def train(
                 log.error("non-finite loss at epoch %d; keeping last good "
                           "snapshot", epoch)
                 logbook.aborted = True
-                aborted = True
                 break
             epoch_loss += loss * tokens
             epoch_tokens += tokens
             adam.update(params, grads, lr)
-        if aborted or not params.all_finite():
+        if logbook.aborted or not params.all_finite():
             logbook.aborted = True
             break
         dev_loss = corpus_loss(params, dev_pairs, config.minibatch_words)

@@ -151,16 +151,19 @@ def test_evaluate_category_flag(tmp_path, capsys):
     assert " 0 " in line
 
 
-def _generate_in_subprocess(tmp_path, model_path):
-    """Run `generate` as its own process, so stderr holds whatever the
+def _cli_in_subprocess(argv):
+    """Run the CLI as its own process, so stderr holds whatever the
     command prints, tracebacks included."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(patchloom.__file__)))
+    return subprocess.run([sys.executable, "-m", "patchloom.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def _generate_in_subprocess(tmp_path, model_path):
     queries = tmp_path / "queries.txt"
     queries.write_text("int a = b ;\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(patchloom.__file__)))
-    return subprocess.run(
-        [sys.executable, "-m", "patchloom.cli", "generate", "--model", str(model_path),
-         "--query-file", str(queries), "--out", str(tmp_path / "out.jsonl")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return _cli_in_subprocess(["generate", "--model", str(model_path), "--query-file",
+                               str(queries), "--out", str(tmp_path / "out.jsonl")])
 
 
 def _small_model(path, lexicon):
@@ -281,6 +284,21 @@ def _result_line_with_neither_patch_nor_na_reason(tmp_path):
     return _evaluate(tmp_path, [line, RESULT]), "patches.jsonl:1"
 
 
+def _result_line_with_an_unknown_na_reason(tmp_path):
+    line = json.dumps(dict(json.loads(RESULT), patch=None, na_reason="banana"))
+    return _evaluate(tmp_path, [RESULT, line]), "patches.jsonl:2"
+
+
+def _result_line_with_an_unknown_source(tmp_path):
+    line = json.dumps(dict(json.loads(RESULT), source="oracle"))
+    return _evaluate(tmp_path, [line]), "patches.jsonl:1"
+
+
+def _result_line_with_an_invalid_patch(tmp_path):
+    line = json.dumps(dict(json.loads(RESULT), valid=False))
+    return _evaluate(tmp_path, [RESULT, line]), "patches.jsonl:2"
+
+
 def _empty_meta(tmp_path):
     return _evaluate(tmp_path, [RESULT], meta=""), "meta.tsv"
 
@@ -321,6 +339,9 @@ def _counts_row_missing_a_column(tmp_path):
     _result_line_with_a_numeric_query,
     _result_line_with_both_patch_and_na_reason,
     _result_line_with_neither_patch_nor_na_reason,
+    _result_line_with_an_unknown_na_reason,
+    _result_line_with_an_unknown_source,
+    _result_line_with_an_invalid_patch,
     _empty_meta,
     _meta_with_fewer_rows_than_results,
     _refs_with_more_lines_than_results,
@@ -334,3 +355,81 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, caplog, make_case
     assert len(errors) == 1
     assert errors[0].exc_info is None, "logged with a traceback"
     assert names in errors[0].getMessage()
+
+
+NOT_UTF8 = b"int a = b ;\n\xff\xfe\n"
+
+
+def _undecodable_query_file(tmp_path):
+    _small_model(tmp_path / "model.plm", {})
+    return ["generate", "--model", str(tmp_path / "model.plm"), "--query-file",
+            str(tmp_path / "queries.txt"), "--out", str(tmp_path / "out.jsonl")], "queries.txt"
+
+
+def _train_on_corpus(tmp_path):
+    (tmp_path / "train.src").write_text("a b\n")
+    (tmp_path / "train.tgt").write_text("a\n")
+    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm")]
+
+
+def _undecodable_train_src(tmp_path):
+    return _train_on_corpus(tmp_path), "train.src"
+
+
+def _undecodable_train_tgt(tmp_path):
+    return _train_on_corpus(tmp_path), "train.tgt"
+
+
+def _undecodable_hunks(tmp_path):
+    (tmp_path / "repo.json").write_text(json.dumps({"commits": []}))
+    return ["build-corpus", "--repo", str(tmp_path / "repo.json"), "--hunks",
+            str(tmp_path / "hunks.jsonl"), "--test-year", "2015", "--out",
+            str(tmp_path / "corpus")], "hunks.jsonl"
+
+
+def _undecodable_patches(tmp_path):
+    (tmp_path / "refs.txt").write_text("return x ;\n")
+    return ["evaluate", "--patches", str(tmp_path / "patches.jsonl"),
+            "--refs", str(tmp_path / "refs.txt")], "patches.jsonl"
+
+
+def _undecodable_config(tmp_path):
+    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm"),
+            "--config", str(tmp_path / "run.conf")], "run.conf"
+
+
+def _undecodable_counts(tmp_path):
+    return ["evaluate", "--counts", str(tmp_path / "counts.csv")], "counts.csv"
+
+
+@pytest.mark.parametrize("make_case", [
+    _undecodable_query_file,
+    _undecodable_train_src,
+    _undecodable_train_tgt,
+    _undecodable_hunks,
+    _undecodable_patches,
+    _undecodable_config,
+    _undecodable_counts,
+])
+def test_undecodable_input_exits_with_one_error_line(tmp_path, make_case):
+    argv, name = make_case(tmp_path)
+    (tmp_path / name).write_bytes(NOT_UTF8)
+    proc = _cli_in_subprocess(argv)
+    assert proc.returncode == (2 if name == "run.conf" else 1)
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if " ERROR " in line]
+    assert len(errors) == 1 and name in errors[0], proc.stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("flag", ["--beam-size", "--max-len"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_beam_size_and_max_len_below_one_are_usage_errors(tmp_path, capsys, command,
+                                                          flag, value):
+    argv = [command, "--model", str(tmp_path / "m.plm"), "--out", str(tmp_path / "o"),
+            "--query-file" if command == "generate" else "--corpus", str(tmp_path),
+            flag, value]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"{flag}: must be at least 1" in capsys.readouterr().err
