@@ -128,8 +128,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     src_vocab = Vocabulary.load(os.path.join(args.corpus, "vocab.src.json"))
     tgt_vocab = Vocabulary.load(os.path.join(args.corpus, "vocab.tgt.json"))
     token_pairs = list(zip(src_lines, tgt_lines))
-    token_lexicon = build_lexicon(token_pairs)
-    lexicon = lexicon_to_ids(token_lexicon, src_vocab, tgt_vocab)
+    # at lex_weight 0 the model never reads a lexicon, so none is built
+    lexicon = (lexicon_to_ids(build_lexicon(token_pairs), src_vocab, tgt_vocab)
+               if config.lex_weight > 0.0 else None)
     encoded = [
         (src_vocab.encode(src), tgt_vocab.encode(tgt, eos=True))
         for src, tgt in token_pairs
@@ -203,6 +204,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             try:
                 counts = [int(record[key]) for key in
                           ("correct", "arg_incorrect", "incorrect", "na")]
+                if min(counts) < 0:
+                    raise ValueError(f"negative count {min(counts)}")
                 project = record["project"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"{args.counts}:{reader.line_num}: not a "

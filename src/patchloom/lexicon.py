@@ -5,17 +5,112 @@ Ten EM iterations over the aligned corpus, then each source row is
 truncated to its top 20 target entries and renormalized so rows sum to
 one.  lexicon_to_ids turns the result into the model's LexiconTable,
 which feeds the decoder's lexicon bias.
+
+The EM runs over arrays.  Each pair with both sides non-empty
+contributes one entry per (source position, target position), pairs in
+corpus order and each pair target position by target position: the
+order of the textbook triple loop.  Each distinct (source token, target
+token) cell gets a number in the order the entries first reach it,
+which is the order that loop inserts it into its source token's row.
+An iteration gathers t(f | e) for every entry and makes three
+np.bincount calls: each target position's denominator, each cell's
+expected count, and each row's total.  np.bincount adds its weights one
+at a time in input order, starting from 0.0, so each sum adds the same
+floats in the same order as the loop's `+=` and its
+`sum(row.values())`, and the table is bit-identical to the loop's.
+np.sum and np.add.reduceat would change the bits, since they add
+pairwise.  (From Python 3.12 on, sum() over floats compensates its
+rounding, so there the loop itself gives other bits; these arrays do
+not.)
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Hashable, Sequence
+from itertools import chain, product
+from typing import Hashable, NamedTuple, Sequence
+
+import numpy as np
 
 from .model import LexiconTable
 
 DEFAULT_ITERATIONS = 10
 DEFAULT_TOP = 20
+
+
+class _Grid(NamedTuple):
+    """The pairs with both sides non-empty as (source position x target
+    position) entries in loop order, each naming its cell and its target
+    position.  Cells are numbered in first-seen order, and so are the
+    source tokens that name the rows."""
+    cell: np.ndarray      # (K,) cell of each entry
+    target: np.ndarray    # (K,) target position of each entry
+    src_tokens: list      # source token of each row
+    cell_row: np.ndarray  # (C,) row of each cell
+    cell_tgt: list        # (C,) target token of each cell
+
+
+class _Numbering(dict):
+    """Numbers keys in first-seen order: a missing key gets len(self)."""
+
+    def __missing__(self, key):
+        self[key] = number = len(self)
+        return number
+
+
+def _grid(pairs) -> _Grid:
+    used = [(src, tgt) for src, tgt in pairs if src and tgt]
+    # product(tgt, src) walks a pair's entries in loop order
+    cells = _Numbering()
+    cell = np.fromiter(
+        chain.from_iterable(map(cells.__getitem__, product(tgt, src)) for src, tgt in used),
+        dtype=np.intp, count=sum(len(src) * len(tgt) for src, tgt in used))
+    # each target position holds its pair's whole source side
+    width = np.repeat(np.fromiter((len(src) for src, _ in used), np.intp, len(used)),
+                      np.fromiter((len(tgt) for _, tgt in used), np.intp, len(used)))
+    del used
+    target = np.repeat(np.arange(len(width)), width)
+    rows = _Numbering()
+    cell_row = np.fromiter(map(rows.__getitem__, (e for _, e in cells)),
+                           dtype=np.intp, count=len(cells))
+    return _Grid(cell, target, list(rows), cell_row, [f for f, _ in cells])
+
+
+def _iterate(grid: _Grid, t: np.ndarray, uniform: float, p: np.ndarray,
+             denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One EM iteration from t(f | e) per cell: the next t per cell and
+    the mask of cells in the next table.  p and denom are (K,) scratch
+    buffers; mode="clip" spares np.take the copy of out that its default
+    mode makes, and every index is in range."""
+    np.take(t, grid.cell, out=p, mode="clip")
+    # every target position has entries, so no minlength is needed
+    per_target = np.bincount(grid.target, weights=p)
+    np.take(per_target, grid.target, out=denom, mode="clip")
+    received = None
+    insertion = slice(None)
+    if (per_target > 0.0).all():
+        np.divide(p, denom, out=p)
+    else:
+        # A target position whose source tokens all give it t = 0 adds
+        # nothing, and a cell that receives nothing leaves the table.
+        # Unreachable from the uniform start: each target position hands
+        # its source tokens a count of 1 in all, so one of them keeps
+        # t(f | e) > 0 for the next iteration.
+        live = denom > 0.0
+        np.divide(p, denom, out=p, where=live)
+        p[~live] = 0.0
+        got, first = np.unique(grid.cell[live], return_index=True)
+        received = np.zeros(len(t), dtype=bool)
+        received[got] = True
+        # a row's entries are inserted where its cells first receive
+        insertion = got[np.argsort(first)]
+    counts = np.bincount(grid.cell, weights=p, minlength=len(t))
+    totals = np.bincount(grid.cell_row[insertion], weights=counts[insertion],
+                         minlength=len(grid.src_tokens))
+    row_total = totals[grid.cell_row]
+    in_table = row_total > 0.0
+    t = np.full(len(t), uniform)
+    np.divide(counts, row_total, out=t, where=in_table)
+    return t, in_table if received is None else in_table & received
 
 
 def build_lexicon(
@@ -30,33 +125,20 @@ def build_lexicon(
     if not tgt_types:
         return {}
     uniform = 1.0 / len(tgt_types)
-
-    table: dict = defaultdict(dict)
-
-    def prob(src_tok, tgt_tok) -> float:
-        row = table.get(src_tok)
-        if row is None:
-            return uniform
-        return row.get(tgt_tok, 0.0) if row else uniform
-
+    grid = _grid(pairs)
+    if not len(grid.cell):
+        return {}       # no pair has both sides
+    t = np.full(len(grid.cell_row), uniform)
+    in_table = np.zeros(len(t), dtype=bool)
+    p = np.empty(len(grid.cell))
+    denom = np.empty(len(grid.cell))
     for _ in range(iterations):
-        counts: dict = defaultdict(lambda: defaultdict(float))
-        for src, tgt in pairs:
-            if not src or not tgt:
-                continue
-            for f in tgt:
-                denom = 0.0
-                for e in src:
-                    denom += prob(e, f)
-                if denom <= 0.0:
-                    continue
-                for e in src:
-                    counts[e][f] += prob(e, f) / denom
-        table = defaultdict(dict)
-        for e, row in counts.items():
-            total = sum(row.values())
-            if total > 0.0:
-                table[e] = {f: c / total for f, c in row.items()}
+        t, in_table = _iterate(grid, t, uniform, p, denom)
+
+    table: dict = {}
+    rows, values = grid.cell_row.tolist(), t.tolist()
+    for c in np.flatnonzero(in_table).tolist():
+        table.setdefault(grid.src_tokens[rows[c]], {})[grid.cell_tgt[c]] = values[c]
 
     # truncate and renormalize, with a canonical entry order
     final: dict = {}

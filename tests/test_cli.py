@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import patchloom
+from patchloom import cli
 from patchloom.cli import main
 from patchloom.model import LexiconTable, ModelParameters
-from patchloom.modelio import save_model
+from patchloom.modelio import load_model, save_model
 from patchloom.synthdata import make_repo
 from patchloom.vocab import Vocabulary
 
@@ -164,6 +165,28 @@ def _generate_in_subprocess(tmp_path, model_path):
     queries.write_text("int a = b ;\n")
     return _cli_in_subprocess(["generate", "--model", str(model_path), "--query-file",
                                str(queries), "--out", str(tmp_path / "out.jsonl")])
+
+
+def test_train_at_lex_weight_zero_builds_no_lexicon(tmp_path, monkeypatch):
+    # the model never reads a lexicon at lex_weight 0, so train skips the EM
+    def refuse(pairs):
+        raise AssertionError("build_lexicon called at lex_weight 0")
+
+    monkeypatch.setattr(cli, "build_lexicon", refuse)
+    src = ["int a = b ;", "return a ;", "a = b ;", "return b ;"]
+    tgt = ["int a = c ;", "return c ;", "a = c ;", "return a ;"]
+    (tmp_path / "train.src").write_text("\n".join(src) + "\n")
+    (tmp_path / "train.tgt").write_text("\n".join(tgt) + "\n")
+    for side, lines in (("src", src), ("tgt", tgt)):
+        tokens = dict.fromkeys(t for line in lines for t in line.split())
+        Vocabulary(tokens).save(str(tmp_path / f"vocab.{side}.json"))
+    model = tmp_path / "m.plm"
+    assert main(["train", "--corpus", str(tmp_path), "--out", str(model),
+                 "--hidden-size", "4", "--embed-size", "3", "--max-epochs", "1",
+                 "--lex-weight", "0"]) == 0
+    params, _, _ = load_model(str(model))
+    assert params.lex_weight == 0.0
+    assert params.lexicon is None
 
 
 def _small_model(path, lexicon):
@@ -321,6 +344,11 @@ def _counts_row_with_a_non_integer_count(tmp_path):
     return _counts(tmp_path, "project,correct\nx,abc\n"), "counts.csv:2"
 
 
+def _counts_row_with_a_negative_count(tmp_path):
+    text = "project,correct,arg_incorrect,incorrect,na\nx,-5,0,0,1\n"
+    return _counts(tmp_path, text), "counts.csv:2"
+
+
 def _counts_row_missing_a_column(tmp_path):
     text = "project,correct,arg_incorrect,incorrect,na\nx,1,0,0,1\ny,1,0\n"
     return _counts(tmp_path, text), "counts.csv:3"
@@ -346,6 +374,7 @@ def _counts_row_missing_a_column(tmp_path):
     _meta_with_fewer_rows_than_results,
     _refs_with_more_lines_than_results,
     _counts_row_with_a_non_integer_count,
+    _counts_row_with_a_negative_count,
     _counts_row_missing_a_column,
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, caplog, make_case):

@@ -1,17 +1,32 @@
 """Alignment-free translation table estimation.
 
-The reference oracle below is an independent expectation-maximization
+Two oracles.  reference_em is an independent expectation-maximization
 implementation written directly from the co-occurrence update rule: it
 keeps full dense tables and no truncation, so agreement with the
-package version is a real cross-check, not a restatement.
+package version is a real cross-check, not a restatement.  _loop_oracle
+is the dict-of-dicts loop that build_lexicon's array formulation
+replaced, kept as it was; the arrays must reproduce its floats and its
+key and entry order exactly.  That exactness rests on the loop's
+sum(row.values()) adding left to right, which Python 3.12 and later no
+longer do for floats (they compensate the rounding), so the exact
+comparisons run on earlier Pythons only.
 """
 
+import sys
 from collections import defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from patchloom.lexicon import build_lexicon, lexicon_to_ids
+from patchloom import arguments, tokenizer
+from patchloom.lexicon import _grid, _iterate, build_lexicon, lexicon_to_ids
+from patchloom.synthdata import make_benchmark
 from patchloom.vocab import UNK_ID, Vocabulary
+
+sequential_sum = pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="sum() over floats compensates its rounding from Python 3.12 on")
 
 PAIRS = [
     (["return", "this", ".", "height", ";"], ["return", "height", ";"]),
@@ -116,3 +131,122 @@ def test_lexicon_to_ids_drops_unknown_tokens_and_renormalizes():
     assert by_id.probs[a, 0] == pytest.approx(1.0)
     # with no row left there is no lexicon
     assert lexicon_to_ids({"ghost-src": {"ALPHA": 1.0}}, src_vocab, tgt_vocab) is None
+
+
+def _loop_oracle(
+    pairs,
+    iterations=10,
+    top=20,
+) -> dict:
+    """t(tgt | src) translation table from (src_seq, tgt_seq) pairs."""
+    tgt_types: set = set()
+    for _, tgt in pairs:
+        tgt_types.update(tgt)
+    if not tgt_types:
+        return {}
+    uniform = 1.0 / len(tgt_types)
+
+    table: dict = defaultdict(dict)
+
+    def prob(src_tok, tgt_tok) -> float:
+        row = table.get(src_tok)
+        if row is None:
+            return uniform
+        return row.get(tgt_tok, 0.0) if row else uniform
+
+    for _ in range(iterations):
+        counts: dict = defaultdict(lambda: defaultdict(float))
+        for src, tgt in pairs:
+            if not src or not tgt:
+                continue
+            for f in tgt:
+                denom = 0.0
+                for e in src:
+                    denom += prob(e, f)
+                if denom <= 0.0:
+                    continue
+                for e in src:
+                    counts[e][f] += prob(e, f) / denom
+        table = defaultdict(dict)
+        for e, row in counts.items():
+            total = sum(row.values())
+            if total > 0.0:
+                table[e] = {f: c / total for f, c in row.items()}
+
+    # truncate and renormalize, with a canonical entry order
+    final: dict = {}
+    for e in sorted(table.keys(), key=repr):
+        row = table[e]
+        kept = sorted(row.items(), key=lambda item: (-item[1], repr(item[0])))[:top]
+        total = sum(p for _, p in kept)
+        if total <= 0.0:
+            continue
+        final[e] = {f: p / total for f, p in sorted(kept, key=lambda kv: repr(kv[0]))}
+    return final
+
+
+def assert_identical(got, want):
+    """Same floats, same row order, same entry order, and the same key
+    objects where equal tokens differ (1 and True, 0.0 and -0.0)."""
+    assert got == want
+    assert [repr(e) for e in got] == [repr(e) for e in want]
+    for e, row in want.items():
+        assert [(repr(f), p) for f, p in got[e].items()] == [
+            (repr(f), p) for f, p in row.items()]
+
+
+def _benchmark_token_pairs(seed, n_train):
+    """The train workload's input: make_benchmark pairs, abstracted."""
+    def abstracted(line):
+        return arguments.abstract_arguments(tokenizer.tokenize(line))[0].tokens
+    bench = make_benchmark(seed=seed, n_train=n_train, n_held_out=0, n_queries=0)
+    return [(abstracted(a), abstracted(b)) for a, b in bench.train_pairs]
+
+
+@sequential_sum
+@pytest.mark.parametrize("seed", [1, 2])
+def test_arrays_reproduce_the_loop_on_benchmark_corpora(seed):
+    pairs = _benchmark_token_pairs(seed, 500)
+    assert_identical(build_lexicon(pairs), _loop_oracle(pairs))
+
+
+@sequential_sum
+@pytest.mark.slow
+def test_arrays_reproduce_the_loop_at_8000_pairs():
+    pairs = _benchmark_token_pairs(1, 8000)
+    assert_identical(build_lexicon(pairs), _loop_oracle(pairs))
+
+
+TOKENS = st.one_of(st.sampled_from(["a", "b", "c", ";"]), st.integers(0, 3),
+                   st.tuples(st.sampled_from(["a", "x"]), st.integers(0, 1)),
+                   st.booleans(), st.sampled_from([0.0, -0.0, 1.0]))
+SIDES = st.lists(TOKENS, max_size=6)
+
+
+@sequential_sum
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(SIDES, SIDES), max_size=30),
+       iterations=st.integers(0, 12), top=st.integers(1, 25))
+def test_arrays_reproduce_the_loop_on_random_corpora(pairs, iterations, top):
+    assert_identical(build_lexicon(pairs, iterations, top),
+                     _loop_oracle(pairs, iterations, top))
+
+
+def test_a_position_with_zero_denominator_adds_nothing():
+    # from the uniform start every target position keeps a source token
+    # with t(f | e) > 0, so this branch is driven here with a hand-made t
+    grid = _grid([(["a", "b"], ["x", "y"]), (["c"], ["x"])])
+    # cells in first-seen order: (a,x) (b,x) (a,y) (b,y) (c,x)
+    buffers = np.empty(len(grid.cell)), np.empty(len(grid.cell))
+    t, in_table = _iterate(grid, np.array([0.0, 0.0, 0.25, 0.75, 0.5]), 0.1,
+                           *buffers)
+    # the pair's x gets no count, so (a,x) and (b,x) leave the table;
+    # a and b keep rows from y, and c keeps its row from the second pair
+    assert in_table.tolist() == [False, False, True, True, True]
+    assert t.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+    t, in_table = _iterate(grid, np.array([0.0, 0.0, 0.25, 0.75, 0.0]), 0.1,
+                           *buffers)
+    # c's only position is skipped too: its row leaves the table, and a
+    # row outside the table falls back to the uniform t
+    assert in_table.tolist() == [False, False, True, True, False]
+    assert t.tolist() == [0.0, 0.0, 1.0, 1.0, 0.1]
