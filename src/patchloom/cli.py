@@ -45,12 +45,15 @@ from .evaluation import (
 )
 from .generation import (
     BaselineIndex,
+    ModelProposer,
     ResultFormatError,
-    baseline_suggest,
-    generate as generate_patch,
+    answer_all,
     read_results,
     write_results,
 )
+# perfbench/spans.py traces these names here; the subcommands answer
+# through answer_all
+from .generation import baseline_suggest, generate as generate_patch  # noqa: F401
 from .lexicon import build_lexicon, lexicon_to_ids
 from .mining import (HunkFormatError, MiningReport, identify_fix_commits,
                      link_inducing, mine_hunks, read_hunks, write_hunks)
@@ -155,12 +158,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     params, src_vocab, tgt_vocab = load_model(args.model)
     queries = _read_lines(args.query_file)
     threshold = None if args.no_threshold else args.threshold
-    results = []
     started = time.monotonic()
-    for query in queries:
-        results.append(generate_patch(
-            query, params, src_vocab, tgt_vocab, threshold=threshold,
-            beam_size=args.beam_size, max_len=args.max_len))
+    results = answer_all(queries, ModelProposer(
+        params, src_vocab, tgt_vocab, args.beam_size, args.max_len), threshold)
     write_results(args.out, results)
     n_provided = sum(1 for r in results if r.patch is not None)
     unfilled = sum(r.unfilled_val_sites for r in results)
@@ -175,7 +175,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     src_lines, tgt_lines = read_parallel(args.corpus, "train")
     index = BaselineIndex.from_parallel(src_lines, tgt_lines)
     queries = _read_lines(args.query_file)
-    results = [baseline_suggest(q, index) for q in queries]
+    results = answer_all(queries, index, threshold=None)
     write_results(args.out, results)
     n_provided = sum(1 for r in results if r.patch is not None)
     log.info("baseline: %d queries, %d matched -> %s",
@@ -246,14 +246,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     queries = _read_lines(os.path.join(args.corpus, "test.queries"))
     ref_lines = _read_lines(os.path.join(args.corpus, "test.refs"))
     refs = [TokenizedStatement(tuple(line.split())) for line in ref_lines]
-    results = [
-        generate_patch(q, params, src_vocab, tgt_vocab, threshold=None,
-                       beam_size=args.beam_size, max_len=args.max_len)
-        for q in queries
-    ]
+    results = answer_all(queries, ModelProposer(
+        params, src_vocab, tgt_vocab, args.beam_size, args.max_len), threshold=None)
     src_lines, tgt_lines = read_parallel(args.corpus, "train")
     index = BaselineIndex.from_parallel(src_lines, tgt_lines)
-    base_results = [baseline_suggest(q, index) for q in queries]
+    base_results = answer_all(queries, index, threshold=None)
     base_report = evaluate_results(base_results, refs)
     sweep = sweep_thresholds(results, refs, thresholds=args.thresholds)
     write_sweep_csv(args.out, sweep, base_report)
@@ -269,26 +266,45 @@ NUMERIC_BOUNDS = {
     "gradient error": 1e-4,    # relative, analytic against central differences
     "distribution gap": 1e-6,  # |sum of a step's probabilities - 1|
     "beam gap": 1e-9,          # |beam 81 score - exhaustive search score|
+    "batch gap": 1e-9,         # |score decoded alone - score decoded in a batch|
 }
 
 
 def _distribution_gap(params: ModelParameters) -> float:
-    decoder = Decoder(params, [3, 4, 5])
-    _, logp = decoder.step(decoder.start, np.array([BOS_ID]))
+    decoder = Decoder(params, [[3, 4, 5]])
+    _, logp = decoder.step(decoder.start, np.array([BOS_ID]), np.zeros(1, dtype=np.intp))
     return abs(float(np.exp(logp).sum()) - 1.0)
 
 
 def _beam_gap(params: ModelParameters) -> float:
-    top = beam_search(params, [0, 2], beam_size=81, max_len=4)[0]
+    top = beam_search(params, [[0, 2]], beam_size=81, max_len=4)[0][0]
     best = exhaustive_search(params, [0, 2], max_len=4)
     return (abs(top.log_prob - best.log_prob) if top.tokens == best.tokens
             else float("inf"))
 
 
+# mixed lengths, so the batch pads every source but the longest
+BATCH_SOURCES = [[0, 2], [1], [2, 1, 0, 1, 2], [0]]
+
+
+def _batch_gap(params: ModelParameters) -> float:
+    batched = beam_search(params, BATCH_SOURCES, beam_size=4, max_len=5)
+    gap = 0.0
+    for src, together in zip(BATCH_SOURCES, batched):
+        alone = beam_search(params, [src], beam_size=4, max_len=5)[0]
+        if [h.tokens for h in alone] != [h.tokens for h in together]:
+            return float("inf")
+        gap = max([gap] + [abs(a.log_prob - b.log_prob)
+                           for a, b in zip(alone, together)])
+    return gap
+
+
 def numeric_checks() -> dict[str, float]:
     """The worst case of each of NUMERIC_BOUNDS' checks on small random
     models with and without a lexicon.  The beam gap is inf when a wide
-    beam's tokens differ from exhaustive search's."""
+    beam's tokens differ from exhaustive search's, the batch gap when a
+    source's hypotheses decoded in a batch differ from those decoded
+    alone."""
     rng = np.random.default_rng(123)
     # scale well above the training default: keeps true gradients clear of
     # the central-difference noise floor so relative errors are meaningful
@@ -318,7 +334,8 @@ def numeric_checks() -> dict[str, float]:
         for seed in range(5)]
     return {"gradient error": grad_err,
             "distribution gap": max(map(_distribution_gap, distributions)),
-            "beam gap": max(map(_beam_gap, beams))}
+            "beam gap": max(map(_beam_gap, beams)),
+            "batch gap": max(map(_batch_gap, beams + distributions))}
 
 
 def numeric_failures(checks: dict[str, float]) -> list[str]:
@@ -430,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "selftest", help="the release gate's numeric checks: gradients, "
-                         "distribution sums, beam against exhaustive search")
+                         "distribution sums, beam against exhaustive search, "
+                         "batched against single-source decoding")
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -1,11 +1,15 @@
 """Candidate patch generation and the pattern-matching baseline.
 
-Model and baseline answer a raw query line along one path, `_answer`:
-tokenize and abstract it (else NA untokenizable), take a proposer's
+Model and baseline answer a list of raw query lines along one path,
+`answer_all`: tokenize and abstract each query once (NA untokenizable
+when that fails or leaves no token), hand the abstracted list to a
+proposer in one call, then, for each query, take the proposer's
 abstracted output (none: NA no-match), reinsert the query's arguments
-and validate.  `generate` proposes beam search's best hypothesis and its
-score; `baseline_suggest` proposes, with no score, the post-statement
-recorded for the abstracted query among training pre-statements.
+and validate.  `ModelProposer` proposes each query's best hypothesis
+and its score from one beam_search over the whole list;
+`BaselineIndex` proposes, with no score, the post-statement recorded for
+the abstracted query among training pre-statements.  `generate` and
+`baseline_suggest` answer a list of one.
 
 `_finalize` alone settles an output's NA reason, by these rules in
 order: score below threshold, identical to the abstracted query (checked
@@ -120,36 +124,66 @@ def _finalize(result: GenerationResult, threshold: float | None) -> GenerationRe
     return result
 
 
-def _answer(query: str, source: str, propose: Callable,
-            threshold: float | None) -> GenerationResult:
-    """The answer to one query.  propose maps the abstracted query's
-    tokens to (abstracted output, score, finished), or to None when it
-    has no output for them."""
-    result = GenerationResult(query=query, source=source)
-    try:
-        query_abs, query_args = abstract_arguments(tokenize(query))
-    except (TokenizeError, AbstractionError):
-        result.na_reason = NA_UNTOKENIZABLE
-        return result
-    proposal = propose(query_abs.tokens)
-    if proposal is None:
-        result.na_reason = NA_NO_MATCH
-        return result
-    out_tokens, result.score, result.finished = proposal
-    result.identical = out_tokens == query_abs.tokens
+def answer_all(queries: list[str], propose_many: Callable,
+               threshold: float | None) -> list[GenerationResult]:
+    """The answers to queries, in order.  Each query is tokenized and
+    abstracted once; a query that fails, or has no tokens, is NA
+    untokenizable and reaches no proposer.  propose_many maps the list of
+    the other queries' abstracted tokens to one proposal each, (abstracted
+    output, score, finished) or None when it has no output, and names its
+    answers' source in propose_many.source."""
+    results, pending = [], []
+    for query in queries:
+        result = GenerationResult(query=query, source=propose_many.source)
+        results.append(result)
+        try:
+            query_abs, query_args = abstract_arguments(tokenize(query))
+        except (TokenizeError, AbstractionError):
+            query_abs = None
+        if query_abs is None or not query_abs.tokens:
+            result.na_reason = NA_UNTOKENIZABLE
+        else:
+            pending.append((result, query_abs, query_args))
+    proposals = propose_many([query_abs.tokens for _, query_abs, _ in pending])
+    for (result, query_abs, query_args), proposal in zip(pending, proposals):
+        if proposal is None:
+            result.na_reason = NA_NO_MATCH
+            continue
+        out_tokens, result.score, result.finished = proposal
+        result.identical = out_tokens == query_abs.tokens
+        concrete = reinsert_arguments(TokenizedStatement(out_tokens), query_args)
+        result.concrete_output = concrete.tokens
+        sites = _placeholder_sites(list(out_tokens))
+        val_sites = sum(1 for _, kind, _ in sites if kind == VAL_TOKEN)
+        val_avail = sum(1 for e in query_args.entries if e.kind == VAL_TOKEN)
+        result.unfilled_val_sites = max(0, val_sites - val_avail)
+        result.valid = (
+            result.finished
+            and len(concrete.tokens) > 0
+            and validate_statement(concrete)
+        )
+        _finalize(result, threshold)
+    return results
 
-    concrete = reinsert_arguments(TokenizedStatement(out_tokens), query_args)
-    result.concrete_output = concrete.tokens
-    sites = _placeholder_sites(list(out_tokens))
-    val_sites = sum(1 for _, kind, _ in sites if kind == VAL_TOKEN)
-    val_avail = sum(1 for e in query_args.entries if e.kind == VAL_TOKEN)
-    result.unfilled_val_sites = max(0, val_sites - val_avail)
-    result.valid = (
-        result.finished
-        and len(concrete.tokens) > 0
-        and validate_statement(concrete)
-    )
-    return _finalize(result, threshold)
+
+@dataclass(frozen=True)
+class ModelProposer:
+    """Proposes each query's best beam-search hypothesis and its score,
+    decoding the whole list in one beam_search call."""
+
+    params: ModelParameters
+    src_vocab: Vocabulary
+    tgt_vocab: Vocabulary
+    beam_size: int = 10
+    max_len: int = 100
+    source = "model"
+
+    def __call__(self, queries_abs: list[tuple[str, ...]]) -> list[tuple]:
+        sources = [self.src_vocab.encode(list(q)) for q in queries_abs]
+        return [(tuple(self.tgt_vocab.decode(hyps[0].output_ids)),
+                 float(hyps[0].log_prob), hyps[0].finished)
+                for hyps in beam_search(self.params, sources, beam_size=self.beam_size,
+                                        max_len=self.max_len)]
 
 
 def generate(
@@ -162,12 +196,8 @@ def generate(
     max_len: int = 100,
 ) -> GenerationResult:
     """The model's patch for one query, or the reason there is none."""
-    def propose(query_abs: tuple[str, ...]):
-        best = beam_search(params, src_vocab.encode(list(query_abs)),
-                           beam_size=beam_size, max_len=max_len)[0]
-        return (tuple(tgt_vocab.decode(best.output_ids)),
-                float(best.log_prob), best.finished)
-    return _answer(query, "model", propose, threshold)
+    proposer = ModelProposer(params, src_vocab, tgt_vocab, beam_size, max_len)
+    return answer_all([query], proposer, threshold)[0]
 
 
 def rethreshold(result: GenerationResult, threshold: float | None) -> GenerationResult:
@@ -178,7 +208,10 @@ def rethreshold(result: GenerationResult, threshold: float | None) -> Generation
 
 class BaselineIndex:
     """Exact-match lookup from abstracted pre-statements to their
-    selected post-statements, as token tuples."""
+    selected post-statements, as token tuples; called on a list of
+    abstracted queries, it is the baseline's proposer for answer_all."""
+
+    source = "baseline"
 
     def __init__(self, entries: dict[tuple[str, ...], tuple[str, ...]]):
         self.entries = dict(entries)
@@ -193,14 +226,15 @@ class BaselineIndex:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __call__(self, queries_abs: list[tuple[str, ...]]) -> list[tuple | None]:
+        posts = [self.entries.get(q) for q in queries_abs]
+        return [None if post is None else (post, None, True) for post in posts]
+
 
 def baseline_suggest(query: str, index: BaselineIndex) -> GenerationResult:
     """The post-statement recorded for the query's abstracted form, with
     the query's arguments reinserted, or the reason there is none."""
-    def propose(query_abs: tuple[str, ...]):
-        post = index.entries.get(query_abs)
-        return None if post is None else (post, None, True)
-    return _answer(query, "baseline", propose, threshold=None)
+    return answer_all([query], index, threshold=None)[0]
 
 
 def write_results(path: str, results: list[GenerationResult]) -> None:

@@ -21,13 +21,14 @@ This module is the one definition of the forward: lstm_step, the
 encoder recurrence (encode), the attention step (attend), the combiner
 (attentional_vector) and the output layer (predict_distribution).
 training.forward_pair runs them over a padded batch of pairs and
-decoding.Decoder.step over the live hypotheses of one source; rows
-(B, .) are independent.  They compute in the dtype of the parameters:
-training in float32, decoding in float64 (see decoding.py for why).
-Each LSTM's pre-activations are split in two halves: the input half is
-computed for every position in one product, the recurrent half with one
-product per step.  Gate order in all LSTM weight matrices is [input,
-forget, cell, output].
+decoding.Decoder.step over the live hypotheses of a chunk of sources,
+each row attending over its own source; rows (B, .) are independent.
+They compute in the dtype of the parameters: training in float32,
+decoding in float64 (see decoding.py for why).  Each LSTM's
+pre-activations are split in two halves: the input half is computed for
+every position in one product, the recurrent half with one product per
+step.  Gate order in all LSTM weight matrices is [input, forget, cell,
+output].
 
 tensor_shapes is the one table of the model's tensors and their order.
 ModelParameters keeps them as views of one 1-D buffer, flat, packed in
@@ -128,6 +129,10 @@ class ModelParameters:
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
+
+    def mixes_lexicon(self) -> bool:
+        """Whether the output distribution mixes in the lexicon."""
+        return self.lexicon is not None and self.lex_weight > 0.0
 
     @classmethod
     def initialize(
@@ -287,9 +292,9 @@ def lexicon_rows(
     predict_distribution: (..., S, V_tgt) translation rows, all zero
     where a source token has no row, and the (..., S) indicator of those
     rows that back off to the softmax.  None when the lexicon is off."""
-    table = params.lexicon
-    if table is None or params.lex_weight <= 0.0:
+    if not params.mixes_lexicon():
         return None
+    table = params.lexicon
     src = np.asarray(src_ids, dtype=np.intp)
     rows = np.zeros((src.size, params.tgt_vocab_size))
     flat = src.reshape(-1)
@@ -313,6 +318,18 @@ def predict_distribution(
     base = softmax(_rows(htilde, params.W_pred.T) + params.b_pred)
     if lexicon is None:
         return base
+    return mix_lexicon(params, base, weights, lexicon)
+
+
+def mix_lexicon(
+    params: ModelParameters,
+    base: np.ndarray,
+    weights: np.ndarray,
+    lexicon: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """The mixture of output softmax rows base (..., V_tgt) with the
+    lexicon rows lexicon_rows(params, src) of one source, weighted by the
+    attention weights (..., S) over that source."""
     rows, backoff = lexicon
     lam = params.lex_weight
     backoff_mass = np.asarray(weights @ backoff)[..., None]

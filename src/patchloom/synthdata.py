@@ -29,7 +29,7 @@ import numpy as np
 from .arguments import abstract_arguments
 from .evaluation import EvalReport, evaluate
 from .generation import (DEFAULT_THRESHOLD, BaselineIndex, GenerationResult,
-                         baseline_suggest, generate)
+                         ModelProposer, answer_all)
 from .model import ModelParameters
 from .tokenizer import TokenizedStatement, tokenize
 from .training import TrainingConfig, TrainingLog, train
@@ -226,21 +226,18 @@ def run_benchmark(bench: Benchmark, config: TrainingConfig) -> BenchmarkRun:
     params, logbook = train(encoded, len(src_vocab), len(tgt_vocab), config)
     train_seconds = time.monotonic() - started
 
-    # decoding computes in float64 (see decoding.py): cast once, not per query
-    params64 = params.astype(np.float64)
-    hits = 0
-    for pre, post in bench.held_out:
-        res = generate(pre, params64, src_vocab, tgt_vocab, threshold=None)
-        hits += (res.patch is not None
-                 and res.patch.tokens.tokens == tokenize(post).tokens)
+    model = ModelProposer(params, src_vocab, tgt_vocab)
+    held_out = answer_all([pre for pre, _ in bench.held_out], model, threshold=None)
+    hits = sum(res.patch is not None
+               and res.patch.tokens.tokens == tokenize(post).tokens
+               for res, (_, post) in zip(held_out, bench.held_out))
 
     queries = [q for q, _, _ in bench.queries]
     references = [tokenize(r) for _, r, _ in bench.queries]
-    results = [generate(q, params64, src_vocab, tgt_vocab,
-                        threshold=DEFAULT_THRESHOLD) for q in queries]
+    results = answer_all(queries, model, threshold=DEFAULT_THRESHOLD)
     index = BaselineIndex.from_parallel([s for s, _ in pairs],
                                         [t for _, t in pairs])
-    base_results = [baseline_suggest(q, index) for q in queries]
+    base_results = answer_all(queries, index, threshold=None)
     return BenchmarkRun(
         hits=hits, total=len(bench.held_out),
         model_report=evaluate(results, references, threshold=DEFAULT_THRESHOLD),

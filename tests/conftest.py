@@ -11,12 +11,24 @@ import shutil
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from patchloom import repo
-from patchloom.model import ModelParameters
+from patchloom.decoding import Hypothesis
+from patchloom.model import (
+    P_FLOOR,
+    ModelParameters,
+    attend,
+    attention_keys,
+    attentional_vector,
+    encode,
+    lexicon_rows,
+    lstm_step,
+    predict_distribution,
+)
 from patchloom.training import TrainingConfig, train
-from patchloom.vocab import Vocabulary
+from patchloom.vocab import BOS_ID, EOS_ID, Vocabulary
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.path.join(HERE, "data")
@@ -55,6 +67,56 @@ def apply_hunks(pre_lines: list[str], post_lines: list[str], hunks) -> list[str]
         cursor = h.pre_end
     out.extend(pre_lines[cursor:])
     return out
+
+
+def reference_beam_search(params: ModelParameters, src_ids: list[int],
+                          beam_size: int, max_len: int) -> list[Hypothesis]:
+    """Beam search over one source at a time, unpadded, through model.py's
+    forward with the model at float64: the oracle of the batched
+    decoder.  The first hypothesis of every step is the source's own
+    top-k over its rows, scores descending, then token, then row."""
+    p = params.astype(np.float64)
+    d = p.embed_size
+    states, cells, _ = encode(p, p.E_src[src_ids][None])
+    keys = attention_keys(p, states)
+    lexicon = lexicon_rows(p, src_ids)
+    h, c, htilde = states[:, -1], cells[:, -1], np.zeros((1, p.hidden_size))
+    tokens: list[tuple[int, ...]] = [()]
+    scores = np.zeros(1)
+    pool: list[Hypothesis] = []
+    best_finished = -np.inf
+    for _ in range(max_len):
+        prev = np.array([t[-1] if t else BOS_ID for t in tokens])
+        z = p.E_tgt[prev] @ p.W_dec[:, :d].T + p.b_dec
+        z += np.concatenate([htilde, h], axis=1) @ p.W_dec[:, d:].T
+        h, c, _ = lstm_step(z, c)
+        weights, context, _ = attend(p, states, keys, h)
+        htilde = attentional_vector(p, h, context)
+        probs = predict_distribution(p, htilde, weights, lexicon)
+        total = scores[:, None] + np.log(np.maximum(probs, P_FLOOR))
+        flat = total.T.ravel()  # position = token * rows + row
+        k = min(beam_size, flat.size)
+        kth = np.sort(flat)[flat.size - k]
+        picked = np.flatnonzero(flat >= kth)
+        picked = picked[np.argsort(-flat[picked], kind="stable")[:k]]
+        toks, rows = np.divmod(picked, len(tokens))
+        live = toks != EOS_ID
+        for r in rows[~live].tolist():
+            pool.append(Hypothesis(tokens=tokens[r] + (EOS_ID,),
+                                   log_prob=float(total[r, EOS_ID]), finished=True))
+            best_finished = max(best_finished, pool[-1].log_prob)
+        if not live.any():
+            break
+        rows, toks = rows[live], toks[live]
+        tokens = [tokens[r] + (t,) for r, t in zip(rows.tolist(), toks.tolist())]
+        scores = total[rows, toks]
+        h, c, htilde = h[rows], c[rows], htilde[rows]
+        if scores.max() <= best_finished:
+            break
+    if pool:
+        pool.sort(key=lambda hyp: -hyp.log_prob)
+        return pool[:beam_size]
+    return [Hypothesis(tokens=tokens[0], log_prob=float(scores[0]), finished=False)]
 
 
 # one line per acceptance check, echoed after the run so the verdicts

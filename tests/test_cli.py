@@ -197,6 +197,28 @@ def _small_model(path, lexicon):
                Vocabulary(("int", "a", "b", "=", ";", "c")))
 
 
+def test_blank_and_comment_only_query_lines_get_one_answer_each(tmp_path):
+    # a line with no tokens is NA untokenizable and never reaches the
+    # batch, where an empty source would fail the whole chunk's encode
+    model = tmp_path / "model.plm"
+    _small_model(model, {})
+    (tmp_path / "train.src").write_text("int a = b ;\n")
+    (tmp_path / "train.tgt").write_text("int a = c ;\n")
+    lines = ["int a = b ;", "", "// note", "a = b ;", "   ", "int a = b ;"]
+    queries = tmp_path / "queries.txt"
+    queries.write_text("\n".join(lines) + "\n")
+    empty = [False, True, True, False, True, False]
+    for argv in (["generate", "--model", str(model), "--max-len", "5"],
+                 ["baseline", "--corpus", str(tmp_path)]):
+        out = tmp_path / f"{argv[0]}.jsonl"
+        assert main(argv + ["--query-file", str(queries), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["query"] for row in rows] == lines
+        assert [row["na_reason"] == "untokenizable" for row in rows] == empty
+    assert json.loads((tmp_path / "baseline.jsonl").read_text().splitlines()[0])[
+        "patch"] == "int a = c ;"
+
+
 def test_truncated_model_exits_1_without_traceback(tmp_path):
     model = tmp_path / "model.plm"
     _small_model(model, {})

@@ -1,11 +1,14 @@
-"""Beam search against the exhaustive-search reference.
+"""Beam search against the exhaustive-search reference and the
+single-source oracle.
 
 With three target ids and a short length cap the hypothesis space is
 enumerable (31 sequences), so a wide beam must return the true argmax
 exactly; no approximation argument is involved.  Every searcher scores
 through Decoder.step, so a hypothesis' score must not depend on how many
-hypotheses were stepped alongside it, and must equal the training loss
-of its tokens at float64, the rescoring reference.
+hypotheses, or which other sources, were stepped alongside it, and must
+equal the training loss of its tokens at float64, the rescoring
+reference.  Batched beam search must give each source what
+conftest.reference_beam_search, one source at a time, gives it.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
+from patchloom import decoding
 from patchloom.decoding import (
     Decoder,
     Hypothesis,
@@ -22,6 +26,8 @@ from patchloom.decoding import (
 from patchloom.model import LexiconTable, ModelParameters
 from patchloom.training import forward_pair
 from patchloom.vocab import BOS_ID, EOS_ID
+
+from conftest import reference_beam_search
 
 
 def make_params(seed, src=3, tgt=3, hidden=3, embed=2):
@@ -38,14 +44,20 @@ def rescore(params, src_ids, tgt_ids):
                                [(src_ids, list(tgt_ids))]).loss)
 
 
+def search(params, src_ids, beam_size, max_len):
+    """Beam search over a list of one source."""
+    [hyps] = beam_search(params, [src_ids], beam_size=beam_size, max_len=max_len)
+    return hyps
+
+
 def greedy(params, src_ids, max_len):
     """Step-by-step argmax through the shared decoder step, one row."""
-    decoder = Decoder(params, src_ids)
+    decoder = Decoder(params, [src_ids])
     state = decoder.start
     tokens, score = (), 0.0
     prev = BOS_ID
     for _ in range(max_len):
-        state, logp = decoder.step(state, np.array([prev]))
+        state, logp = decoder.step(state, np.array([prev]), np.zeros(1, dtype=int))
         prev = int(np.argmax(logp[0]))
         tokens += (prev,)
         score += float(logp[0, prev])
@@ -59,7 +71,7 @@ def test_wide_beam_matches_exhaustive_search(seed):
     params = make_params(seed)
     src = [0, 1, 2]
     want = exhaustive_search(params, src, max_len=4)
-    hyps = beam_search(params, src, beam_size=81, max_len=4)
+    hyps = search(params, src, beam_size=81, max_len=4)
     assert hyps[0].tokens == want.tokens
     assert hyps[0].finished and want.finished
     assert hyps[0].log_prob == pytest.approx(want.log_prob, abs=1e-9)
@@ -67,7 +79,7 @@ def test_wide_beam_matches_exhaustive_search(seed):
 
 def test_hypotheses_sorted_by_score():
     params = make_params(7)
-    hyps = beam_search(params, [0, 1], beam_size=6, max_len=4)
+    hyps = search(params, [0, 1], beam_size=6, max_len=4)
     scores = [h.log_prob for h in hyps]
     assert scores == sorted(scores, reverse=True)
     assert len(hyps) <= 6
@@ -75,7 +87,7 @@ def test_hypotheses_sorted_by_score():
 
 def test_scores_match_teacher_forced_rescoring():
     params = make_params(9, src=6, tgt=6, hidden=5, embed=3)
-    for hyp in beam_search(params, [3, 4, 5], beam_size=4, max_len=5):
+    for hyp in search(params, [3, 4, 5], beam_size=4, max_len=5):
         assert hyp.log_prob == pytest.approx(
             rescore(params, [3, 4, 5], hyp.tokens), abs=1e-9)
 
@@ -84,14 +96,14 @@ def test_beam_of_one_equals_greedy():
     for seed in range(6):
         params = make_params(seed, src=5, tgt=5, hidden=4, embed=3)
         want_tokens, want_score = greedy(params, [1, 3], max_len=6)
-        beam = beam_search(params, [1, 3], beam_size=1, max_len=6)[0]
+        beam = search(params, [1, 3], beam_size=1, max_len=6)[0]
         assert beam.tokens == want_tokens
         assert beam.log_prob == pytest.approx(want_score, abs=1e-9)
 
 
 def test_finished_flag_and_output_ids():
     params = make_params(3)
-    for hyp in beam_search(params, [0, 1], beam_size=9, max_len=4):
+    for hyp in search(params, [0, 1], beam_size=9, max_len=4):
         if hyp.finished:
             assert hyp.tokens[-1] == EOS_ID
             assert EOS_ID not in hyp.output_ids
@@ -103,7 +115,7 @@ def test_finished_flag_and_output_ids():
 
 def test_max_len_zero_like_cap_returns_unfinished():
     params = make_params(5)
-    hyps = beam_search(params, [0], beam_size=3, max_len=1)
+    hyps = search(params, [0], beam_size=3, max_len=1)
     assert all(len(h.tokens) == 1 for h in hyps)
     # a single-step hypothesis is finished only if that step was EOS
     for h in hyps:
@@ -113,7 +125,7 @@ def test_max_len_zero_like_cap_returns_unfinished():
 def test_invalid_beam_size_rejected():
     params = make_params(0)
     with pytest.raises(ValueError):
-        beam_search(params, [0], beam_size=0)
+        beam_search(params, [[0]], beam_size=0)
 
 
 def test_hypothesis_output_ids_property():
@@ -141,9 +153,22 @@ def test_exhaustive_search_returns_the_best_finished_sequence():
 
 def test_exhaustive_search_without_room_returns_the_empty_unfinished():
     params = make_params(6)
-    for search in (exhaustive_search(params, [0, 1], max_len=0),
-                   beam_search(params, [0, 1], beam_size=3, max_len=0)[0]):
-        assert search.tokens == () and not search.finished
+    for hyp in (exhaustive_search(params, [0, 1], max_len=0),
+                search(params, [0, 1], beam_size=3, max_len=0)[0]):
+        assert hyp.tokens == () and not hyp.finished
+
+
+def random_model(seed, hidden, lexicon, src=8, tgt=12):
+    rng = np.random.default_rng(seed)
+    params = ModelParameters.initialize(
+        rng, src, tgt, hidden_size=hidden, embed_size=4,
+        lex_weight=0.3 if lexicon else 0.0, scale=0.8)
+    if lexicon:
+        params.lexicon = LexiconTable.from_rows({
+            sid: dict(zip(rng.choice(tgt, 3, replace=False).tolist(),
+                          rng.dirichlet(np.ones(3)).tolist()))
+            for sid in range(0, src, 2)}, src)
+    return params, rng
 
 
 @pytest.mark.parametrize("hidden", [3, 16, 128])
@@ -151,32 +176,94 @@ def test_exhaustive_search_without_room_returns_the_empty_unfinished():
 def test_scores_do_not_depend_on_the_beam(hidden, lexicon):
     # a beam steps up to beam_size rows together, the training forward
     # one padded row per pair; with a float32 encoder they disagree by up
-    # to 1e-4 at H=128
+    # to 1e-4 at H=128.  Decoded alone and inside a batch of other
+    # sources of other lengths, a source's hypotheses score the same.
     worst = 0.0
     for seed in range(30):
-        rng = np.random.default_rng(seed)
-        params = ModelParameters.initialize(
-            rng, 8, 12, hidden_size=hidden, embed_size=4,
-            lex_weight=0.3 if lexicon else 0.0, scale=0.8)
-        if lexicon:
-            params.lexicon = LexiconTable.from_rows({
-                sid: dict(zip(rng.choice(12, 3, replace=False).tolist(),
-                              rng.dirichlet(np.ones(3)).tolist()))
-                for sid in range(0, 8, 2)}, 8)
-        src = rng.integers(0, 8, size=4).tolist()
-        hyps = beam_search(params, src, beam_size=6, max_len=6)
-        for hyp in hyps:
-            gap = abs(hyp.log_prob - rescore(params, src, hyp.tokens))
-            worst = max(worst, gap)
+        params, rng = random_model(seed, hidden, lexicon)
+        sources = [rng.integers(0, 8, size=n).tolist() for n in (4, 1, 7, 3)]
+        src = sources[0]
+        together = beam_search(params, sources, beam_size=6, max_len=6)[0]
+        alone = search(params, src, beam_size=6, max_len=6)
+        assert [h.tokens for h in together] == [h.tokens for h in alone]
+        for hyp, other in zip(alone, together):
+            worst = max(worst, abs(hyp.log_prob - rescore(params, src, hyp.tokens)),
+                        abs(hyp.log_prob - other.log_prob))
     assert worst <= 1e-9
 
 
-def test_float64_model_is_not_copied():
+def assert_matches_oracle(params, sources, beam_size, max_len):
+    got = beam_search(params, sources, beam_size=beam_size, max_len=max_len)
+    assert len(got) == len(sources)
+    for src, hyps in zip(sources, got):
+        want = reference_beam_search(params, src, beam_size, max_len)
+        assert [(h.tokens, h.finished) for h in hyps] == [
+            (h.tokens, h.finished) for h in want], src
+        for hyp, ref in zip(hyps, want):
+            assert hyp.log_prob == pytest.approx(ref.log_prob, abs=1e-9)
+    return got
+
+
+@pytest.mark.parametrize("lexicon", [False, True])
+@pytest.mark.parametrize("max_len", [0, 1, 3, 8])
+def test_batched_search_equals_the_single_source_oracle(lexicon, max_len):
+    for seed in range(8):
+        params, rng = random_model(seed, 6, lexicon)
+        # lengths 1 to 9: every source but the longest is padded
+        sources = [rng.integers(0, 8, size=n).tolist()
+                   for n in rng.integers(1, 10, size=7)]
+        assert_matches_oracle(params, sources, beam_size=5, max_len=max_len)
+
+
+def test_batched_search_equals_the_oracle_when_beams_finish_apart(rule_model):
+    # the trained rules end after 3, 5 and 9 target tokens, so the
+    # sources stop at different steps while the others go on
+    m = rule_model
+    lines = ["return this . width ;", "int cursor = 0 ;",
+             "monitor . log ( arg ) ;", "return this . queue ;",
+             "buffer . log ( arg ) ;"]
+    sources = [m.src_vocab.encode(line.split()) for line in lines]
+    got = assert_matches_oracle(m.params, sources, beam_size=4, max_len=20)
+    lengths = {len(hyps[0].tokens) for hyps in got}
+    assert len(lengths) >= 3 and all(hyps[0].finished for hyps in got)
+
+
+def test_sources_beyond_one_chunk_decode_as_alone(monkeypatch):
+    params, rng = random_model(4, 6, lexicon=True)
+    sources = [rng.integers(0, 8, size=n).tolist()
+               for n in rng.integers(1, 6, size=9)]
+    chunks = []
+    init = Decoder.__init__
+    monkeypatch.setattr(Decoder, "__init__", lambda self, params, srcs: (
+        chunks.append(len(srcs)), init(self, params, srcs))[-1])
+    # room for two sources of five tokens per chunk
+    monkeypatch.setattr(decoding, "CHUNK_ELEMENTS", 2 * 5 * (3 * 6 + 12))
+    assert_matches_oracle(params, sources, beam_size=3, max_len=5)
+    assert len(chunks) > 1 and sum(chunks) == len(sources)
+
+
+def test_an_empty_list_decodes_to_an_empty_list():
+    assert beam_search(make_params(0), [], beam_size=3, max_len=4) == []
+
+
+def test_an_empty_source_fails_its_chunk():
+    with pytest.raises(ValueError, match="empty source"):
+        beam_search(make_params(0), [[0, 1], []], beam_size=3, max_len=4)
+
+
+def test_float64_model_is_not_copied(monkeypatch):
+    # decoding casts a float32 model once per list, however many chunks
     params = make_params(2)
-    p64 = params.astype(np.float64)
-    decoder = Decoder(p64, [0, 1])
-    assert decoder.params is p64
-    assert decoder.params.W_dec is p64.W_dec
-    # a float32 model is cast, and the caller's object is left alone
-    cast = Decoder(params, [0, 1]).params
-    assert cast.W_enc.dtype == np.float64 and params.W_enc.dtype == np.float32
+    casts = []
+    astype = ModelParameters.astype
+    monkeypatch.setattr(ModelParameters, "astype",
+                        lambda self, dtype: casts.append(dtype) or astype(self, dtype))
+    monkeypatch.setattr(decoding, "CHUNK_ELEMENTS", 1)   # one source per chunk
+    beam_search(params, [[0, 1], [2], [1, 1, 0]], beam_size=3, max_len=4)
+    assert casts == [np.float64] and params.W_enc.dtype == np.float32
+    # a float64 model is used as it is
+    p64 = astype(params, np.float64)
+    casts.clear()
+    beam_search(p64, [[0, 1], [2]], beam_size=3, max_len=4)
+    assert casts == []
+    assert Decoder(p64, [[0]]).params is p64

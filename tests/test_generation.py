@@ -1,6 +1,8 @@
 """Patch generation on a trained model: NA rules and their precedence,
-argument reinsertion, the exact-match baseline, and re-thresholding."""
+argument reinsertion, the exact-match baseline, re-thresholding, and
+answering a whole query list in one call."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,6 +15,8 @@ from patchloom.generation import (
     NA_UNTOKENIZABLE,
     BaselineIndex,
     GenerationResult,
+    ModelProposer,
+    answer_all,
     baseline_suggest,
     generate,
     rethreshold,
@@ -68,6 +72,67 @@ def test_untokenizable_query(rule_model):
     assert res.patch is None
     assert res.na_reason == NA_UNTOKENIZABLE
     assert res.score is None
+
+
+@pytest.mark.parametrize("query", ["", "   ", "// note", "\t// trailing"])
+def test_a_query_without_tokens_is_untokenizable_for_model_and_baseline(
+        rule_model, query):
+    index = BaselineIndex.from_parallel(rule_model.pre_lines,
+                                        rule_model.post_lines)
+    for res in (run(rule_model, query), baseline_suggest(query, index)):
+        assert res.na_reason == NA_UNTOKENIZABLE
+        assert res.patch is None and res.score is None
+
+
+class RecordingProposer:
+    source = "model"
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, queries_abs):
+        self.calls.append(list(queries_abs))
+        return [None] * len(queries_abs)
+
+
+def test_queries_without_tokens_never_reach_the_proposer():
+    proposer = RecordingProposer()
+    results = answer_all(["", "return this . width ;", "// note",
+                          'return "unclosed ;'], proposer, None)
+    assert proposer.calls == [[("return", "this", ".", "width", ";")]]
+    assert [r.na_reason for r in results] == [
+        NA_UNTOKENIZABLE, NA_NO_MATCH, NA_UNTOKENIZABLE, NA_UNTOKENIZABLE]
+    assert [r.source for r in results] == ["model"] * 4
+
+
+def assert_same_answers(got, want):
+    """Equal answers; scores within 1e-9, since a source's float64 score
+    may move in its last bits with the sources it is decoded beside."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert dataclasses.replace(a, score=None) == dataclasses.replace(b, score=None)
+        assert (a.score is None) == (b.score is None)
+        if a.score is not None:
+            assert a.score == pytest.approx(b.score, abs=1e-9)
+
+
+def test_a_list_is_answered_as_its_queries_one_at_a_time(rule_model):
+    m = rule_model
+    queries = RETHRESHOLD_QUERIES + ["", "cursor . log ( a + b ) ;",
+                                     'return "unclosed ;', "// note"]
+    proposer = ModelProposer(m.params, m.src_vocab, m.tgt_vocab)
+    for threshold in THRESHOLDS:
+        assert_same_answers(answer_all(queries, proposer, threshold),
+                            [run(m, q, threshold=threshold) for q in queries])
+    index = BaselineIndex.from_parallel(m.pre_lines, m.post_lines)
+    assert_same_answers(answer_all(queries, index, None),
+                        [baseline_suggest(q, index) for q in queries])
+
+
+def test_an_empty_query_list_has_no_answers(rule_model):
+    m = rule_model
+    assert answer_all([], ModelProposer(m.params, m.src_vocab, m.tgt_vocab),
+                      None) == []
 
 
 def test_default_threshold_accepts_confident_rewrites(rule_model):

@@ -250,8 +250,6 @@ def test_copy_task_learned_end_to_end():
     assert not logbook.aborted
 
     held_out = [sample() for _ in range(100)]
-    exact = 0
-    for src in held_out:
-        hyps = beam_search(params, src, beam_size=5, max_len=12)
-        exact += list(hyps[0].output_ids) == src
+    exact = sum(list(hyps[0].output_ids) == src for src, hyps in zip(
+        held_out, beam_search(params, held_out, beam_size=5, max_len=12)))
     assert exact >= 95
