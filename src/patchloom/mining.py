@@ -6,7 +6,10 @@ lines back to the commit that introduced them, and flags bug-fixing
 commits with a keyword heuristic (the first phase of SZZ).  Blame
 visits only the first-parent commits that changed the file and stops
 at file adds and renames; merge commits are skipped.  Both counts are
-tracked in the mining report.
+tracked in the mining report.  A hunk's method scope comes from a
+brace-depth scan of the file's lines with the tokenizer's token pattern:
+``strip_line_comment`` drops a ``//`` comment and ``brace_counts`` skips
+braces inside string and char literals.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .linediff import histogram_diff
 from .repo import CommitRecord, normalize_lines
-from .tokenizer import literal_end, strip_line_comment
+from .tokenizer import brace_counts, strip_line_comment
 
 log = logging.getLogger(__name__)
 
@@ -128,7 +131,7 @@ def method_ranges(lines: list[str]) -> list[tuple[int, int]]:
     entry_depth = 0
     for i, raw in enumerate(lines):
         line = strip_line_comment(raw)
-        opens, closes = _braces(line)
+        opens, closes = brace_counts(line)
         if not in_method and _looks_like_signature(line):
             in_method = True
             start = i
@@ -140,26 +143,6 @@ def method_ranges(lines: list[str]) -> list[tuple[int, int]]:
     if in_method:
         ranges.append((start, len(lines) - 1))
     return ranges
-
-
-def _braces(line: str) -> tuple[int, int]:
-    """(opens, closes): the braces outside string and char literals."""
-    opens = closes = 0
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c in "\"'":
-            i = literal_end(line, i)
-            if i is None:
-                break
-            continue
-        if c == "{":
-            opens += 1
-        elif c == "}":
-            closes += 1
-        i += 1
-    return opens, closes
 
 
 def _inside_one_range(lo: int, hi: int, ranges: list[tuple[int, int]]) -> bool:

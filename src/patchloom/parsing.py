@@ -500,6 +500,8 @@ class _Parser:
             return "new"
         if self.peek() != "[":
             raise _Fail("malformed creator")
+        if self.toks[self.i - 2 : self.i] == ("<", ">"):
+            raise _Fail("cannot create array with '<>'")
         saw_dim = False
         while self.accept("["):
             if not self.accept("]"):

@@ -5,9 +5,10 @@ brackets always tokenize singly (except ``<=``/``>=``) so that generics
 like ``Set < String >`` split apart; as a consequence shift operators
 also split and such statements later fail validation, which is the
 conservative direction.  String and char literals are opaque single
-tokens including their quotes.  ``//`` comments are stripped first.
-``literal_end`` is the one scan over a string or char literal, shared by
-the tokenizer, ``strip_line_comment`` and mining's brace count.
+tokens including their quotes.  A ``//`` comment outside a literal ends
+the line.  ``_TOKEN`` is the one token grammar: ``tokenize``,
+``strip_line_comment`` and ``brace_counts`` (mining's method-scope scan)
+each scan a line with it.
 
 The canonical serialized form of a token list is the single-space join;
 re-tokenizing that form yields the identical list.
@@ -15,6 +16,7 @@ re-tokenizing that form yields the identical list.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -46,111 +48,71 @@ _MULTI_OPS = (
     "->", "::",
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_QUOTES = ('"', "'")
 
-
-def literal_end(line: str, i: int) -> int | None:
-    """Index just past the string or char literal that opens at
-    ``line[i]``, or None when the line ends inside it.  A backslash
-    escapes the character after it."""
-    quote = line[i]
-    n = len(line)
-    j = i + 1
-    while j < n:
-        if line[j] == "\\":
-            j += 2
-        elif line[j] == quote:
-            return j + 1
-        else:
-            j += 1
-    return None
+# One token per match, first alternative first.  A lone quote is a
+# literal the line leaves open.  Only the six ASCII whitespace characters
+# separate tokens, so any other character (\xa0 too) is a token.
+_TOKEN = re.compile(
+    r"//.*"
+    r"""|"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*'"""
+    r"""|["']"""
+    rf"|{_IDENT.pattern}"
+    r"|0[xX][A-Za-z0-9_$.]*"
+    r"|[0-9](?:[eE][+-](?=[0-9])|[A-Za-z0-9_$.])*"  # 1.5e-3, 2E+8
+    rf"|{'|'.join(map(re.escape, _MULTI_OPS))}"
+    r"""|[^ \t\n\r\f\v"']""",
+    re.DOTALL,
+)
 
 
 def strip_line_comment(line: str) -> str:
-    """Remove a // comment that is not inside a string or char literal."""
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c in "\"'":
-            i = literal_end(line, i)
-            if i is None:
-                return line
-        elif c == "/" and i + 1 < n and line[i + 1] == "/":
-            return line[:i]
-        else:
-            i += 1
-    return line
+    """Remove a // comment that is not inside a string or char literal.
+    A line that leaves a literal open before any comment is returned
+    as it is."""
+    if "//" not in line:
+        return line
+    # a comment token runs to the end of the line, so it comes last
+    tokens = _TOKEN.findall(line)
+    if '"' in tokens or "'" in tokens or not tokens[-1].startswith("//"):
+        return line
+    return line[: -len(tokens[-1])]
 
 
 def tokenize(raw: str) -> TokenizedStatement:
     """Tokenize one physical source line.  Raises TokenizeError on
     unterminated string/char literals."""
-    line = strip_line_comment(raw)
-    tokens: list[str] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t\f\v\r\n":
-            i += 1
-            continue
-        if c in _IDENT_START:
-            j = i + 1
-            while j < n and line[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(line[i:j])
-            i = j
-            continue
-        if c in _DIGITS:
-            i = _scan_number(line, i, tokens)
-            continue
-        if c in "\"'":
-            j = literal_end(line, i)
-            if j is None:
-                kind = "string" if c == '"' else "char"
-                raise TokenizeError(f"unterminated {kind} literal: {line[i:]!r}")
-            tokens.append(line[i:j])
-            i = j
-            continue
-        two = line[i : i + 2]
-        if two in _MULTI_OPS:
-            tokens.append(two)
-            i += 2
-            continue
-        tokens.append(c)
-        i += 1
+    tokens = _TOKEN.findall(raw)
+    # only a line with a slash or a quote can hold a comment or an open literal
+    if "/" in raw or '"' in raw or "'" in raw:
+        if '"' in tokens or "'" in tokens:
+            i = next(m.start() for m in _TOKEN.finditer(raw) if m.group() in _QUOTES)
+            kind = "string" if raw[i] == '"' else "char"
+            raise TokenizeError(f"unterminated {kind} literal: {raw[i:]!r}")
+        if tokens[-1].startswith("//"):
+            tokens.pop()
     return TokenizedStatement(tuple(tokens))
 
 
-def _scan_number(line: str, i: int, tokens: list[str]) -> int:
-    n = len(line)
-    j = i
-    while j < n:
-        c = line[j]
-        if c in _IDENT_CONT or c == ".":
-            # exponent sign: 1.5e-3, 2E+8
-            if c in "eE" and j + 1 < n and line[j + 1] in "+-" and j + 2 < n and line[j + 2] in _DIGITS:
-                hexlike = line[i : i + 2].lower() == "0x"
-                if not hexlike:
-                    j += 2
-                    continue
-            j += 1
-        else:
-            break
-    tokens.append(line[i:j])
-    return j
+def brace_counts(line: str) -> tuple[int, int]:
+    """(opens, closes): the braces of a comment-stripped line that lie
+    outside string and char literals, up to a literal left open."""
+    if '"' not in line and "'" not in line:
+        return line.count("{"), line.count("}")
+    tokens = _TOKEN.findall(line)
+    for quote in _QUOTES:
+        if quote in tokens:
+            del tokens[tokens.index(quote):]
+    return tokens.count("{"), tokens.count("}")
 
 
 def is_identifier(token: str) -> bool:
-    return bool(token) and token[0] in _IDENT_START and all(c in _IDENT_CONT for c in token) \
-        and token not in JAVA_KEYWORDS
+    return _IDENT.fullmatch(token) is not None and token not in JAVA_KEYWORDS
 
 
 def is_number(token: str) -> bool:
-    return bool(token) and token[0] in _DIGITS
+    return bool(token) and token[0] in "0123456789"
 
 
 def is_literal(token: str) -> bool:

@@ -95,4 +95,9 @@ class Vocabulary:
                 raise VocabularyError(f"vocabulary file {path}: {exc}") from None
         if not isinstance(tokens, list) or tokens[: len(RESERVED)] != list(RESERVED):
             raise VocabularyError(f"vocabulary file {path} lacks the reserved prefix")
-        return cls(tokens[len(RESERVED):])
+        if not all(isinstance(t, str) for t in tokens):
+            raise VocabularyError(f"vocabulary file {path} holds a token that is not a string")
+        vocab = cls(tokens[len(RESERVED):])
+        if len(vocab) != len(tokens):
+            raise VocabularyError(f"vocabulary file {path} repeats a token")
+        return vocab

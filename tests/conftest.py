@@ -27,6 +27,7 @@ from patchloom.model import (
     lstm_step,
     predict_distribution,
 )
+from patchloom.tokenizer import TokenizeError
 from patchloom.training import TrainingConfig, train
 from patchloom.vocab import BOS_ID, EOS_ID, Vocabulary
 
@@ -67,6 +68,128 @@ def apply_hunks(pre_lines: list[str], post_lines: list[str], hunks) -> list[str]
         cursor = h.pre_end
     out.extend(pre_lines[cursor:])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the character-loop lexer: the oracle of tokenizer's one token pattern
+
+_REF_MULTI_OPS = (
+    "==", "!=", "<=", ">=", "&&", "||", "++", "--",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "->", "::",
+)
+_REF_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
+_REF_IDENT_CONT = _REF_IDENT_START | frozenset("0123456789")
+_REF_DIGITS = frozenset("0123456789")
+
+
+def _reference_literal_end(line: str, i: int) -> int | None:
+    """Index just past the literal opening at line[i], or None when the
+    line ends inside it.  A backslash escapes the character after it."""
+    quote = line[i]
+    n = len(line)
+    j = i + 1
+    while j < n:
+        if line[j] == "\\":
+            j += 2
+        elif line[j] == quote:
+            return j + 1
+        else:
+            j += 1
+    return None
+
+
+def reference_strip_line_comment(line: str) -> str:
+    i = 0
+    n = len(line)
+    while i < n:
+        c = line[i]
+        if c in "\"'":
+            i = _reference_literal_end(line, i)
+            if i is None:
+                return line
+        elif c == "/" and i + 1 < n and line[i + 1] == "/":
+            return line[:i]
+        else:
+            i += 1
+    return line
+
+
+def _reference_scan_number(line: str, i: int, tokens: list[str]) -> int:
+    n = len(line)
+    j = i
+    while j < n:
+        c = line[j]
+        if c in _REF_IDENT_CONT or c == ".":
+            if c in "eE" and j + 1 < n and line[j + 1] in "+-" and j + 2 < n \
+                    and line[j + 2] in _REF_DIGITS:
+                if line[i : i + 2].lower() != "0x":
+                    j += 2
+                    continue
+            j += 1
+        else:
+            break
+    tokens.append(line[i:j])
+    return j
+
+
+def reference_tokenize(raw: str) -> tuple[str, ...]:
+    """Tokens of one line; raises TokenizeError like tokenizer.tokenize."""
+    line = reference_strip_line_comment(raw)
+    tokens: list[str] = []
+    i = 0
+    n = len(line)
+    while i < n:
+        c = line[i]
+        if c in " \t\f\v\r\n":
+            i += 1
+            continue
+        if c in _REF_IDENT_START:
+            j = i + 1
+            while j < n and line[j] in _REF_IDENT_CONT:
+                j += 1
+            tokens.append(line[i:j])
+            i = j
+            continue
+        if c in _REF_DIGITS:
+            i = _reference_scan_number(line, i, tokens)
+            continue
+        if c in "\"'":
+            j = _reference_literal_end(line, i)
+            if j is None:
+                kind = "string" if c == '"' else "char"
+                raise TokenizeError(f"unterminated {kind} literal: {line[i:]!r}")
+            tokens.append(line[i:j])
+            i = j
+            continue
+        two = line[i : i + 2]
+        if two in _REF_MULTI_OPS:
+            tokens.append(two)
+            i += 2
+            continue
+        tokens.append(c)
+        i += 1
+    return tuple(tokens)
+
+
+def reference_brace_counts(line: str) -> tuple[int, int]:
+    """(opens, closes) outside literals, up to a literal left open."""
+    opens = closes = 0
+    i = 0
+    n = len(line)
+    while i < n:
+        c = line[i]
+        if c in "\"'":
+            i = _reference_literal_end(line, i)
+            if i is None:
+                break
+            continue
+        if c == "{":
+            opens += 1
+        elif c == "}":
+            closes += 1
+        i += 1
+    return opens, closes
 
 
 def reference_beam_search(params: ModelParameters, src_ids: list[int],

@@ -22,7 +22,7 @@ from patchloom.cli import main
 from patchloom.model import LexiconTable, ModelParameters
 from patchloom.modelio import load_model, save_model
 from patchloom.synthdata import make_repo
-from patchloom.vocab import Vocabulary
+from patchloom.vocab import RESERVED, Vocabulary
 
 from conftest import FIXTURES_DIR
 
@@ -244,11 +244,25 @@ def _mismatched_corpus(tmp_path):
     return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm")], "train.src"
 
 
-def _vocabulary_without_reserved_prefix(tmp_path):
+def _train_with_source_vocabulary(tmp_path, tokens):
     (tmp_path / "train.src").write_text("a b\n")
     (tmp_path / "train.tgt").write_text("a\n")
-    (tmp_path / "vocab.src.json").write_text('["a", "b"]')
-    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm")], "vocab.src.json"
+    (tmp_path / "vocab.src.json").write_text(json.dumps(tokens))
+    Vocabulary(("a",)).save(str(tmp_path / "vocab.tgt.json"))
+    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm"),
+            "--hidden-size", "4", "--embed-size", "3", "--max-epochs", "1"], "vocab.src.json"
+
+
+def _vocabulary_without_reserved_prefix(tmp_path):
+    return _train_with_source_vocabulary(tmp_path, ["a", "b"])
+
+
+def _vocabulary_with_a_numeric_token(tmp_path):
+    return _train_with_source_vocabulary(tmp_path, list(RESERVED) + ["a", 5])
+
+
+def _vocabulary_repeating_a_token(tmp_path):
+    return _train_with_source_vocabulary(tmp_path, list(RESERVED) + ["a", "b", "a"])
 
 
 def _hunk_line_without_fields(tmp_path):
@@ -379,6 +393,8 @@ def _counts_row_missing_a_column(tmp_path):
 @pytest.mark.parametrize("make_case", [
     _mismatched_corpus,
     _vocabulary_without_reserved_prefix,
+    _vocabulary_with_a_numeric_token,
+    _vocabulary_repeating_a_token,
     _hunk_line_without_fields,
     _hunk_with_a_string_for_deleted_lines,
     _hunk_with_a_string_for_method_scoped,

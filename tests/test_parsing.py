@@ -33,6 +33,15 @@ def test_generic_declaration_backtracks_from_comparison():
     assert _ok("List < > names = new ArrayList < > ( ) ;")
 
 
+def test_array_creation_rejects_a_diamond():
+    # javac's parser rejects an array of '<>'; an array of a generic type
+    # parses, and fails only later, in attribution
+    assert not _ok("o = new Foo < > [ 3 ] ;")
+    assert not _ok("o = new Foo < > [ ] { } ;")
+    assert _ok("o = new Foo < String > [ 3 ] ;")
+    assert _ok("o = new Foo < Bar < String > > [ 3 ] ;")
+
+
 def test_all_brace_lines_rejected():
     assert not _ok("}")
     assert not _ok("} }")

@@ -1,5 +1,6 @@
 """Vocabulary construction, encoding, and the on-disk form."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from patchloom.vocab import (
     UNK,
     UNK_ID,
     Vocabulary,
+    VocabularyError,
 )
 
 
@@ -80,6 +82,20 @@ def test_load_rejects_missing_reserved_prefix(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text('["alpha", "beta"]')
     with pytest.raises(ValueError):
+        Vocabulary.load(str(path))
+
+
+@pytest.mark.parametrize("extra,reason", [
+    ([5], "not a string"),
+    ([None], "not a string"),
+    ([["a"]], "not a string"),
+    (["a", "b", "a"], "repeats a token"),
+    (["arg"], "repeats a token"),
+])
+def test_load_rejects_tokens_save_cannot_write(tmp_path, extra, reason):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(list(RESERVED) + extra))
+    with pytest.raises(VocabularyError, match=reason):
         Vocabulary.load(str(path))
 
 
