@@ -272,7 +272,7 @@ NUMERIC_BOUNDS = {
 
 def _distribution_gap(params: ModelParameters) -> float:
     decoder = Decoder(params, [[3, 4, 5]])
-    _, logp = decoder.step(decoder.start, np.array([BOS_ID]), np.zeros(1, dtype=np.intp))
+    _, logp = decoder.step(decoder.start, np.array([BOS_ID]), [(0, 0, 1)])
     return abs(float(np.exp(logp).sum()) - 1.0)
 
 

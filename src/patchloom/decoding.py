@@ -9,19 +9,17 @@ unfinished hypothesis is returned and flagged via finished=False.
 
 beam_search decodes a list of sources.  It casts the model to float64
 once per list, then cuts the list, in order, into chunks whose largest
-arrays stay within CHUNK_ELEMENTS: the (R, S, H) attention arrays, R
-being beam_size rows per source and S the list's longest source, and,
-with the lexicon on, each source's (S, V_tgt) lexicon rows.  A Decoder
-encodes a chunk with one padded model.encode; each source starts from
-the states at its last real token, and padded positions get no
-attention weight, as in training.  Every live hypothesis of every
-source is one row of the (R, H) decoder state; row_source maps each row
-to its source, whose rows are adjacent and in candidate order.  Each
-source takes its own top beam_size candidates (score descending, then
-token ascending, then row ascending), keeps its own pool and stops on
-its own.  While one source is live, the step attends over that source's
-unpadded states, so a list of one computes what decoding a single
-source always did.
+arrays stay within CHUNK_ELEMENTS.  A Decoder encodes a chunk with one
+padded model.encode; each source starts from the states at its last real
+token.  Every live hypothesis of every source is one row of the (R, H)
+decoder state, and a source's rows are adjacent and in candidate order:
+one run (q, a, b) per live source, rows a to b-1 decoding source q.  The
+LSTM, combiner and output layer step every row at once; each run attends
+over its own source's unpadded states and mixes in its own lexicon rows,
+so a list of one computes what decoding a single source always did.
+Each run takes its own top beam_size candidates (score descending, then
+token ascending, then row ascending), and each source keeps its own pool
+and stops on its own.
 
 beam_search and exhaustive_search (the exact reference a wide beam must
 match) share one step, Decoder.step: model.py's forward, the one
@@ -58,13 +56,15 @@ from .vocab import BOS_ID, EOS_ID
 State = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # A memory bound.  A chunk of Q sources, S being the list's longest (so one
-# long source shrinks every chunk), holds at most this many elements in
-# Q * S * beam_size * H, the size of each (R, S, H) attention array, plus,
-# with the lexicon on, Q * S * V_tgt lexicon rows.  Decoding the synthetic
-# benchmark's 400 held-out statements and queries (H=128, beam 10, S=14,
-# lexicon off) peaks at 9, 35, 71 and 242 MiB of numpy arrays at 2^18,
-# 2^20, 2^21 and one chunk, taking 2.74, 2.18, 1.76 and 1.89 s.
-CHUNK_ELEMENTS = 1 << 21
+# long source shrinks every chunk) and R = Q * beam_size rows, holds at
+# most this many elements in Q * (S + beam_size) * (4H + V_tgt): the
+# (Q, S, 4H) encoder gates, the (Q, S, V_tgt) lexicon rows, and the
+# (R, 4H) pre-activations and (R, V_tgt) output rows of a step.  Decoding
+# the synthetic benchmark's 400 held-out statements and queries (H=128,
+# beam 10, S=14, V_tgt=95, lexicon off) peaks at 11, 19, 36 and 69 MiB of
+# numpy arrays at 2^19 to 2^22; chunks of 50 to 400 sources took the same
+# time, 25 or fewer took longer.
+CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -84,8 +84,8 @@ class Hypothesis:
 class Decoder:
     """A chunk of sources, encoded and ready to decode: the model at
     float64, (Q, S, H) encoder states and attention keys padded to the
-    longest source, the (Q, S) attention pad, each source's length and
-    lexicon rows, and the start state, one row per source."""
+    longest source, each source's length and lexicon rows, and the start
+    state, one row per source."""
 
     def __init__(self, params: ModelParameters, sources: list[list[int]]):
         params = _float64(params)
@@ -101,8 +101,6 @@ class Decoder:
         states, cells, _ = encode(params, params.E_src[ids])
         self.states = states
         self.keys = attention_keys(params, states)
-        self.pad = np.where(np.arange(ids.shape[1]) < self.lengths[:, None],
-                            0.0, -np.inf)
         self.lexicon = ([lexicon_rows(params, src) for src in sources]
                         if params.mixes_lexicon() else None)
         # transposed views: a contiguous copy costs more than it saves,
@@ -114,33 +112,29 @@ class Decoder:
                              np.zeros((len(sources), params.hidden_size)))
 
     def step(self, state: State, prev_ids: np.ndarray,
-             row_source: np.ndarray) -> tuple[State, np.ndarray]:
-        """Feed prev_ids (R,) to the R rows of state, row i decoding source
-        row_source[i] (ascending); returns the next state and (R, V_tgt)
-        log probabilities, floored at log P_FLOOR."""
+             runs: list[tuple[int, int, int]]) -> tuple[State, np.ndarray]:
+        """Feed prev_ids (R,) to the R rows of state, rows a to b-1 of each
+        run (q, a, b) decoding source q; returns the next state and
+        (R, V_tgt) log probabilities, floored at log P_FLOOR.  The LSTM,
+        combiner and output layer step all rows at once; each run attends
+        over its own source's unpadded states."""
         p = self.params
         h, c, htilde = state
         z = p.E_tgt[prev_ids] @ self.W_in + p.b_dec
         z += np.concatenate([htilde, h], axis=1) @ self.W_rec
         h, c, _ = lstm_step(z, c)
-        first = row_source[0]
-        if first == row_source[-1]:
-            # one source: its own rows, no padding and no gather
-            n = self.lengths[first]
-            weights, context, _ = attend(p, self.states[first:first + 1, :n],
-                                         self.keys[first:first + 1, :n], h)
-        else:
-            weights, context, _ = attend(p, self.states[row_source],
-                                         self.keys[row_source], h,
-                                         self.pad[row_source])
+        context = np.empty_like(h)
+        weights = []
+        for q, a, b in runs:
+            n = self.lengths[q]
+            w, context[a:b], _ = attend(p, self.states[q:q + 1, :n],
+                                        self.keys[q:q + 1, :n], h[a:b])
+            weights.append(w)
         htilde = attentional_vector(p, h, context)
-        probs = predict_distribution(p, htilde, weights, None)
+        probs = predict_distribution(p, htilde)
         if self.lexicon is not None:
-            bounds = np.flatnonzero(np.diff(row_source, prepend=-1, append=-1))
-            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                q = row_source[a]
-                probs[a:b] = mix_lexicon(p, probs[a:b], weights[a:b, :self.lengths[q]],
-                                         self.lexicon[q])
+            for (q, a, b), w in zip(runs, weights):
+                probs[a:b] = mix_lexicon(p, probs[a:b], w, self.lexicon[q])
         return (h, c, htilde), np.log(np.maximum(probs, P_FLOOR))
 
 
@@ -158,36 +152,31 @@ def _extend(tokens: list[tuple[int, ...]], total: np.ndarray, state: State,
     return extended, total[rows, toks], tuple(a[rows] for a in state)
 
 
-def _top_candidates(total: np.ndarray, row_source: np.ndarray,
+def _runs(row_source: np.ndarray) -> list[tuple[int, int, int]]:
+    """The runs (q, a, b) of row_source (ascending): rows a to b-1 decode
+    source q."""
+    bounds = [0, *(np.flatnonzero(row_source[1:] != row_source[:-1]) + 1).tolist(),
+              len(row_source)]
+    return [(int(row_source[a]), a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _top_candidates(total: np.ndarray, runs: list[tuple[int, int, int]],
                     k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, tokens) of each source's k best entries of total (R, V),
-    sources ascending and each source's ordered by score descending, then
-    token ascending, then row ascending."""
-    R, V = total.shape
-    flat = total.T.ravel()  # position = token * R + row
-    if row_source[0] == row_source[-1]:
-        # one source, as in every list of one: a flat partition and a sort
-        # of about k entries cost less than the per-source sort below
-        k = min(k, flat.size)
-        kth = np.partition(flat, flat.size - k)[flat.size - k]
+    """(rows, tokens) of each run's k best entries of total (R, V), runs in
+    order and each run's ordered by score descending, then token
+    ascending, then row ascending."""
+    rows, tokens = [], []
+    for _, a, b in runs:
+        flat = total[a:b].T.ravel()  # position = token * (b - a) + row - a
+        n = min(k, flat.size)
+        kth = np.partition(flat, flat.size - n)[flat.size - n]
         picked = np.flatnonzero(flat >= kth)
         # a stable sort keeps ties in position order: token, then row
-        picked = picked[np.argsort(-flat[picked], kind="stable")[:k]]
-    else:
-        if k < V:
-            # a source's k best entries are among their own rows' k best
-            kth = np.partition(total, V - k, axis=1)[:, V - k]
-            picked = np.flatnonzero((total >= kth[:, None]).T)
-        else:
-            picked = np.arange(flat.size)
-        # lexsort is stable too
-        sources = row_source[picked % R]
-        order = np.lexsort((-flat[picked], sources))
-        sources = sources[order]
-        rank = np.arange(len(order)) - np.searchsorted(sources, sources)
-        picked = picked[order[rank < k]]
-    tokens, rows = np.divmod(picked, R)
-    return rows, tokens
+        picked = picked[np.argsort(-flat[picked], kind="stable")[:n]]
+        toks, run_rows = np.divmod(picked, b - a)
+        rows.append(run_rows + a)
+        tokens.append(toks)
+    return np.concatenate(rows), np.concatenate(tokens)
 
 
 def beam_search(
@@ -201,11 +190,9 @@ def beam_search(
     if beam_size < 1:
         raise ValueError("beam_size must be at least 1")
     params = _float64(params)    # once per list
-    per_token = beam_size * params.hidden_size
-    if params.mixes_lexicon():
-        per_token += params.tgt_vocab_size
     longest = max(map(len, sources), default=1)
-    size = max(1, CHUNK_ELEMENTS // (longest * per_token))
+    per_source = (longest + beam_size) * (4 * params.hidden_size + params.tgt_vocab_size)
+    size = max(1, CHUNK_ELEMENTS // per_source)
     results: list[list[Hypothesis]] = []
     for start in range(0, len(sources), size):
         results.extend(_beam_search_chunk(params, sources[start:start + size],
@@ -225,9 +212,10 @@ def _beam_search_chunk(params: ModelParameters, sources: list[list[int]],
     best_finished = np.full(len(sources), -np.inf)
 
     for _ in range(max_len):
-        state, logp = decoder.step(state, prev, row_source)
+        runs = _runs(row_source)
+        state, logp = decoder.step(state, prev, runs)
         total = scores[:, None] + logp
-        rows, toks = _top_candidates(total, row_source, beam_size)
+        rows, toks = _top_candidates(total, runs, beam_size)
         source, score = row_source[rows], total[rows, toks]
         done = toks == EOS_ID
         for i in np.flatnonzero(done).tolist():
@@ -276,7 +264,7 @@ def exhaustive_search(
     non_eos = np.array([t for t in range(params.tgt_vocab_size) if t != EOS_ID])
 
     for _ in range(max_len):
-        state, logp = decoder.step(state, prev, np.zeros(len(tokens), dtype=np.intp))
+        state, logp = decoder.step(state, prev, [(0, 0, len(tokens))])
         total = scores[:, None] + logp
         r = int(np.argmax(total[:, EOS_ID]))
         if best is None or total[r, EOS_ID] > best.log_prob:

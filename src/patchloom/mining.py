@@ -98,10 +98,12 @@ class OriginUnknown(Exception):
 # ---------------------------------------------------------------------------
 # method scope
 
-_CONTROL_STARTS = (
+# first words that open a type or a control-flow body, not a method
+_CONTROL_STARTS = frozenset((
+    "class", "interface", "enum", "record",
     "if", "else", "for", "while", "switch", "do", "try", "catch",
     "finally", "synchronized", "return", "throw", "new", "case",
-)
+))
 
 _SIGNATURE_RE = re.compile(r"[A-Za-z_$][\w$]*\s*\(")
 
@@ -112,11 +114,9 @@ def _looks_like_signature(line: str) -> bool:
         return False
     if not line.rstrip().endswith("{"):
         return False
-    head = line.split("(", 1)[0].strip()
-    if not head:
-        return False
-    first = head.split()[0] if head.split() else ""
-    if first in ("class", "interface", "enum", "record") or first in _CONTROL_STARTS:
+    head, paren, _ = line.partition("(")
+    words = head.split(None, 1)
+    if not paren or not words or words[0] in _CONTROL_STARTS:
         return False
     return bool(_SIGNATURE_RE.search(line))
 

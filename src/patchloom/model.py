@@ -22,7 +22,8 @@ encoder recurrence (encode), the attention step (attend), the combiner
 (attentional_vector) and the output layer (predict_distribution).
 training.forward_pair runs them over a padded batch of pairs and
 decoding.Decoder.step over the live hypotheses of a chunk of sources,
-each row attending over its own source; rows (B, .) are independent.
+each source's rows attending over its own unpadded states; rows (B, .)
+are independent.
 They compute in the dtype of the parameters: training in float32,
 decoding in float64 (see decoding.py for why).  Each LSTM's
 pre-activations are split in two halves: the input half is computed for
@@ -289,7 +290,7 @@ def lexicon_rows(
     params: ModelParameters, src_ids
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """params.lexicon restricted to source ids of any shape (..., S), for
-    predict_distribution: (..., S, V_tgt) translation rows, all zero
+    mix_lexicon: (..., S, V_tgt) translation rows, all zero
     where a source token has no row, and the (..., S) indicator of those
     rows that back off to the softmax.  None when the lexicon is off."""
     if not params.mixes_lexicon():
@@ -305,20 +306,11 @@ def lexicon_rows(
     return rows.reshape(src.shape + (params.tgt_vocab_size,)), backoff
 
 
-def predict_distribution(
-    params: ModelParameters,
-    htilde: np.ndarray,
-    weights: np.ndarray,
-    lexicon: tuple[np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
-    """Probability rows (..., V_tgt) from attentional vectors (..., H),
-    attention weights (..., S) and lexicon_rows(params, src).  Without a
-    lexicon they are the output softmax, in the dtype of params; training
-    reads them so and mixes in the lexicon at the target ids only."""
-    base = softmax(_rows(htilde, params.W_pred.T) + params.b_pred)
-    if lexicon is None:
-        return base
-    return mix_lexicon(params, base, weights, lexicon)
+def predict_distribution(params: ModelParameters, htilde: np.ndarray) -> np.ndarray:
+    """The output softmax (..., V_tgt) of attentional vectors (..., H), in
+    the dtype of params.  Decoding passes it to mix_lexicon when the
+    lexicon is on; training mixes in the lexicon at the target ids only."""
+    return softmax(_rows(htilde, params.W_pred.T) + params.b_pred)
 
 
 def mix_lexicon(

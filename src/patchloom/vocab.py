@@ -57,9 +57,6 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self._index.get(token, UNK_ID)
 
-    def token(self, index: int) -> str:
-        return self._tokens[index]
-
     def encode(self, tokens: Iterable[str], eos: bool = False) -> list[int]:
         ids = [self.index(t) for t in tokens]
         if eos:

@@ -25,6 +25,7 @@ from patchloom.model import (
     encode,
     lexicon_rows,
     lstm_step,
+    mix_lexicon,
     predict_distribution,
 )
 from patchloom.tokenizer import TokenizeError
@@ -215,7 +216,9 @@ def reference_beam_search(params: ModelParameters, src_ids: list[int],
         h, c, _ = lstm_step(z, c)
         weights, context, _ = attend(p, states, keys, h)
         htilde = attentional_vector(p, h, context)
-        probs = predict_distribution(p, htilde, weights, lexicon)
+        probs = predict_distribution(p, htilde)
+        if lexicon is not None:
+            probs = mix_lexicon(p, probs, weights, lexicon)
         total = scores[:, None] + np.log(np.maximum(probs, P_FLOOR))
         flat = total.T.ravel()  # position = token * rows + row
         k = min(beam_size, flat.size)

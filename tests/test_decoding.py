@@ -57,7 +57,7 @@ def greedy(params, src_ids, max_len):
     tokens, score = (), 0.0
     prev = BOS_ID
     for _ in range(max_len):
-        state, logp = decoder.step(state, np.array([prev]), np.zeros(1, dtype=int))
+        state, logp = decoder.step(state, np.array([prev]), [(0, 0, 1)])
         prev = int(np.argmax(logp[0]))
         tokens += (prev,)
         score += float(logp[0, prev])
@@ -236,10 +236,30 @@ def test_sources_beyond_one_chunk_decode_as_alone(monkeypatch):
     init = Decoder.__init__
     monkeypatch.setattr(Decoder, "__init__", lambda self, params, srcs: (
         chunks.append(len(srcs)), init(self, params, srcs))[-1])
-    # room for two sources of five tokens per chunk
-    monkeypatch.setattr(decoding, "CHUNK_ELEMENTS", 2 * 5 * (3 * 6 + 12))
+    # room for two sources of five tokens per chunk: (5 + beam) * (4H + V_tgt)
+    monkeypatch.setattr(decoding, "CHUNK_ELEMENTS", 2 * (5 + 3) * (4 * 6 + 12))
     assert_matches_oracle(params, sources, beam_size=3, max_len=5)
     assert len(chunks) > 1 and sum(chunks) == len(sources)
+
+
+def test_top_candidates_break_ties_by_token_then_row():
+    # three runs of 2, 3 and 1 rows over 4 tokens; -0.5 ties inside every
+    # run and across them, and each run's third place is a tie it must cut
+    row_source = np.array([0, 0, 3, 3, 3, 7])
+    runs = decoding._runs(row_source)
+    assert runs == [(0, 0, 2), (3, 2, 5), (7, 5, 6)]
+    total = np.array([
+        [-1.0, -0.5, -0.5, -2.0],    # source 0
+        [-0.5, -1.0, -3.0, -0.5],
+        [-1.0, -1.0, -0.5, -1.0],    # source 3
+        [-1.0, -0.2, -1.0, -0.5],
+        [-0.5, -1.0, -1.0, -1.0],
+        [-0.5, -0.5, -0.5, -0.5],    # source 7
+    ])
+    rows, tokens = decoding._top_candidates(total, runs, 3)
+    assert rows.tolist() == [1, 0, 0, 3, 4, 2, 5, 5, 5]
+    assert tokens.tolist() == [0, 1, 2, 1, 0, 2, 0, 1, 2]
+    assert row_source[rows].tolist() == [0, 0, 0, 3, 3, 3, 7, 7, 7]
 
 
 def test_an_empty_list_decodes_to_an_empty_list():

@@ -171,6 +171,15 @@ def test_method_ranges_brace_scan():
     assert method_ranges(lines) == [(1, 6), (8, 10)]
 
 
+def test_a_record_header_is_not_a_method_signature():
+    lines = ["record Point ( int x , int y ) {",
+             "Point ( ) {",
+             "this ( 0 , 0 ) ;",
+             "}",
+             "}"]
+    assert method_ranges(lines) == [(1, 3)]
+
+
 def test_identify_and_link_fix_commits(history_repo):
     fixes = identify_fix_commits(history_repo.commits())
     assert fixes == {"k4"}

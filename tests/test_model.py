@@ -21,6 +21,7 @@ from patchloom.model import (
     encode,
     lexicon_rows,
     lstm_step,
+    mix_lexicon,
     predict_distribution,
     sigmoid,
     softmax,
@@ -51,11 +52,18 @@ def attend_to(params, states, h):
     return weights, context
 
 
+def output(params, htilde, weights, lexicon):
+    """The output softmax, mixed with lexicon (lexicon_rows of the source)
+    unless that is None, as the decoder computes it."""
+    probs = predict_distribution(params, htilde)
+    return probs if lexicon is None else mix_lexicon(params, probs, weights, lexicon)
+
+
 def distribution(params, states, h, src):
     """Output distribution after attending from decoder state h."""
     weights, context = attend_to(params, states, h)
-    return predict_distribution(params, attentional_vector(params, h, context),
-                                weights, lexicon_rows(params, src))
+    return output(params, attentional_vector(params, h, context), weights,
+                  lexicon_rows(params, src))
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +333,13 @@ def test_batched_rows_equal_single_rows(lex_weight):
     h, c, gates = lstm_step(z, c0)
     weights, context, query = attend(params, states, keys, h)
     htilde = attentional_vector(params, h, context)
-    probs = predict_distribution(params, htilde, weights, lex)
+    probs = output(params, htilde, weights, lex)
     assert probs.shape == (4, params.tgt_vocab_size)
     for k in range(4):
         hk, ck, gk = lstm_step(z[k:k + 1], c0[k:k + 1])
         wk, ctxk, qk = attend(params, states, keys, hk)
         htk = attentional_vector(params, hk, ctxk)
-        pk = predict_distribution(params, htk, wk, lex)
+        pk = output(params, htk, wk, lex)
         for got, want in ((h[k], hk[0]), (c[k], ck[0]), (gates[k], gk[0]),
                           (weights[k], wk[0]), (query[k], qk[0]),
                           (htilde[k], htk[0]), (probs[k], pk[0])):
@@ -359,7 +367,7 @@ def test_sequence_log_prob_accumulates_per_step():
         h, c, _ = lstm_step(x @ params.W_dec.T + params.b_dec, c)
         weights, context = attend_to(params, states, h)
         htilde = attentional_vector(params, h, context)
-        probs = predict_distribution(params, htilde, weights, None)
+        probs = predict_distribution(params, htilde)
         total += math.log(probs[0, tid])
         prev = tid
 

@@ -6,12 +6,16 @@ task shows the whole loop can actually learn; determinism and the
 non-finite abort guard the operational behavior.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from patchloom import training
 from patchloom.decoding import beam_search
 from patchloom.model import P_FLOOR, LexiconTable, ModelParameters
 from patchloom.training import (
+    AdamState,
     TrainingConfig,
     batch_loss_and_gradients,
     forward_pair,
@@ -191,6 +195,31 @@ def test_non_finite_loss_aborts_with_finite_snapshot():
     assert logbook.aborted
     assert logbook.epochs == []
     assert params.all_finite()
+
+
+def test_chunked_adam_equals_the_per_tensor_update(monkeypatch):
+    # chunks of 100 elements split tensors and end short of the buffer
+    monkeypatch.setattr(training, "ADAM_CHUNK", 100)
+    config = TrainingConfig()
+    params = small_params(seed=3)
+    want, m, v = params.copy(), params.copy(), params.copy()
+    m.flat[:] = v.flat[:] = 0.0
+    adam = AdamState(params, config)
+    rng = np.random.default_rng(0)
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    for t in (1, 2, 3):
+        grads = replace(params, flat=rng.standard_normal(params.flat.size)
+                        .astype(params.flat.dtype))
+        adam.update(params, grads, 0.01)
+        corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for theta, g, mt, vt in zip(*(p.tensors().values()
+                                      for p in (want, grads, m, v))):
+            mt[...] = mt * b1 + g * (1 - b1)
+            vt[...] = vt * b2 + g * g * (1 - b2)
+            theta -= mt / corr1 * 0.01 / (np.sqrt(vt / corr2) + eps)
+        assert np.array_equal(params.flat, want.flat)
+        assert np.array_equal(adam.m.flat, m.flat)
+        assert np.array_equal(adam.v.flat, v.flat)
 
 
 def test_invalid_config_rejected():
