@@ -56,7 +56,7 @@ from .generation import (
 from .generation import baseline_suggest, generate as generate_patch  # noqa: F401
 from .lexicon import build_lexicon, lexicon_to_ids
 from .mining import (HunkFormatError, MiningReport, identify_fix_commits,
-                     link_inducing, mine_hunks, read_hunks, write_hunks)
+                     mine_hunks, read_hunks, write_hunks)
 from .model import LexiconTable, ModelParameters
 from .modelio import ModelFormatError, load_model, save_model
 from .repo import RepositoryError, open_repository
@@ -107,9 +107,8 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
     with open_repository(args.repo) as repo:
         hunks = read_hunks(args.hunks) if args.hunks else list(mine_hunks(repo))
         fix_ids = identify_fix_commits(repo.commits())
-    links = link_inducing(h for h in hunks if h.commit_post in fix_ids)
     ledger = PipelineLedger()
-    pairs = build_pairs(hunks, links,
+    pairs = build_pairs(hunks, fix_ids,
                         require_method_scope=not args.keep_unscoped,
                         ledger=ledger)
     train, test = split_chronological(
@@ -189,8 +188,11 @@ def _load_meta(path: str) -> tuple[list[str], list[bool]]:
         raise CliError(f"{path}: empty metadata file, expected a header row")
     header = lines[0].split("\t")
     categories, bugfix = [], []
-    for line in lines[1:]:
-        row = dict(zip(header, line.split("\t")))
+    for lineno, line in enumerate(lines[1:], 2):
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise CliError(f"{path}:{lineno}: {len(fields)} fields, the header has {len(header)}")
+        row = dict(zip(header, fields))
         categories.append(row.get("category", "all"))
         bugfix.append(row.get("bugfix") == "1")
     return categories, bugfix
@@ -467,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CliError, CorpusError, HunkFormatError, ModelFormatError,
             RepositoryError, ResultFormatError, VocabularyError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         log.error("%s", exc)
         return 1
     except Exception:

@@ -27,10 +27,10 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .arguments import ArgumentTable, abstract_arguments, AbstractionError, reinsert_arguments
-from .mining import ChangeHunk, FixLink
+from .mining import ChangeHunk
 from .parsing import validate_statement
 from .tokenizer import TokenizedStatement, TokenizeError, tokenize
 from .vocab import UNK, Vocabulary
@@ -111,11 +111,14 @@ class PipelineLedger:
 
 def build_pairs(
     hunks: Iterable[ChangeHunk],
-    links: Iterable[FixLink] = (),
+    fix_commits: Collection[str] = frozenset(),
     require_method_scope: bool = True,
     ledger: PipelineLedger | None = None,
 ) -> list[StatementPair]:
-    link_set = {(l.fixing_commit, l.inducing_commit) for l in links}
+    """Steps (1)-(5) over mined hunks, in canonical order.  A pair is a
+    bug fix when its fixing commit is in fix_commits: its deleted line
+    blames to commit_pre_origin, so that is exactly when SZZ links the
+    fix to the commit that induced the bug."""
     hunks = list(hunks)
     if ledger is None:
         ledger = PipelineLedger()
@@ -163,7 +166,7 @@ def build_pairs(
             commit_post=hunk.commit_post,
             year_pre=hunk.year_pre,
             year_post=hunk.year_post,
-            bugfix=(hunk.commit_post, hunk.commit_pre_origin) in link_set,
+            bugfix=hunk.commit_post in fix_commits,
         ))
     ledger.drop("tokenization failure", n_tokenize)
     ledger.drop("shorter than 3 tokens", n_short)
@@ -346,6 +349,9 @@ def read_parallel(dirpath: str, prefix: str) -> tuple[list[list[str]], list[list
                 raise CorpusError(f"{path}: not UTF-8 text ({exc})") from None
 
     src = slurp(f"{prefix}.src")
+    if [] in src:
+        raise CorpusError(f"{os.path.join(dirpath, prefix)}.src:"
+                          f"{src.index([]) + 1}: empty source line")
     tgt = slurp(f"{prefix}.tgt")
     if len(src) != len(tgt):
         raise CorpusError(f"{os.path.join(dirpath, prefix)}.src and .tgt differ: "

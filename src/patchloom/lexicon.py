@@ -75,42 +75,24 @@ def _grid(pairs) -> _Grid:
     return _Grid(cell, target, list(rows), cell_row, [f for f, _ in cells])
 
 
-def _iterate(grid: _Grid, t: np.ndarray, uniform: float, p: np.ndarray,
-             denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One EM iteration from t(f | e) per cell: the next t per cell and
-    the mask of cells in the next table.  p and denom are (K,) scratch
+def _iterate(grid: _Grid, t: np.ndarray, p: np.ndarray,
+             denom: np.ndarray) -> np.ndarray:
+    """One EM iteration: the next t(f | e) per cell from this one.  No
+    division meets a 0: t starts uniform, and a positive t gives every
+    target position a positive denominator, every cell a positive share
+    of its target position's unit count and every row a positive total,
+    so the next t is positive too.  p and denom are (K,) scratch
     buffers; mode="clip" spares np.take the copy of out that its default
     mode makes, and every index is in range."""
     np.take(t, grid.cell, out=p, mode="clip")
     # every target position has entries, so no minlength is needed
-    per_target = np.bincount(grid.target, weights=p)
-    np.take(per_target, grid.target, out=denom, mode="clip")
-    received = None
-    insertion = slice(None)
-    if (per_target > 0.0).all():
-        np.divide(p, denom, out=p)
-    else:
-        # A target position whose source tokens all give it t = 0 adds
-        # nothing, and a cell that receives nothing leaves the table.
-        # Unreachable from the uniform start: each target position hands
-        # its source tokens a count of 1 in all, so one of them keeps
-        # t(f | e) > 0 for the next iteration.
-        live = denom > 0.0
-        np.divide(p, denom, out=p, where=live)
-        p[~live] = 0.0
-        got, first = np.unique(grid.cell[live], return_index=True)
-        received = np.zeros(len(t), dtype=bool)
-        received[got] = True
-        # a row's entries are inserted where its cells first receive
-        insertion = got[np.argsort(first)]
+    np.take(np.bincount(grid.target, weights=p), grid.target, out=denom,
+            mode="clip")
+    np.divide(p, denom, out=p)
     counts = np.bincount(grid.cell, weights=p, minlength=len(t))
-    totals = np.bincount(grid.cell_row[insertion], weights=counts[insertion],
+    totals = np.bincount(grid.cell_row, weights=counts,
                          minlength=len(grid.src_tokens))
-    row_total = totals[grid.cell_row]
-    in_table = row_total > 0.0
-    t = np.full(len(t), uniform)
-    np.divide(counts, row_total, out=t, where=in_table)
-    return t, in_table if received is None else in_table & received
+    return counts / totals[grid.cell_row]
 
 
 def build_lexicon(
@@ -119,26 +101,19 @@ def build_lexicon(
     top: int = DEFAULT_TOP,
 ) -> dict:
     """t(tgt | src) translation table from (src_seq, tgt_seq) pairs."""
-    tgt_types: set = set()
-    for _, tgt in pairs:
-        tgt_types.update(tgt)
-    if not tgt_types:
-        return {}
-    uniform = 1.0 / len(tgt_types)
     grid = _grid(pairs)
-    if not len(grid.cell):
-        return {}       # no pair has both sides
-    t = np.full(len(grid.cell_row), uniform)
-    in_table = np.zeros(len(t), dtype=bool)
+    if not len(grid.cell) or iterations < 1:
+        return {}       # no pair has both sides, or no iteration ran
+    n_targets = len(set(chain.from_iterable(tgt for _, tgt in pairs)))
+    t = np.full(len(grid.cell_row), 1.0 / n_targets)
     p = np.empty(len(grid.cell))
     denom = np.empty(len(grid.cell))
     for _ in range(iterations):
-        t, in_table = _iterate(grid, t, uniform, p, denom)
+        t = _iterate(grid, t, p, denom)
 
     table: dict = {}
-    rows, values = grid.cell_row.tolist(), t.tolist()
-    for c in np.flatnonzero(in_table).tolist():
-        table.setdefault(grid.src_tokens[rows[c]], {})[grid.cell_tgt[c]] = values[c]
+    for row, f, value in zip(grid.cell_row.tolist(), grid.cell_tgt, t.tolist()):
+        table.setdefault(grid.src_tokens[row], {})[f] = value
 
     # truncate and renormalize, with a canonical entry order
     final: dict = {}
@@ -146,8 +121,6 @@ def build_lexicon(
         row = table[e]
         kept = sorted(row.items(), key=lambda item: (-item[1], repr(item[0])))[:top]
         total = sum(p for _, p in kept)
-        if total <= 0.0:
-            continue
         final[e] = {f: p / total for f, p in sorted(kept, key=lambda kv: repr(kv[0]))}
     return final
 

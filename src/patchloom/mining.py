@@ -73,12 +73,6 @@ class ChangeHunk:
         )
 
 
-@dataclass(frozen=True)
-class FixLink:
-    fixing_commit: str
-    inducing_commit: str
-
-
 @dataclass
 class MiningReport:
     commits_seen: int = 0
@@ -195,8 +189,6 @@ def mine_hunks(
             for hunk in histogram_diff(pre, post):
                 deleted = tuple(pre[hunk.pre_start : hunk.pre_end])
                 added = tuple(post[hunk.post_start : hunk.post_end])
-                if not deleted and not added:
-                    continue
                 if deleted:
                     try:
                         origin, year_pre = blame_origin(
@@ -291,15 +283,6 @@ def is_fix_message(message: str) -> bool:
 
 def identify_fix_commits(commits: Iterable[CommitRecord]) -> set[str]:
     return {c.id for c in commits if is_fix_message(c.message)}
-
-
-def link_inducing(fix_hunks: Iterable[ChangeHunk]) -> list[FixLink]:
-    """Unique (fixing, inducing) pairs, sorted for determinism."""
-    seen = set()
-    for hunk in fix_hunks:
-        if hunk.commit_pre_origin and hunk.deleted_lines:
-            seen.add((hunk.commit_post, hunk.commit_pre_origin))
-    return [FixLink(f, i) for f, i in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,11 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
         if name in tensors:
             raise ModelFormatError(f"tensor {name} appears twice")
         shape = tuple(r.u32() for _ in range(r.u32()))
-        tensors[name] = np.frombuffer(r.take(4 * math.prod(shape)),
-                                      dtype="<f4").reshape(shape)
+        try:
+            tensors[name] = np.frombuffer(r.take(4 * math.prod(shape)),
+                                          dtype="<f4").reshape(shape)
+        except ValueError as exc:   # too many dimensions, or a 0 beside huge ones
+            raise ModelFormatError(f"tensor {name} has shape {shape}: {exc}") from None
     H, d = _check_tensors(tensors, len(src_vocab), len(tgt_vocab))
     rows: dict[int, dict[int, float]] = {}
     for _ in range(r.u32()):

@@ -49,6 +49,8 @@ ELEM_TYPES = "String Integer Long Object".split()
 CONST_KEYS = (0, 1, 2, 5, 10)
 
 RULES = ("this-removal", "index-increment", "diamond", "log-level", "yoda-flip")
+NOVEL_FRACTION = 0.4        # of the queries
+DISTRACTOR_FRACTION = 0.1   # of the training pairs
 
 
 def _pick(rng: np.random.Generator, pool) -> str:
@@ -109,11 +111,9 @@ def make_benchmark(
     n_train: int = 2000,
     n_held_out: int = 200,
     n_queries: int = 200,
-    novel_fraction: float = 0.4,
-    distractor_fraction: float = 0.1,
 ) -> Benchmark:
     rng = np.random.default_rng(seed)
-    n_distract = int(round(n_train * distractor_fraction))
+    n_distract = int(round(n_train * DISTRACTOR_FRACTION))
     n_rules = n_train - n_distract
 
     train: list[tuple[str, str]] = []
@@ -122,17 +122,18 @@ def make_benchmark(
         train.append(make_rule_pair(rng, rule))
     for _ in range(n_distract):
         train.append(make_distractor(rng))
-    perm = rng.permutation(len(train))
-    train = [train[int(i)] for i in perm]
+    perm = rng.permutation(len(train)).tolist()
+    train = [train[i] for i in perm]
 
     held_out = [make_rule_pair(rng, RULES[i % len(RULES)])
                 for i in range(n_held_out)]
 
     train_pres = {pre for pre, _ in train}
-    n_novel = int(round(n_queries * novel_fraction))
+    n_novel = int(round(n_queries * NOVEL_FRACTION))
     n_seen = n_queries - n_novel
-    # queries drawn from training rule pairs (exact matches for a baseline)
-    rule_train = [p for p in train if _is_rule_pair(p)]
+    # queries drawn from training rule pairs (exact matches for a baseline),
+    # which are the first n_rules pairs before the shuffle
+    rule_train = [pair for pair, i in zip(train, perm) if i < n_rules]
     queries: list[tuple[str, str, bool]] = []
     for i in range(n_seen):
         pre, post = rule_train[int(rng.integers(len(rule_train)))]
@@ -149,21 +150,6 @@ def make_benchmark(
     if made < n_novel:
         raise RuntimeError("could not build enough novel queries")
     return Benchmark(train, held_out, queries)
-
-
-def _is_rule_pair(pair: tuple[str, str]) -> bool:
-    pre, post = pair
-    if pre.startswith("return this . "):
-        return True
-    if " ] = this . " in pre and pre.split(" ", 1)[0] in ARRAY_NAMES:
-        return True
-    if pre.startswith("List < ") and "new ArrayList <" in pre:
-        return True
-    if " . trace ( " in pre:
-        return True
-    if pre.startswith("if ( null != "):
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------

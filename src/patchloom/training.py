@@ -131,13 +131,6 @@ class _BatchCache:
         return np.arange(len(self.src_len)), self.src_len - 1
 
 
-def _drop_mask(rng, shape, rate, dtype):
-    if rng is None or rate <= 0.0:
-        return None
-    keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(dtype) / dtype.type(keep)
-
-
 def _drop_masks(rng, batch, S, T, d, H, rate, dtype):
     """Padded (source, target embedding, output) dropout masks.  Each
     pair's masks are drawn at its own shapes and in that order, pair by
@@ -145,12 +138,14 @@ def _drop_masks(rng, batch, S, T, d, H, rate, dtype):
     if rng is None or rate <= 0.0:
         return None, None, None
     B = len(batch)
+    keep = 1.0 - rate
     masks = (np.zeros((B, S, d), dtype), np.zeros((B, T, d), dtype),
              np.zeros((B, T, H), dtype))
     for b, (src_ids, tgt_ids) in enumerate(batch):
         for mask, shape in zip(masks, ((len(src_ids), d), (len(tgt_ids), d),
                                        (len(tgt_ids), H))):
-            mask[b, :shape[0]] = _drop_mask(rng, shape, rate, dtype)
+            mask[b, :shape[0]] = ((rng.random(shape) < keep).astype(dtype)
+                                  / dtype.type(keep))
     return masks
 
 

@@ -244,6 +244,25 @@ def _mismatched_corpus(tmp_path):
     return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm")], "train.src"
 
 
+def _corpus_with_an_empty_source_line(tmp_path):
+    (tmp_path / "train.src").write_text("a b\n\n")
+    (tmp_path / "train.tgt").write_text("a\nb\n")
+    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm")], "train.src:2"
+
+
+def _directory_as_config(tmp_path):
+    (tmp_path / "run.conf").mkdir()
+    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm"),
+            "--config", str(tmp_path / "run.conf")], "run.conf"
+
+
+def _directory_as_output(tmp_path):
+    (tmp_path / "repo.json").write_text(json.dumps({"commits": []}))
+    (tmp_path / "hunks.jsonl").mkdir()
+    return ["mine", "--repo", str(tmp_path / "repo.json"), "--out",
+            str(tmp_path / "hunks.jsonl")], "hunks.jsonl"
+
+
 def _train_with_source_vocabulary(tmp_path, tokens):
     (tmp_path / "train.src").write_text("a b\n")
     (tmp_path / "train.tgt").write_text("a\n")
@@ -367,6 +386,12 @@ def _meta_with_fewer_rows_than_results(tmp_path):
     return argv + ["--category", "NU"], "meta.tsv"
 
 
+def _meta_row_with_fewer_fields_than_the_header(tmp_path):
+    argv = _evaluate(tmp_path, [RESULT, RESULT],
+                     meta="category\tbugfix\nUQ\t1\nUQ\n")
+    return argv + ["--bugfix-only"], "meta.tsv:3"
+
+
 def _refs_with_more_lines_than_results(tmp_path):
     return _evaluate(tmp_path, [RESULT], n_refs=2), "refs.txt"
 
@@ -392,6 +417,9 @@ def _counts_row_missing_a_column(tmp_path):
 
 @pytest.mark.parametrize("make_case", [
     _mismatched_corpus,
+    _corpus_with_an_empty_source_line,
+    _directory_as_config,
+    _directory_as_output,
     _vocabulary_without_reserved_prefix,
     _vocabulary_with_a_numeric_token,
     _vocabulary_repeating_a_token,
@@ -410,6 +438,7 @@ def _counts_row_missing_a_column(tmp_path):
     _result_line_with_an_invalid_patch,
     _empty_meta,
     _meta_with_fewer_rows_than_results,
+    _meta_row_with_fewer_fields_than_the_header,
     _refs_with_more_lines_than_results,
     _counts_row_with_a_non_integer_count,
     _counts_row_with_a_negative_count,

@@ -21,7 +21,7 @@ from patchloom.corpus import (
     split_chronological,
     write_corpus,
 )
-from patchloom.mining import ChangeHunk, FixLink
+from patchloom.mining import ChangeHunk
 from patchloom.tokenizer import tokenize
 from patchloom.vocab import UNK, Vocabulary
 
@@ -97,12 +97,12 @@ def test_build_pairs_can_keep_unscoped():
     assert len(build_pairs(hunks, require_method_scope=False)) == 1
 
 
-def test_build_pairs_marks_bugfix_from_links():
+def test_build_pairs_marks_bugfix_from_fix_commits():
     hunks = [
         hunk(["int a = 1 ;"], ["int a = 2 ;"], commit_post="fix9", origin="bug1"),
         hunk(["int b = 1 ;"], ["int b = 2 ;"], commit_post="c7", origin="c3"),
     ]
-    pairs = build_pairs(hunks, links=[FixLink("fix9", "bug1")])
+    pairs = build_pairs(hunks, fix_commits={"fix9"})
     flags = {p.commit_post: p.bugfix for p in pairs}
     assert flags == {"fix9": True, "c7": False}
 

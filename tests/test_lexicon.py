@@ -15,12 +15,11 @@ comparisons run on earlier Pythons only.
 import sys
 from collections import defaultdict
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchloom import arguments, tokenizer
-from patchloom.lexicon import _grid, _iterate, build_lexicon, lexicon_to_ids
+from patchloom.lexicon import build_lexicon, lexicon_to_ids
 from patchloom.synthdata import make_benchmark
 from patchloom.vocab import UNK_ID, Vocabulary
 
@@ -226,27 +225,11 @@ SIDES = st.lists(TOKENS, max_size=6)
 @sequential_sum
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(st.tuples(SIDES, SIDES), max_size=30),
-       iterations=st.integers(0, 12), top=st.integers(1, 25))
+       iterations=st.integers(0, 40), top=st.integers(1, 25))
 def test_arrays_reproduce_the_loop_on_random_corpora(pairs, iterations, top):
+    # the oracle skips a target position whose denominator is 0 and drops
+    # a row whose total is 0; build_lexicon has no such branch, so a long
+    # run of iterations would show it if either could happen
     assert_identical(build_lexicon(pairs, iterations, top),
                      _loop_oracle(pairs, iterations, top))
 
-
-def test_a_position_with_zero_denominator_adds_nothing():
-    # from the uniform start every target position keeps a source token
-    # with t(f | e) > 0, so this branch is driven here with a hand-made t
-    grid = _grid([(["a", "b"], ["x", "y"]), (["c"], ["x"])])
-    # cells in first-seen order: (a,x) (b,x) (a,y) (b,y) (c,x)
-    buffers = np.empty(len(grid.cell)), np.empty(len(grid.cell))
-    t, in_table = _iterate(grid, np.array([0.0, 0.0, 0.25, 0.75, 0.5]), 0.1,
-                           *buffers)
-    # the pair's x gets no count, so (a,x) and (b,x) leave the table;
-    # a and b keep rows from y, and c keeps its row from the second pair
-    assert in_table.tolist() == [False, False, True, True, True]
-    assert t.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
-    t, in_table = _iterate(grid, np.array([0.0, 0.0, 0.25, 0.75, 0.0]), 0.1,
-                           *buffers)
-    # c's only position is skipped too: its row leaves the table, and a
-    # row outside the table falls back to the uniform t
-    assert in_table.tolist() == [False, False, True, True, False]
-    assert t.tolist() == [0.0, 0.0, 1.0, 1.0, 0.1]

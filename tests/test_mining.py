@@ -16,13 +16,11 @@ from patchloom import mining, synthdata
 from patchloom.linediff import histogram_diff
 from patchloom.mining import (
     ChangeHunk,
-    FixLink,
     MiningReport,
     OriginUnknown,
     blame_origin,
     identify_fix_commits,
     is_fix_message,
-    link_inducing,
     method_ranges,
     mine_hunks,
     read_hunks,
@@ -180,13 +178,12 @@ def test_a_record_header_is_not_a_method_signature():
     assert method_ranges(lines) == [(1, 3)]
 
 
-def test_identify_and_link_fix_commits(history_repo):
+def test_fix_commit_hunks_blame_to_the_inducing_commits(history_repo):
     fixes = identify_fix_commits(history_repo.commits())
     assert fixes == {"k4"}
-    fix_hunks = [h for h in mine_hunks(history_repo) if h.commit_post in fixes]
-    links = link_inducing(fix_hunks)
-    assert FixLink("k4", "k2") in links
-    assert FixLink("k4", "k1") in links
+    origins = {h.commit_pre_origin for h in mine_hunks(history_repo)
+               if h.commit_post in fixes}
+    assert origins == {"k1", "k2"}
 
 
 def test_hunk_jsonl_round_trip(tmp_path, history_repo):

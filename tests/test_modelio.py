@@ -250,6 +250,21 @@ def test_lex_weight_outside_unit_interval_rejected(tmp_path, value):
         assert load_model(str(tmp_path / "m.plm"))[0].lex_weight == edge
 
 
+@pytest.mark.parametrize("shape", [(0, 2**32 - 1, 2**32 - 1, 2**32 - 1), (1,) * 70])
+def test_tensor_shape_numpy_cannot_hold_rejected(tmp_path, shape):
+    # a 0 dimension leaves nothing to read beside dimensions whose product
+    # overflows, and numpy caps the number of dimensions
+    src_vocab, tgt_vocab, tensors, lexicon = raw_parts()
+    path = tmp_path / "m.plm"
+    write_raw(path, src_vocab, tgt_vocab, {**tensors, "extra": np.zeros(1)}, lexicon)
+    blob = path.read_bytes()
+    at = blob.index(b"extra" + struct.pack("<II", 1, 1)) + len(b"extra")
+    declared = struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+    path.write_bytes(blob[:at] + declared + blob[at + 8:])
+    with pytest.raises(ModelFormatError, match="tensor extra has shape"):
+        load_model(str(path))
+
+
 def test_trailing_bytes_rejected(tmp_path):
     _rejected(tmp_path / "m.plm", *raw_parts(), trailing=b"\0")
 
