@@ -218,10 +218,10 @@ def drop_identical(pairs: list[StatementPair]) -> list[StatementPair]:
 # ---------------------------------------------------------------------------
 # rare tokens
 
-def replace_rare(corpus: Corpus, unk_threshold: int = 1) -> Corpus:
+def replace_rare(pairs: list[StatementPair], unk_threshold: int = 1) -> Corpus:
     """Per-side singleton replacement and final vocabularies."""
-    src_counts = Counter(t for p in corpus.pairs for t in p.pre.tokens)
-    tgt_counts = Counter(t for p in corpus.pairs for t in p.post.tokens)
+    src_counts = Counter(t for p in pairs for t in p.pre.tokens)
+    tgt_counts = Counter(t for p in pairs for t in p.post.tokens)
     src_vocab = Vocabulary.from_counts(src_counts, unk_threshold)
     tgt_vocab = Vocabulary.from_counts(tgt_counts, unk_threshold)
 
@@ -229,7 +229,7 @@ def replace_rare(corpus: Corpus, unk_threshold: int = 1) -> Corpus:
         return tuple(t if t in vocab else UNK for t in tokens)
 
     new_pairs = []
-    for p in corpus.pairs:
+    for p in pairs:
         new_pairs.append(replace(
             p,
             pre=TokenizedStatement(sub(p.pre.tokens, src_vocab)),
@@ -286,9 +286,7 @@ def split_chronological(
     if not test_pairs:
         raise CorpusError(f"no test pairs inside year {test_year}")
 
-    train = replace_rare(
-        Corpus(train_pairs, Vocabulary(), Vocabulary()), unk_threshold
-    )
+    train = replace_rare(train_pairs, unk_threshold)
     test_final = [
         replace(p, category=categorize(p, train.src_vocab, train.tgt_vocab))
         for p in test_pairs

@@ -1,15 +1,16 @@
 """Change-hunk mining over version-control history.
 
 Walks non-merge commits in deterministic order, diffs each modified
-Java file against its first parent on normalized lines, traces deleted
-lines back to the commit that introduced them, and flags bug-fixing
-commits with a keyword heuristic (the first phase of SZZ).  Blame
-visits only the first-parent commits that changed the file and stops
-at file adds and renames; merge commits are skipped.  Both counts are
-tracked in the mining report.  A hunk's method scope comes from a
-brace-depth scan of the file's lines with the tokenizer's token pattern:
-``strip_line_comment`` drops a ``//`` comment and ``brace_counts`` skips
-braces inside string and char literals.
+Java file against its first parent on the normalized lines the
+repository adapter returns, traces deleted lines back to the commit
+that introduced them, and flags bug-fixing commits with a keyword
+heuristic (the first phase of SZZ).  Blame starts from the parent-side
+lines the diff already read, visits only the first-parent commits that
+changed the file and stops at file adds and renames; merge commits are
+skipped and counted in the mining report.  A hunk's method scope comes
+from a brace-depth scan of the file's lines with the tokenizer's token
+pattern: ``strip_line_comment`` drops a ``//`` comment and
+``brace_counts`` skips braces inside string and char literals.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .linediff import histogram_diff
-from .repo import CommitRecord, normalize_lines
+from .repo import CommitRecord
 from .tokenizer import brace_counts, strip_line_comment
 
 log = logging.getLogger(__name__)
@@ -78,15 +79,10 @@ class MiningReport:
     commits_seen: int = 0
     merges_skipped: int = 0
     hunks_emitted: int = 0
-    origin_unknown: int = 0
     unparseable_files: int = 0
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-class OriginUnknown(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -175,28 +171,22 @@ def mine_hunks(
             continue
         if until is not None and year_post > until:
             continue
-        parent_id = commit.parent_ids[0]
+        parent = repo.commit(commit.parent_ids[0])
         for path in repo.changed_java_files(commit):
-            pre_raw = repo.file_lines(parent_id, path)
-            post_raw = repo.file_lines(commit.id, path)
-            if pre_raw is None or post_raw is None:
+            pre = repo.file_lines(parent.id, path)
+            post = repo.file_lines(commit.id, path)
+            if pre is None or post is None:
                 report.unparseable_files += 1
                 continue
-            pre = normalize_lines(pre_raw)
-            post = normalize_lines(post_raw)
             pre_ranges = method_ranges(pre)
             post_ranges = method_ranges(post)
             for hunk in histogram_diff(pre, post):
                 deleted = tuple(pre[hunk.pre_start : hunk.pre_end])
                 added = tuple(post[hunk.post_start : hunk.post_end])
                 if deleted:
-                    try:
-                        origin, year_pre = blame_origin(
-                            repo, commit.id, path, hunk.pre_start
-                        )
-                    except OriginUnknown:
-                        report.origin_unknown += 1
-                        continue
+                    origin, year_pre = blame_origin(
+                        repo, parent, path, pre, hunk.pre_start
+                    )
                 else:
                     origin, year_pre = commit.id, year_post
                 scoped = _inside_one_range(
@@ -218,40 +208,24 @@ def mine_hunks(
 
 
 def blame_origin(
-    repo, commit_post: str, file_path: str, deleted_line_index: int
+    repo, commit: CommitRecord, path: str, lines: list[str], index: int
 ) -> tuple[str, int]:
-    """Commit that introduced the line at deleted_line_index (indexing
-    the normalized parent-side content of commit_post's first-parent
-    diff), walking first parents only.  A commit that left the file
-    alone has the same content as its parent, so the walk steps past it
-    without reading or diffing."""
-    commit = repo.commit(commit_post)
-    if not commit.parent_ids:
-        raise OriginUnknown(f"{commit_post} has no parent")
-    current = repo.commit(commit.parent_ids[0])
-    raw = repo.file_lines(current.id, file_path)
-    if raw is None:
-        raise OriginUnknown(f"{file_path} missing at {current.id}")
-    lines = normalize_lines(raw)
-    index = deleted_line_index
-    if index >= len(lines):
-        raise OriginUnknown(f"line {index} out of range at {current.id}")
-
-    while True:
-        if not current.parent_ids:
-            return current.id, current.year
-        parent = repo.commit(current.parent_ids[0])
-        if repo.touched(current.id, file_path):
-            parent_raw = repo.file_lines(parent.id, file_path)
-            if parent_raw is None:
-                # file added (or renamed into place) here: introduction point
-                return current.id, current.year
-            parent_lines = normalize_lines(parent_raw)
+    """Commit that introduced lines[index], where lines are path's
+    normalized lines at commit, walking first parents only.  A commit
+    that left the file alone has the same content as its parent, so the
+    walk steps past it without reading or diffing."""
+    while commit.parent_ids:
+        parent = repo.commit(commit.parent_ids[0])
+        if repo.touched(commit.id, path):
+            parent_lines = repo.file_lines(parent.id, path)
+            if parent_lines is None:
+                break       # file added (or renamed into place) here
             mapped = _map_line_back(parent_lines, lines, index)
             if mapped is None:
-                return current.id, current.year
+                break
             index, lines = mapped, parent_lines
-        current = parent
+        commit = parent
+    return commit.id, commit.year
 
 
 def _map_line_back(pre_lines, post_lines, post_index: int) -> int | None:

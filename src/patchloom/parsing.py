@@ -314,7 +314,7 @@ class _Parser:
     # -- types ---------------------------------------------------------
 
     def type_ref(self) -> None:
-        if self.peek() in PRIMITIVE_TYPES or self.peek() == "void":
+        if self.peek() in PRIMITIVE_TYPES:
             self.next()
         else:
             self.class_type()

@@ -7,9 +7,10 @@ the synthetic pipeline so mining stays deterministic without a VCS
 installation).  Both are context managers; leaving the `with` block
 ends any git process the adapter started.
 
-All file content is normalized before diffing: runs of whitespace
+Both adapters' file_lines return normalized lines: runs of whitespace
 collapse to single spaces, leading/trailing whitespace is stripped, and
-blank lines are dropped.
+blank lines are dropped.  Mining diffs and blames these lines as they
+come.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ class InMemoryRepo(_Repository):
 
     JSON shape: {"commits": [{"id": ..., "time": ISO-8601 or unix int,
     "message": ..., "parents": [...], "files": {path: content}}, ...]}
-    Each commit carries the full file tree.
+    Each commit carries the full file tree.  Ids are unique, messages,
+    paths and contents are strings, and every parent is listed before
+    its children, so no history has a cycle.
     """
 
     def __init__(self, commits: list[dict]):
@@ -88,8 +91,21 @@ class InMemoryRepo(_Repository):
                 message=obj.get("message", ""),
                 parent_ids=tuple(obj.get("parents", [])),
             )
+            files = obj.get("files", {})
+            if rec.id in self._trees:
+                raise RepositoryError(f"commit {rec.id!r} is listed twice")
+            if not isinstance(rec.message, str):
+                raise RepositoryError(f"commit {rec.id!r}: message is not a string")
+            if not (isinstance(files, dict) and all(
+                    isinstance(k, str) and isinstance(v, str) for k, v in files.items())):
+                raise RepositoryError(f"commit {rec.id!r}: files is not a "
+                                      f"map of paths to contents")
+            for parent in rec.parent_ids:
+                if parent not in self._trees:
+                    raise RepositoryError(f"commit {rec.id!r}: parent {parent!r} "
+                                          f"is not listed before it")
             self._records.append(rec)
-            self._trees[rec.id] = dict(obj.get("files", {}))
+            self._trees[rec.id] = dict(files)
         self._by_id = {r.id: r for r in self._records}
 
     @classmethod
@@ -97,6 +113,8 @@ class InMemoryRepo(_Repository):
         with open(path, encoding="utf-8") as fh:
             try:
                 return cls(json.load(fh)["commits"])
+            except RepositoryError as exc:
+                raise RepositoryError(f"{path}: {exc}") from None
             except (KeyError, TypeError, ValueError) as exc:
                 raise RepositoryError(f"{path}: not a repository snapshot ({exc!r})") from None
 
@@ -136,7 +154,7 @@ class InMemoryRepo(_Repository):
         tree = self._trees.get(commit_id)
         if tree is None or path not in tree:
             return None
-        return tree[path].splitlines()
+        return normalize_lines(tree[path].splitlines())
 
 
 def _decode(data: bytes) -> str:
@@ -245,7 +263,7 @@ class GitCliRepo(_Repository):
         if key in self._file_cache:
             return self._file_cache[key]
         blob = self._cat_file(f"{commit_id}:{path}")
-        lines = None if blob is None else _decode(blob).splitlines()
+        lines = None if blob is None else normalize_lines(_decode(blob).splitlines())
         self._file_cache[key] = lines
         return lines
 

@@ -326,6 +326,26 @@ def _snapshot_commit_without_time(tmp_path):
             str(tmp_path / "hunks.jsonl")], "repo.json"
 
 
+def _edited_snapshot(tmp_path, edit):
+    """make_repo's snapshot at repo.json, its last commit changed by edit."""
+    snapshot = make_repo()
+    edit(snapshot["commits"][-1])
+    (tmp_path / "repo.json").write_text(json.dumps(snapshot))
+    return str(tmp_path / "repo.json")
+
+
+def _snapshot_file_with_a_numeric_content(tmp_path):
+    repo = _edited_snapshot(tmp_path, lambda c: c["files"].update(
+        {path: 7 for path in c["files"]}))
+    return ["mine", "--repo", repo, "--out", str(tmp_path / "hunks.jsonl")], "repo.json"
+
+
+def _snapshot_commit_with_a_numeric_message(tmp_path):
+    repo = _edited_snapshot(tmp_path, lambda c: c.update(message=7))
+    return ["build-corpus", "--repo", repo, "--test-year", "2015",
+            "--out", str(tmp_path / "corpus")], "repo.json"
+
+
 RESULT = json.dumps({"query": "return this . x ;", "patch": "return x ;",
                      "score": -0.1, "valid": True, "na_reason": None,
                      "source": "model"})
@@ -429,6 +449,8 @@ def _counts_row_missing_a_column(tmp_path):
     _hunk_with_a_boolean_year,
     _hunk_with_a_numeric_commit_id,
     _snapshot_commit_without_time,
+    _snapshot_file_with_a_numeric_content,
+    _snapshot_commit_with_a_numeric_message,
     _result_line_without_fields,
     _result_line_with_a_numeric_query,
     _result_line_with_both_patch_and_na_reason,

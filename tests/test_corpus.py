@@ -8,7 +8,6 @@ from patchloom.corpus import (
     CATEGORY_NU,
     CATEGORY_UQ,
     CATEGORY_UR,
-    Corpus,
     CorpusError,
     PipelineLedger,
     StatementPair,
@@ -175,8 +174,7 @@ def test_replace_rare_substitutes_singletons_per_side():
         pair("int shared = zebra ;", "int shared = 1 ;"),
         pair("int shared = 2 ;", "int shared = 2 ;"),
     ]
-    corpus = Corpus(pairs, Vocabulary(), Vocabulary())
-    out = replace_rare(corpus, unk_threshold=1)
+    out = replace_rare(pairs, unk_threshold=1)
     assert "zebra" not in out.src_vocab
     assert UNK in out.pairs[0].pre.tokens
     # "shared" appears twice on each side and survives

@@ -6,6 +6,8 @@ line's introducing commit is known by construction.  _reference_blame
 is the first-parent walk that diffs at every commit; blame_origin,
 which steps past commits that left the file alone, must agree with it
 on hand-built histories and on every blame of a mined git repository.
+Both start from a commit and the file's lines there, as mine_hunks
+passes the parent side of a diff.
 """
 
 import os
@@ -17,7 +19,6 @@ from patchloom.linediff import histogram_diff
 from patchloom.mining import (
     ChangeHunk,
     MiningReport,
-    OriginUnknown,
     blame_origin,
     identify_fix_commits,
     is_fix_message,
@@ -26,7 +27,7 @@ from patchloom.mining import (
     read_hunks,
     write_hunks,
 )
-from patchloom.repo import GitCliRepo, InMemoryRepo, normalize_lines
+from patchloom.repo import GitCliRepo, InMemoryRepo
 
 from conftest import DATA_DIR, load_tagged, needs_git
 
@@ -81,17 +82,24 @@ def history_repo():
     return InMemoryRepo(HISTORY["commits"])
 
 
+def _blame_deleted(repo, post, path, index):
+    """Blame line index of path's parent side of post's diff, from the
+    start mine_hunks gives it."""
+    parent = repo.commit(repo.commit(post).parent_ids[0])
+    return blame_origin(repo, parent, path, repo.file_lines(parent.id, path), index)
+
+
 def test_blame_traces_to_introducing_commit(history_repo):
     # normalized file at k3: signature, a, b, s, c, d, closing brace;
     # index 2 is the b line (introduced by k2), index 4 the c line (k1)
-    assert blame_origin(history_repo, "k4", "M.java", 2) == ("k2", 2013)
-    assert blame_origin(history_repo, "k4", "M.java", 4) == ("k1", 2012)
-    assert blame_origin(history_repo, "k4", "M.java", 5) == ("k3", 2014)
+    assert _blame_deleted(history_repo, "k4", "M.java", 2) == ("k2", 2013)
+    assert _blame_deleted(history_repo, "k4", "M.java", 4) == ("k1", 2012)
+    assert _blame_deleted(history_repo, "k4", "M.java", 5) == ("k3", 2014)
 
 
 def test_blame_stops_at_file_add(history_repo):
     # every line of k1's file was introduced by k1 (the file add)
-    assert blame_origin(history_repo, "k2", "M.java", 2) == ("k1", 2012)
+    assert _blame_deleted(history_repo, "k2", "M.java", 2) == ("k1", 2012)
 
 
 def test_mined_hunks_carry_origin_years(history_repo):
@@ -206,45 +214,25 @@ def test_hunk_json_obj_round_trip():
 # ---------------------------------------------------------------------------
 # blame against the walk that diffs at every commit
 
-def _reference_blame(repo, commit_post, file_path, deleted_line_index):
+def _reference_blame(repo, commit, path, lines, index):
     """blame_origin without the skip: reads and diffs the file at every
     first-parent commit."""
-    commit = repo.commit(commit_post)
-    if not commit.parent_ids:
-        raise OriginUnknown(f"{commit_post} has no parent")
-    current = repo.commit(commit.parent_ids[0])
-    lines = repo.file_lines(current.id, file_path)
-    if lines is None:
-        raise OriginUnknown(f"{file_path} missing at {current.id}")
-    index = deleted_line_index
-    if index >= len(normalize_lines(lines)):
-        raise OriginUnknown(f"line {index} out of range at {current.id}")
-    while True:
-        if not current.parent_ids:
-            return current.id, current.year
-        parent = repo.commit(current.parent_ids[0])
-        parent_raw = repo.file_lines(parent.id, file_path)
-        if parent_raw is None:
-            return current.id, current.year
-        child_lines = normalize_lines(repo.file_lines(current.id, file_path))
-        parent_lines = normalize_lines(parent_raw)
+    while commit.parent_ids:
+        parent = repo.commit(commit.parent_ids[0])
+        parent_lines = repo.file_lines(parent.id, path)
+        if parent_lines is None:
+            break
         offset = 0
-        for hunk in histogram_diff(parent_lines, child_lines):
+        for hunk in histogram_diff(parent_lines, lines):
             if hunk.post_start <= index < hunk.post_end:
-                return current.id, current.year
+                return commit.id, commit.year
             if hunk.post_end <= index:
                 offset += (hunk.pre_end - hunk.pre_start) - (hunk.post_end - hunk.post_start)
             else:
                 break
         index += offset
-        current = parent
-
-
-def _outcome(blame, *args):
-    try:
-        return blame(*args)
-    except OriginUnknown:
-        return "unknown"
+        commit, lines = parent, parent_lines
+    return commit.id, commit.year
 
 
 def _commit(cid, year, parents, files):
@@ -301,16 +289,15 @@ ORACLE_HISTORIES = {
 
 def _assert_blame_matches_reference(repo, commits, ids):
     """blame_origin equals _reference_blame for every line of every file
-    at every commit's first parent; ids maps the history's ids to repo's."""
-    by_id = {c["id"]: c for c in commits}
+    at every commit; ids maps the history's ids to repo's."""
     checked = 0
     for c in commits:
-        if not c["parents"]:
-            continue
-        for path, text in by_id[c["parents"][0]]["files"].items():
-            for index in range(len(normalize_lines(text.splitlines())) + 1):
-                args = (repo, ids[c["id"]], path, index)
-                assert _outcome(blame_origin, *args) == _outcome(_reference_blame, *args), args
+        start = repo.commit(ids[c["id"]])
+        for path in c["files"]:
+            lines = repo.file_lines(start.id, path)
+            for index in range(len(lines)):
+                args = (repo, start, path, lines, index)
+                assert blame_origin(*args) == _reference_blame(*args), (start.id, path, index)
                 checked += 1
     assert checked
 
@@ -319,7 +306,7 @@ def _assert_blame_matches_reference(repo, commits, ids):
 def test_blame_equals_the_reference_walk(name):
     commits, (post, path, index, origin) = ORACLE_HISTORIES[name]
     repo = InMemoryRepo(commits)
-    assert blame_origin(repo, post, path, index)[0] == origin
+    assert _blame_deleted(repo, post, path, index)[0] == origin
     _assert_blame_matches_reference(repo, commits, {c["id"]: c["id"] for c in commits})
 
 
@@ -334,7 +321,7 @@ def test_git_blame_equals_the_reference_walk(tmp_path, workloads, name):
         # the writer keeps the history's order and makes each commit the
         # previous one's child, as these histories are
         ids = {c["id"]: r.id for c, r in zip(commits, repo.commits())}
-        assert blame_origin(repo, ids[post], path, index)[0] == ids[origin]
+        assert _blame_deleted(repo, ids[post], path, index)[0] == ids[origin]
         _assert_blame_matches_reference(repo, commits, ids)
 
 
@@ -344,8 +331,36 @@ def test_untouched_commits_are_not_diffed(monkeypatch):
     real = mining.histogram_diff
     monkeypatch.setattr(mining, "histogram_diff",
                         lambda pre, post: diffs.append(1) or real(pre, post))
-    blame_origin(InMemoryRepo(commits), post, path, index)
+    _blame_deleted(InMemoryRepo(commits), post, path, index)
     assert diffs == []      # k3, k2: untouched; k1: the root
+
+
+def _count_reads(monkeypatch, repo):
+    """The commit ids of every file_lines call on repo from here on."""
+    reads = []
+    real = repo.file_lines
+    monkeypatch.setattr(repo, "file_lines",
+                        lambda commit_id, path: reads.append(commit_id) or real(commit_id, path))
+    return reads
+
+
+def test_blame_reads_no_file_at_the_commit_it_starts_from(monkeypatch):
+    commits, (post, path, index, origin) = ORACLE_HISTORIES["untouched intermediate commits"]
+    repo = InMemoryRepo(commits)
+    start = repo.commit(repo.commit(post).parent_ids[0])
+    lines = repo.file_lines(start.id, path)
+    reads = _count_reads(monkeypatch, repo)
+    assert blame_origin(repo, start, path, lines, index)[0] == origin
+    assert start.id not in reads
+
+
+def test_mining_reads_each_file_version_once_per_diff(monkeypatch):
+    # 672 reads for both sides of 336 diffs and 336 for the blame walks
+    # past the parent; a walk that re-read the parent side made 1,344
+    repo = InMemoryRepo(synthdata.make_repo(seed=1, n_train_pairs=320)["commits"])
+    reads = _count_reads(monkeypatch, repo)
+    assert list(mine_hunks(repo))
+    assert len(reads) == 1008
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +409,7 @@ def test_blame_equals_the_reference_walk_on_every_mined_hunk(synthetic_git, monk
 
             def checked(*args):
                 calls.append(args)
-                assert _outcome(real, *args) == _outcome(_reference_blame, *args), args[1:]
+                assert real(*args) == _reference_blame(*args), args[1:3] + args[4:]
                 return real(*args)
 
             monkeypatch.setattr(mining, "blame_origin", checked)

@@ -42,6 +42,16 @@ def test_array_creation_rejects_a_diamond():
     assert _ok("o = new Foo < Bar < String > > [ 3 ] ;")
 
 
+def test_void_is_no_type_outside_a_class_literal():
+    # javac's parser takes void only as a method result or in void.class
+    assert not _ok("void x = y ;")
+    assert not _ok("x = ( void ) y ;")
+    assert not _ok("List < void > xs = null ;")
+    assert not _ok("for ( void x : xs ) {")
+    assert not _ok("try ( void r = f ( ) ) {")
+    assert _ok("c = void . class ;")
+
+
 def test_all_brace_lines_rejected():
     assert not _ok("}")
     assert not _ok("} }")

@@ -81,6 +81,19 @@ def test_unix_timestamps_accepted(tmp_path):
     assert repo.commit("u1").year == 2014
 
 
+@pytest.mark.parametrize("edit,complaint", [
+    (lambda cs: cs.append(dict(cs[0])), "listed twice"),
+    # a commit that is its own parent made the blame walk loop forever
+    (lambda cs: cs[1].update(parents=["c2"]), "parent 'c2' is not listed before it"),
+    (lambda cs: cs[1].update(files=["A.java"]), "files is not a map"),
+], ids=["duplicate id", "own parent", "file list"])
+def test_malformed_snapshot_raises(edit, complaint):
+    commits = [dict(c) for c in SNAPSHOT["commits"]]
+    edit(commits)
+    with pytest.raises(RepositoryError, match=complaint):
+        InMemoryRepo(commits)
+
+
 def test_unknown_commit_raises(repo):
     with pytest.raises(RepositoryError):
         repo.commit("nope")
@@ -188,8 +201,10 @@ def test_git_file_lines_decodes_like_text_mode(tmp_path):
     _commit_files(tmp_path, "2015-03-01T12:00:00 +0000", "initial", {"E.java": body})
     with GitCliRepo(str(tmp_path)) as repo:
         head = repo.commits()[0]
+        # CRLF and a lone CR end lines, an undecodable byte becomes
+        # U+FFFD, and normalization drops the blank line
         assert repo.file_lines(head.id, "E.java") == [
-            "int a;", "int b;", "int c; // caf\ufffd", "", "int d;"]
+            "int a;", "int b;", "int c; // caf\ufffd", "int d;"]
 
 
 @needs_git
