@@ -45,6 +45,8 @@ def main(argv=None) -> int:
     save_model(model_path, run.params, run.src_vocab, run.tgt_vocab)
     log.info("held-out exact match: %d/%d = %.3f",
              run.hits, run.total, run.exact)
+    log.info("decoded the held-out set and the queries in %.2fs",
+             run.decode_seconds)
     print(render_table([("model", run.model_report),
                         ("baseline", run.baseline_report)]))
 
@@ -60,6 +62,7 @@ def main(argv=None) -> int:
         "baseline": run.baseline_report.as_dict(),
         "best_epoch": run.logbook.best_epoch,
         "best_dev_loss": run.logbook.best_dev_loss,
+        "decode_seconds": round(run.decode_seconds, 2),
         "seconds": round(run.seconds, 1),
         "model_path": model_path,
     }

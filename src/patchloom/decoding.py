@@ -7,9 +7,12 @@ the best finished one, which preserves top-1 optimality over the
 explored space.  If nothing finishes within max_len, the best
 unfinished hypothesis is returned and flagged via finished=False.
 
-beam_search decodes a list of sources.  It casts the model to float64
-once per list, then cuts the list, in order, into chunks whose largest
-arrays stay within CHUNK_ELEMENTS.  A Decoder encodes a chunk with one
+beam_search decodes a list of sources.  It copies the model to float64
+with column-major matrices once per list (a model from
+modelio.load_model already is, and is not copied), so every product
+a @ W.T in model.py's forward reads a C-contiguous W.T.  It then cuts
+the list, in order, into chunks whose largest arrays stay within
+CHUNK_ELEMENTS.  A Decoder encodes a chunk with one
 padded model.encode; each source starts from the states at its last real
 token.  Every live hypothesis of every source is one row of the (R, H)
 decoder state, and a source's rows are adjacent and in candidate order:
@@ -18,8 +21,10 @@ LSTM, combiner and output layer step every row at once; each run attends
 over its own source's unpadded states and mixes in its own lexicon rows,
 so a list of one computes what decoding a single source always did.
 Each run takes its own top beam_size candidates (score descending, then
-token ascending, then row ascending), and each source keeps its own pool
-and stops on its own.
+token ascending, then row ascending) and settles them in the same pass:
+those ending in </s> join the source's pool, and the others become the
+source's next run if one of them can beat its best finished score, so
+each source stops on its own.
 
 beam_search and exhaustive_search (the exact reference a wide beam must
 match) share one step, Decoder.step: model.py's forward, the one
@@ -83,9 +88,9 @@ class Hypothesis:
 
 class Decoder:
     """A chunk of sources, encoded and ready to decode: the model at
-    float64, (Q, S, H) encoder states and attention keys padded to the
-    longest source, each source's length and lexicon rows, and the start
-    state, one row per source."""
+    float64 with column-major matrices, (Q, S, H) encoder states and
+    attention keys padded to the longest source, each source's length and
+    lexicon rows, and the start state, one row per source."""
 
     def __init__(self, params: ModelParameters, sources: list[list[int]]):
         params = _float64(params)
@@ -103,8 +108,7 @@ class Decoder:
         self.keys = attention_keys(params, states)
         self.lexicon = ([lexicon_rows(params, src) for src in sources]
                         if params.mixes_lexicon() else None)
-        # transposed views: a contiguous copy costs more than it saves,
-        # even over a chunk of queries at H=512
+        # C-contiguous, since params' matrices are column-major
         self.W_in = params.W_dec[:, :d].T
         self.W_rec = params.W_dec[:, d:].T
         last = (np.arange(len(sources)), self.lengths - 1)
@@ -139,9 +143,11 @@ class Decoder:
 
 
 def _float64(params: ModelParameters) -> ModelParameters:
-    """params at float64: params itself, or a cast copy, leaving the
-    caller's object alone."""
-    return params if params.flat.dtype == np.float64 else params.astype(np.float64)
+    """params at float64 with column-major matrices: params itself, or a
+    copy, leaving the caller's object alone."""
+    if params.flat.dtype == np.float64 and params.column_major:
+        return params
+    return params.column_major_copy()
 
 
 def _extend(tokens: list[tuple[int, ...]], total: np.ndarray, state: State,
@@ -152,31 +158,19 @@ def _extend(tokens: list[tuple[int, ...]], total: np.ndarray, state: State,
     return extended, total[rows, toks], tuple(a[rows] for a in state)
 
 
-def _runs(row_source: np.ndarray) -> list[tuple[int, int, int]]:
-    """The runs (q, a, b) of row_source (ascending): rows a to b-1 decode
-    source q."""
-    bounds = [0, *(np.flatnonzero(row_source[1:] != row_source[:-1]) + 1).tolist(),
-              len(row_source)]
-    return [(int(row_source[a]), a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _top_candidates(total: np.ndarray, runs: list[tuple[int, int, int]],
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, tokens) of each run's k best entries of total (R, V), runs in
-    order and each run's ordered by score descending, then token
-    ascending, then row ascending."""
-    rows, tokens = [], []
-    for _, a, b in runs:
-        flat = total[a:b].T.ravel()  # position = token * (b - a) + row - a
-        n = min(k, flat.size)
-        kth = np.partition(flat, flat.size - n)[flat.size - n]
-        picked = np.flatnonzero(flat >= kth)
-        # a stable sort keeps ties in position order: token, then row
-        picked = picked[np.argsort(-flat[picked], kind="stable")[:n]]
-        toks, run_rows = np.divmod(picked, b - a)
-        rows.append(run_rows + a)
-        tokens.append(toks)
-    return np.concatenate(rows), np.concatenate(tokens)
+def _top_candidates(total: np.ndarray, k: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, tokens, scores) of the k best entries of one run's total
+    (n, V), ordered by score descending, then token ascending, then row
+    ascending."""
+    flat = total.T.ravel()  # position = token * n + row
+    k = min(k, flat.size)
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    picked = np.flatnonzero(flat >= kth)
+    # a stable sort keeps ties in position order: token, then row
+    picked = picked[np.argsort(-flat[picked], kind="stable")[:k]]
+    tokens, rows = np.divmod(picked, total.shape[0])
+    return rows, tokens, flat[picked]
 
 
 def beam_search(
@@ -204,44 +198,51 @@ def _beam_search_chunk(params: ModelParameters, sources: list[list[int]],
                        beam_size: int, max_len: int) -> list[list[Hypothesis]]:
     decoder = Decoder(params, sources)
     state = decoder.start
-    row_source = np.arange(len(sources))
+    runs = [(q, q, q + 1) for q in range(len(sources))]
     prev = np.full(len(sources), BOS_ID)
     tokens: list[tuple[int, ...]] = [()] * len(sources)
     scores = np.zeros(len(sources))
     pools: list[list[Hypothesis]] = [[] for _ in sources]
-    best_finished = np.full(len(sources), -np.inf)
+    best_finished = [-np.inf] * len(sources)
 
     for _ in range(max_len):
-        runs = _runs(row_source)
         state, logp = decoder.step(state, prev, runs)
         total = scores[:, None] + logp
-        rows, toks = _top_candidates(total, runs, beam_size)
-        source, score = row_source[rows], total[rows, toks]
-        done = toks == EOS_ID
-        for i in np.flatnonzero(done).tolist():
-            q = source[i]
-            pools[q].append(Hypothesis(tokens=tokens[rows[i]] + (EOS_ID,),
-                                       log_prob=float(score[i]), finished=True))
-            best_finished[q] = max(best_finished[q], score[i])
-        # a source goes on while a live candidate can beat its best
-        # finished one, which a finished candidate never does
-        beats = score > best_finished[source]
-        if not beats.any():
+        rows: list[int] = []    # the live candidates, run after run
+        toks: list[int] = []
+        next_runs = []
+        for q, a, b in runs:
+            start, best_live = len(rows), -np.inf
+            for r, t, score in zip(*map(np.ndarray.tolist,
+                                        _top_candidates(total[a:b], beam_size))):
+                if t == EOS_ID:
+                    pools[q].append(Hypothesis(tokens=tokens[a + r] + (EOS_ID,),
+                                               log_prob=score, finished=True))
+                    best_finished[q] = max(best_finished[q], score)
+                else:
+                    best_live = max(best_live, score)
+                    rows.append(a + r)
+                    toks.append(t)
+            # a source goes on while a live candidate can beat its best
+            # finished one
+            if best_live > best_finished[q]:
+                next_runs.append((q, start, len(rows)))
+            else:
+                del rows[start:], toks[start:]
+        if not next_runs:
             break
-        going = np.zeros(len(sources), dtype=bool)
-        going[source[beats]] = True
-        live = ~done & going[source]
-        rows, prev, row_source = rows[live], toks[live], source[live]
-        tokens, scores, state = _extend(tokens, total, state, rows, prev)
+        runs, prev = next_runs, np.array(toks)
+        tokens, scores, state = _extend(tokens, total, state, np.array(rows), prev)
 
     results = []
+    first_row = {q: a for q, a, _ in runs}
     for q, pool in enumerate(pools):
         if pool:
             pool.sort(key=lambda hyp: -hyp.log_prob)
             results.append(pool[:beam_size])
         else:
             # still live: its rows are in candidate order, best first
-            r = int(np.searchsorted(row_source, q))
+            r = first_row[q]
             results.append([Hypothesis(tokens=tokens[r], log_prob=float(scores[r]),
                                        finished=False)])
     return results

@@ -25,7 +25,10 @@ decoding.Decoder.step over the live hypotheses of a chunk of sources,
 each source's rows attending over its own unpadded states; rows (B, .)
 are independent.
 They compute in the dtype of the parameters: training in float32,
-decoding in float64 (see decoding.py for why).  Each LSTM's
+decoding in float64 (see decoding.py for why).  Every forward product
+multiplies activations by a weight matrix's transpose, a @ W.T;
+decoding's matrices are column-major, so there W.T is C-contiguous and
+each product reads memory in order.  Each LSTM's
 pre-activations are split in two halves: the input half is computed for
 every position in one product, the recurrent half with one product per
 step.  Gate order in all LSTM weight matrices is [input, forget, cell,
@@ -35,6 +38,10 @@ tensor_shapes is the one table of the model's tensors and their order.
 ModelParameters keeps them as views of one 1-D buffer, flat, packed in
 that order with no padding; gradients and Adam's moments (training.py)
 have the same layout, and the model file (modelio.py) the same order.
+Training's parameters are row-major.  A column-major copy
+(ModelParameters.column_major_copy, modelio.load_model) keeps the order
+and the length of flat, but each W_ matrix's slice holds its transpose;
+the embeddings and vectors stay row-major.
 """
 
 from __future__ import annotations
@@ -47,9 +54,10 @@ import numpy as np
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp
-    overflows."""
+    overflows.  The numerator is max(e^-|x|, [x >= 0]): 1 where x >= 0,
+    since e^-|x| <= 1, and e^x below, with no data-dependent branch."""
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    return np.maximum(ex, x >= 0, dtype=ex.dtype) / (1.0 + ex)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -93,7 +101,9 @@ def tensor_shapes(src_vocab_size: int, tgt_vocab_size: int, hidden_size: int,
 class ModelParameters:
     """The tensors of tensor_shapes as reshaped views of flat, in table
     order with no gap: a write through a view is a write to flat, and a
-    cast, a copy or a finiteness test is one call on flat."""
+    cast, a copy or a finiteness test is one call on flat.  With
+    column_major, each W_ matrix's view is the transpose of a row-major
+    block, so its .T is C-contiguous."""
 
     flat: np.ndarray
     src_vocab_size: int
@@ -102,6 +112,7 @@ class ModelParameters:
     embed_size: int
     lexicon: LexiconTable | None = None
     lex_weight: float = 0.1
+    column_major: bool = False
 
     def __post_init__(self):
         shapes = self.shapes()
@@ -111,7 +122,11 @@ class ModelParameters:
                              f"the tensors need ({sum(sizes)},)")
         offset = 0
         for (name, shape), size in zip(shapes.items(), sizes):
-            setattr(self, name, self.flat[offset:offset + size].reshape(shape))
+            block = self.flat[offset:offset + size]
+            if self.column_major and name.startswith("W_"):
+                setattr(self, name, block.reshape(shape[::-1]).T)
+            else:
+                setattr(self, name, block.reshape(shape))
             offset += size
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
@@ -127,6 +142,14 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         return replace(self, flat=self.flat.copy())
+
+    def column_major_copy(self) -> "ModelParameters":
+        """A float64 copy with column-major matrices: the precision and
+        layout decoding computes in."""
+        out = replace(self, flat=np.empty(self.flat.size), column_major=True)
+        for name, tensor in self.tensors().items():
+            getattr(out, name)[...] = tensor
+        return out
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -206,7 +229,7 @@ def encode(
     # the input half of every step's pre-activations at once
     gates = _rows(x, params.W_enc[:, :d].T) + params.b_enc
     # a few rows times a transposed view is several times slower than
-    # times a contiguous copy
+    # times a contiguous copy; column-major parameters need no copy
     W_h = np.ascontiguousarray(params.W_enc[:, d:].T)
     states = np.empty((B, S, H), dtype=gates.dtype)
     cells = np.empty((B, S, H), dtype=gates.dtype)

@@ -17,7 +17,8 @@ Layout (all integers little-endian u32, floats IEEE-754 f32 LE):
 
 The tensors are written in model.tensor_shapes order, the order of
 ModelParameters.flat; load_model reads them into one such buffer at
-float64, the precision decoding computes in (see decoding.py).  The
+float64 with column-major matrices, the precision and layout decoding
+computes in (see decoding.py), so decoding makes no second copy.  The
 scalar lexicon mixture weight travels as a shape-(1,) tensor named
 "lex_weight".  Lexicon rows and entries are in ascending order, as
 LexiconTable keeps them, so save -> load -> save is byte-identical.
@@ -199,9 +200,11 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
     if r.pos != len(r.data):
         raise ModelFormatError(f"{len(r.data) - r.pos} trailing bytes after the lexicon")
     shapes = tensor_shapes(len(src_vocab), len(tgt_vocab), H, d)
-    flat = np.concatenate([tensors[name].reshape(-1) for name in shapes],
-                          dtype=np.float64)
+    flat = np.empty(sum(map(math.prod, shapes.values())))
     params = ModelParameters(flat, len(src_vocab), len(tgt_vocab), H, d,
                              lexicon=LexiconTable.from_rows(rows, len(src_vocab)),
-                             lex_weight=float(tensors["lex_weight"][0]))
+                             lex_weight=float(tensors["lex_weight"][0]),
+                             column_major=True)
+    for name, view in params.tensors().items():
+        view[...] = tensors[name]
     return params, src_vocab, tgt_vocab

@@ -67,29 +67,41 @@ class _Repository:
 class InMemoryRepo(_Repository):
     """Snapshot-per-commit repository.
 
-    JSON shape: {"commits": [{"id": ..., "time": ISO-8601 or unix int,
+    JSON shape: {"commits": [{"id": ..., "time": ISO-8601 or unix number,
     "message": ..., "parents": [...], "files": {path: content}}, ...]}
-    Each commit carries the full file tree.  Ids are unique, messages,
-    paths and contents are strings, and every parent is listed before
-    its children, so no history has a cycle.
+    Each commit carries the full file tree.  Ids are unique, a unix time
+    is a number (not a boolean) that a datetime can hold, messages,
+    parent ids, paths and contents are strings, and every parent is
+    listed before its children, so no history has a cycle.
     """
 
     def __init__(self, commits: list[dict]):
         self._records: list[CommitRecord] = []
         self._trees: dict[str, dict[str, str]] = {}
         for obj in commits:
+            cid = str(obj["id"])
             when = obj["time"]
+            if isinstance(when, bool):
+                raise RepositoryError(f"commit {cid!r}: time {when!r} is not a time")
             if isinstance(when, (int, float)):
-                ts = _dt.datetime.fromtimestamp(when, tz=_dt.timezone.utc)
+                try:
+                    ts = _dt.datetime.fromtimestamp(when, tz=_dt.timezone.utc)
+                except (OverflowError, OSError, ValueError):
+                    raise RepositoryError(
+                        f"commit {cid!r}: time {when!r} is out of range") from None
             else:
                 ts = _dt.datetime.fromisoformat(when)
                 if ts.tzinfo is None:
                     ts = ts.replace(tzinfo=_dt.timezone.utc)
+            parents = obj.get("parents", [])
+            if not (isinstance(parents, list)
+                    and all(isinstance(p, str) for p in parents)):
+                raise RepositoryError(f"commit {cid!r}: parents is not a list of ids")
             rec = CommitRecord(
-                id=str(obj["id"]),
+                id=cid,
                 author_time=ts,
                 message=obj.get("message", ""),
-                parent_ids=tuple(obj.get("parents", [])),
+                parent_ids=tuple(parents),
             )
             files = obj.get("files", {})
             if rec.id in self._trees:

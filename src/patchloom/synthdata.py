@@ -180,6 +180,7 @@ class BenchmarkRun:
     tgt_vocab: Vocabulary
     logbook: TrainingLog
     train_seconds: float
+    decode_seconds: float    # answering the held-out set and the queries
     seconds: float
 
     @property
@@ -213,14 +214,16 @@ def run_benchmark(bench: Benchmark, config: TrainingConfig) -> BenchmarkRun:
     train_seconds = time.monotonic() - started
 
     model = ModelProposer(params, src_vocab, tgt_vocab)
+    queries = [q for q, _, _ in bench.queries]
+    decode_started = time.monotonic()
     held_out = answer_all([pre for pre, _ in bench.held_out], model, threshold=None)
+    results = answer_all(queries, model, threshold=DEFAULT_THRESHOLD)
+    decode_seconds = time.monotonic() - decode_started
     hits = sum(res.patch is not None
                and res.patch.tokens.tokens == tokenize(post).tokens
                for res, (_, post) in zip(held_out, bench.held_out))
 
-    queries = [q for q, _, _ in bench.queries]
     references = [tokenize(r) for _, r, _ in bench.queries]
-    results = answer_all(queries, model, threshold=DEFAULT_THRESHOLD)
     index = BaselineIndex.from_parallel([s for s, _ in pairs],
                                         [t for _, t in pairs])
     base_results = answer_all(queries, index, threshold=None)
@@ -230,7 +233,8 @@ def run_benchmark(bench: Benchmark, config: TrainingConfig) -> BenchmarkRun:
         baseline_report=evaluate(base_results, references),
         results=results, references=references, params=params,
         src_vocab=src_vocab, tgt_vocab=tgt_vocab, logbook=logbook,
-        train_seconds=train_seconds, seconds=time.monotonic() - started)
+        train_seconds=train_seconds, decode_seconds=decode_seconds,
+        seconds=time.monotonic() - started)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,8 @@ def test_synthetic_benchmark_training_meets_exact_match_and_beats_baseline():
     ok = not run.logbook.aborted and run.passed and run.seconds < 900
     detail = (f"held-out exact {run.hits}/{run.total}, query F1 "
               f"{run.model_report.f1:.4f} vs baseline {run.baseline_report.f1:.4f}, "
-              f"train {run.train_seconds:.0f}s, total {run.seconds:.0f}s")
+              f"train {run.train_seconds:.0f}s, decode {run.decode_seconds:.1f}s, "
+              f"total {run.seconds:.0f}s")
     _report("synthetic rewrite benchmark", "PASS" if ok else "FAIL", detail)
     assert ok, detail
 

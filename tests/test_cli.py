@@ -197,6 +197,32 @@ def _small_model(path, lexicon):
                Vocabulary(("int", "a", "b", "=", ";", "c")))
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_a_loaded_model_is_copied_to_float64_once(tmp_path, monkeypatch, command):
+    # load_model reads the float32 file straight into the column-major
+    # float64 layout decoding computes in, so decoding copies nothing
+    model = tmp_path / "model.plm"
+    _small_model(model, {0: {3: 1.0}})
+    (tmp_path / "train.src").write_text("int a = b ;\n")
+    (tmp_path / "train.tgt").write_text("int a = c ;\n")
+    (tmp_path / "test.queries").write_text("int a = b ;\na = b ;\n")
+    (tmp_path / "test.refs").write_text("int a = c ;\na = c ;\n")
+    loaded, copies = [], []
+    monkeypatch.setattr(cli, "load_model", lambda path: (
+        loaded.append(load_model(path)), loaded[-1])[-1])
+    for method in ("astype", "copy", "column_major_copy"):
+        original = getattr(ModelParameters, method)
+        monkeypatch.setattr(ModelParameters, method, lambda self, *args, _m=original: (
+            copies.append(_m.__name__), _m(self, *args))[-1])
+    argv = {"generate": ["--query-file", str(tmp_path / "test.queries")],
+            "sweep": ["--corpus", str(tmp_path)]}[command]
+    assert main([command, "--model", str(model), "--max-len", "4",
+                 "--out", str(tmp_path / "out")] + argv) == 0
+    [(params, _, _)] = loaded
+    assert params.flat.dtype == np.float64 and params.column_major
+    assert copies == []
+
+
 def test_blank_and_comment_only_query_lines_get_one_answer_each(tmp_path):
     # a line with no tokens is NA untokenizable and never reaches the
     # batch, where an empty source would fail the whole chunk's encode
@@ -346,6 +372,21 @@ def _snapshot_commit_with_a_numeric_message(tmp_path):
             "--out", str(tmp_path / "corpus")], "repo.json"
 
 
+def _snapshot_commit_with_a_boolean_time(tmp_path):
+    repo = _edited_snapshot(tmp_path, lambda c: c.update(time=True))
+    return ["mine", "--repo", repo, "--out", str(tmp_path / "hunks.jsonl")], "repo.json"
+
+
+def _snapshot_commit_with_a_time_out_of_range(tmp_path):
+    repo = _edited_snapshot(tmp_path, lambda c: c.update(time=1e300))
+    return ["mine", "--repo", repo, "--out", str(tmp_path / "hunks.jsonl")], "repo.json"
+
+
+def _snapshot_commit_with_a_string_for_parents(tmp_path):
+    repo = _edited_snapshot(tmp_path, lambda c: c.update(parents=c["parents"][0]))
+    return ["mine", "--repo", repo, "--out", str(tmp_path / "hunks.jsonl")], "repo.json"
+
+
 RESULT = json.dumps({"query": "return this . x ;", "patch": "return x ;",
                      "score": -0.1, "valid": True, "na_reason": None,
                      "source": "model"})
@@ -451,6 +492,9 @@ def _counts_row_missing_a_column(tmp_path):
     _snapshot_commit_without_time,
     _snapshot_file_with_a_numeric_content,
     _snapshot_commit_with_a_numeric_message,
+    _snapshot_commit_with_a_boolean_time,
+    _snapshot_commit_with_a_time_out_of_range,
+    _snapshot_commit_with_a_string_for_parents,
     _result_line_without_fields,
     _result_line_with_a_numeric_query,
     _result_line_with_both_patch_and_na_reason,

@@ -243,23 +243,25 @@ def test_sources_beyond_one_chunk_decode_as_alone(monkeypatch):
 
 
 def test_top_candidates_break_ties_by_token_then_row():
-    # three runs of 2, 3 and 1 rows over 4 tokens; -0.5 ties inside every
-    # run and across them, and each run's third place is a tie it must cut
-    row_source = np.array([0, 0, 3, 3, 3, 7])
-    runs = decoding._runs(row_source)
-    assert runs == [(0, 0, 2), (3, 2, 5), (7, 5, 6)]
-    total = np.array([
-        [-1.0, -0.5, -0.5, -2.0],    # source 0
-        [-0.5, -1.0, -3.0, -0.5],
-        [-1.0, -1.0, -0.5, -1.0],    # source 3
-        [-1.0, -0.2, -1.0, -0.5],
-        [-0.5, -1.0, -1.0, -1.0],
-        [-0.5, -0.5, -0.5, -0.5],    # source 7
-    ])
-    rows, tokens = decoding._top_candidates(total, runs, 3)
-    assert rows.tolist() == [1, 0, 0, 3, 4, 2, 5, 5, 5]
-    assert tokens.tolist() == [0, 1, 2, 1, 0, 2, 0, 1, 2]
-    assert row_source[rows].tolist() == [0, 0, 0, 3, 3, 3, 7, 7, 7]
+    # runs of 2, 3 and 1 rows over 4 tokens; -0.5 ties inside every run,
+    # and each run's third place is a tie it must cut
+    runs = {
+        "2 rows": ([[-1.0, -0.5, -0.5, -2.0],
+                    [-0.5, -1.0, -3.0, -0.5]], [1, 0, 0], [0, 1, 2]),
+        "3 rows": ([[-1.0, -1.0, -0.5, -1.0],
+                    [-1.0, -0.2, -1.0, -0.5],
+                    [-0.5, -1.0, -1.0, -1.0]], [1, 2, 0], [1, 0, 2]),
+        "1 row": ([[-0.5, -0.5, -0.5, -0.5]], [0, 0, 0], [0, 1, 2]),
+    }
+    for name, (total, want_rows, want_tokens) in runs.items():
+        total = np.array(total)
+        rows, tokens, scores = decoding._top_candidates(total, 3)
+        assert rows.tolist() == want_rows, name
+        assert tokens.tolist() == want_tokens, name
+        assert scores.tolist() == total[rows, tokens].tolist(), name
+    # k beyond the run's entries takes them all
+    rows, tokens, _ = decoding._top_candidates(np.array([[-1.0, -2.0]]), 5)
+    assert rows.tolist() == [0, 0] and tokens.tolist() == [0, 1]
 
 
 def test_an_empty_list_decodes_to_an_empty_list():
@@ -272,18 +274,86 @@ def test_an_empty_source_fails_its_chunk():
 
 
 def test_float64_model_is_not_copied(monkeypatch):
-    # decoding casts a float32 model once per list, however many chunks
+    # decoding copies a float32 or a row-major model to column-major
+    # float64 once per list, however many chunks
     params = make_params(2)
-    casts = []
-    astype = ModelParameters.astype
-    monkeypatch.setattr(ModelParameters, "astype",
-                        lambda self, dtype: casts.append(dtype) or astype(self, dtype))
+    copies = []
+    column_major_copy = ModelParameters.column_major_copy
+    monkeypatch.setattr(ModelParameters, "column_major_copy", lambda self: (
+        copies.append(self.flat.dtype) or column_major_copy(self)))
     monkeypatch.setattr(decoding, "CHUNK_ELEMENTS", 1)   # one source per chunk
-    beam_search(params, [[0, 1], [2], [1, 1, 0]], beam_size=3, max_len=4)
-    assert casts == [np.float64] and params.W_enc.dtype == np.float32
-    # a float64 model is used as it is
-    p64 = astype(params, np.float64)
-    casts.clear()
+    for model in (params, params.astype(np.float64)):
+        copies.clear()
+        beam_search(model, [[0, 1], [2], [1, 1, 0]], beam_size=3, max_len=4)
+        assert copies == [model.flat.dtype]
+    assert params.W_enc.dtype == np.float32 and not params.column_major
+    # a column-major float64 model is used as it is
+    p64 = column_major_copy(params)
+    copies.clear()
     beam_search(p64, [[0, 1], [2]], beam_size=3, max_len=4)
-    assert casts == []
+    assert copies == []
     assert Decoder(p64, [[0]]).params is p64
+
+
+@pytest.mark.parametrize("lexicon", [False, True])
+def test_column_major_copy_decodes_as_the_row_major_model(monkeypatch, lexicon):
+    # the same float64 values in the other layout: BLAS may sum a product
+    # in another order, so scores may differ in the last bits only
+    chunks = []
+    init = Decoder.__init__
+    monkeypatch.setattr(Decoder, "__init__", lambda self, params, srcs: (
+        chunks.append(len(srcs)), init(self, params, srcs))[-1])
+    # room for three sources of six tokens: (6 + beam) * (4H + V_tgt)
+    monkeypatch.setattr(decoding, "CHUNK_ELEMENTS", 3 * (6 + 5) * (4 * 16 + 12))
+    worst = 0.0
+    for seed in range(8):
+        params, rng = random_model(seed, 16, lexicon)
+        sources = [rng.integers(0, 8, size=n).tolist()
+                   for n in rng.integers(1, 7, size=8)]
+        got = beam_search(params, sources, beam_size=5, max_len=8)
+        with monkeypatch.context() as m:
+            m.setattr(decoding, "_float64", lambda p: p.astype(np.float64))
+            want = beam_search(params, sources, beam_size=5, max_len=8)
+        for hyps, ref in zip(got, want, strict=True):
+            assert [(h.tokens, h.finished) for h in hyps] == [
+                (h.tokens, h.finished) for h in ref]
+            worst = max([worst] + [abs(h.log_prob - r.log_prob)
+                                   for h, r in zip(hyps, ref)])
+    assert worst <= 1e-12
+    # every list, decoded twice, was cut into several chunks
+    assert max(chunks) < 8 and sum(chunks) == 2 * 8 * 8
+
+
+class _Weight(np.ndarray):
+    """A weight view that records each matrix product reading it."""
+
+    reads: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Weight.reads += [x for x in inputs if isinstance(x, _Weight)]
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _Weight) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("lexicon", [False, True])
+def test_every_decode_product_reads_a_c_contiguous_matrix(monkeypatch, lexicon):
+    # a strided weight makes each small product several times slower
+    params, rng = random_model(0, 16, lexicon)
+    p = decoding._float64(params)
+    d = p.embed_size
+    matrices = [name for name in p.tensors() if name.startswith("W_")]
+    for name in matrices:
+        setattr(p, name, getattr(p, name).view(_Weight))
+    monkeypatch.setattr(_Weight, "reads", [])
+    beam_search(p, [[1, 2, 3], [4, 5]], beam_size=4, max_len=5)
+    assert _Weight.reads
+    for W in _Weight.reads:
+        assert W.flags.c_contiguous, W.shape
+    read = {name for name in matrices
+            if any(np.shares_memory(W, getattr(p, name)) for W in _Weight.reads)}
+    assert read == set(matrices)
+    # the encoder's recurrent half goes through np.ascontiguousarray,
+    # which must find it contiguous and copy nothing
+    assert np.shares_memory(np.ascontiguousarray(p.W_enc[:, d:].T), p.flat)

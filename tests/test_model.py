@@ -79,6 +79,28 @@ def test_sigmoid_and_softmax_basics():
     assert np.allclose(softmax(x + 1000.0), s)
 
 
+def where_sigmoid(x):
+    """The branching form model.sigmoid replaced: its bit-for-bit oracle."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_the_branching_form_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, info.smallest_subnormal,
+             -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max,
+             88.7, -88.7, 88.8, -88.8, 709.7, -709.7, 709.8, -709.8, 745.2, -745.2]
+    rng = np.random.default_rng(0)
+    random = np.concatenate([rng.normal(0, 4, 20_000), rng.uniform(-800, 800, 20_000)])
+    for x in (np.array(edges, dtype=dtype), random.astype(dtype),
+              random.astype(dtype).reshape(400, 100)[:, ::3]):
+        got, want = sigmoid(x), where_sigmoid(x)
+        assert got.dtype == want.dtype == dtype
+        # equal bits: NaN matches NaN and -0.0 differs from 0.0
+        assert got.tobytes() == want.tobytes()
+
+
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_softmax_is_a_distribution(values):
@@ -146,9 +168,13 @@ def _loaded(tmp_path):
     lambda tmp_path: make_params(),
     lambda tmp_path: make_params().astype(np.float64),
     lambda tmp_path: make_params().copy(),
+    lambda tmp_path: make_params().column_major_copy(),
     _loaded,
-], ids=["initialize", "astype", "copy", "load_model"])
+], ids=["initialize", "astype", "copy", "column_major_copy", "load_model"])
 def test_tensors_are_views_tiling_flat_in_table_order(tmp_path, make):
+    # row-major, or with column-major W_ matrices: each matrix's block of
+    # flat then holds its transpose, and the embeddings and vectors stay
+    # row-major
     params = make(tmp_path)
     shapes = tensor_shapes(6, 7, 5, 4)
     flat = params.flat
@@ -158,14 +184,26 @@ def test_tensors_are_views_tiling_flat_in_table_order(tmp_path, make):
     offset = 0
     for name, shape in shapes.items():
         view = getattr(params, name)
-        assert view.shape == shape and view.flags.c_contiguous, name
+        block = view.T if params.column_major and name.startswith("W_") else view
+        assert view.shape == shape and block.flags.c_contiguous, name
         assert np.shares_memory(view, flat), name
         assert view.__array_interface__["data"][0] == start + offset * flat.itemsize, name
-        assert np.array_equal(view.reshape(-1), flat[offset:offset + view.size]), name
-        view.reshape(-1)[-1] = 7.0
+        assert np.array_equal(block.reshape(-1), flat[offset:offset + view.size]), name
+        block.reshape(-1)[-1] = 7.0
         assert flat[offset + view.size - 1] == 7.0, name
         offset += view.size
     assert offset == flat.size
+
+
+def test_loaded_and_decoding_copies_are_column_major(tmp_path):
+    params = make_params()
+    for other in (_loaded(tmp_path), params.column_major_copy()):
+        assert other.column_major and other.flat.dtype == np.float64
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(getattr(other, name), tensor), name
+            if name.startswith("W_"):
+                assert getattr(other, name).flags.f_contiguous, name
+    assert not params.column_major
 
 
 def test_astype_and_copy_own_their_buffer():

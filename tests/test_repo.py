@@ -86,7 +86,16 @@ def test_unix_timestamps_accepted(tmp_path):
     # a commit that is its own parent made the blame walk loop forever
     (lambda cs: cs[1].update(parents=["c2"]), "parent 'c2' is not listed before it"),
     (lambda cs: cs[1].update(files=["A.java"]), "files is not a map"),
-], ids=["duplicate id", "own parent", "file list"])
+    # a boolean passed for the unix time 1: 1970-01-01T00:00:01
+    (lambda cs: cs[1].update(time=True), "time True is not a time"),
+    (lambda cs: cs[1].update(time=1e300), "time 1e[+]300 is out of range"),
+    (lambda cs: cs[1].update(time=-1e20), "out of range"),
+    (lambda cs: cs[1].update(time=float("nan")), "time nan is out of range"),
+    # a string was read character by character: a merge of c and 1
+    (lambda cs: cs[1].update(parents="c1"), "parents is not a list of ids"),
+    (lambda cs: cs[1].update(parents=[1]), "parents is not a list of ids"),
+], ids=["duplicate id", "own parent", "file list", "boolean time", "huge time",
+        "time before year 1", "nan time", "parents string", "numeric parent"])
 def test_malformed_snapshot_raises(edit, complaint):
     commits = [dict(c) for c in SNAPSHOT["commits"]]
     edit(commits)

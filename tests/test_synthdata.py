@@ -160,3 +160,4 @@ def test_run_benchmark_is_deterministic():
     for run in (first, second):
         assert run.model_report.n_queries == run.baseline_report.n_queries == 20
         assert run.model_report.threshold == -0.7
+        assert 0.0 < run.decode_seconds <= run.seconds - run.train_seconds
