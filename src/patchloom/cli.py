@@ -472,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
             OSError) as exc:
         log.error("%s", exc)
         return 1
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
+        return 1
     except Exception:
         log.exception("unhandled failure")
         return 1

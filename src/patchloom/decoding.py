@@ -8,23 +8,22 @@ explored space.  If nothing finishes within max_len, the best
 unfinished hypothesis is returned and flagged via finished=False.
 
 beam_search decodes a list of sources.  It copies the model to float64
-with column-major matrices once per list (a model from
-modelio.load_model already is, and is not copied), so every product
-a @ W.T in model.py's forward reads a C-contiguous W.T.  It then cuts
-the list, in order, into chunks whose largest arrays stay within
-CHUNK_ELEMENTS.  A Decoder encodes a chunk with one
-padded model.encode; each source starts from the states at its last real
-token.  Every live hypothesis of every source is one row of the (R, H)
-decoder state, and a source's rows are adjacent and in candidate order:
-one run (q, a, b) per live source, rows a to b-1 decoding source q.  The
-LSTM, combiner and output layer step every row at once; each run attends
-over its own source's unpadded states and mixes in its own lexicon rows,
-so a list of one computes what decoding a single source always did.
-Each run takes its own top beam_size candidates (score descending, then
-token ascending, then row ascending) and settles them in the same pass:
-those ending in </s> join the source's pool, and the others become the
-source's next run if one of them can beat its best finished score, so
-each source stops on its own.
+once per list (a model from modelio.load_model already is, and is not
+copied); the copy keeps model.py's one layout, so every product a @ W.T
+in the forward reads a C-contiguous W.T.  It then cuts the list, in
+order, into chunks whose largest arrays stay within CHUNK_ELEMENTS.  A
+Decoder encodes a chunk with one padded model.encode; each source starts
+from the states at its last real token.  Every live hypothesis of every
+source is one row of the (R, H) decoder state, and a source's rows are
+adjacent and in candidate order: one run (q, a, b) per live source, rows
+a to b-1 decoding source q.  The LSTM, combiner and output layer step
+every row at once; each run attends over its own source's unpadded
+states and mixes in its own lexicon rows, so a list of one computes what
+decoding a single source always did.  Each run takes its own top
+beam_size candidates (score descending, then token ascending, then row
+ascending) and settles them in the same pass: those ending in </s> join
+the source's pool, and the others become the source's next run if one of
+them can beat its best finished score, so each source stops on its own.
 
 beam_search and exhaustive_search (the exact reference a wide beam must
 match) share one step, Decoder.step: model.py's forward, the one
@@ -88,9 +87,9 @@ class Hypothesis:
 
 class Decoder:
     """A chunk of sources, encoded and ready to decode: the model at
-    float64 with column-major matrices, (Q, S, H) encoder states and
-    attention keys padded to the longest source, each source's length and
-    lexicon rows, and the start state, one row per source."""
+    float64, (Q, S, H) encoder states and attention keys padded to the
+    longest source, each source's length and lexicon rows, and the start
+    state, one row per source."""
 
     def __init__(self, params: ModelParameters, sources: list[list[int]]):
         params = _float64(params)
@@ -108,7 +107,7 @@ class Decoder:
         self.keys = attention_keys(params, states)
         self.lexicon = ([lexicon_rows(params, src) for src in sources]
                         if params.mixes_lexicon() else None)
-        # C-contiguous, since params' matrices are column-major
+        # C-contiguous, since model.py's matrices are column-major
         self.W_in = params.W_dec[:, :d].T
         self.W_rec = params.W_dec[:, d:].T
         last = (np.arange(len(sources)), self.lengths - 1)
@@ -143,11 +142,9 @@ class Decoder:
 
 
 def _float64(params: ModelParameters) -> ModelParameters:
-    """params at float64 with column-major matrices: params itself, or a
-    copy, leaving the caller's object alone."""
-    if params.flat.dtype == np.float64 and params.column_major:
-        return params
-    return params.column_major_copy()
+    """params at float64: params itself, or a copy, leaving the caller's
+    object alone."""
+    return params if params.flat.dtype == np.float64 else params.astype(np.float64)
 
 
 def _extend(tokens: list[tuple[int, ...]], total: np.ndarray, state: State,

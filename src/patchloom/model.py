@@ -26,22 +26,21 @@ each source's rows attending over its own unpadded states; rows (B, .)
 are independent.
 They compute in the dtype of the parameters: training in float32,
 decoding in float64 (see decoding.py for why).  Every forward product
-multiplies activations by a weight matrix's transpose, a @ W.T;
-decoding's matrices are column-major, so there W.T is C-contiguous and
-each product reads memory in order.  Each LSTM's
-pre-activations are split in two halves: the input half is computed for
-every position in one product, the recurrent half with one product per
-step.  Gate order in all LSTM weight matrices is [input, forget, cell,
+multiplies activations by a weight matrix's transpose, a @ W.T, and
+every W.T is C-contiguous, so each product reads memory in order.  Each
+LSTM's pre-activations are split in two halves: the input half is
+computed for every position in one product, the recurrent half with one
+product per step.  Gate order in all LSTM weight matrices is [input, forget, cell,
 output].
 
 tensor_shapes is the one table of the model's tensors and their order.
 ModelParameters keeps them as views of one 1-D buffer, flat, packed in
-that order with no padding; gradients and Adam's moments (training.py)
-have the same layout, and the model file (modelio.py) the same order.
-Training's parameters are row-major.  A column-major copy
-(ModelParameters.column_major_copy, modelio.load_model) keeps the order
-and the length of flat, but each W_ matrix's slice holds its transpose;
-the embeddings and vectors stay row-major.
+that order with no padding.  Each W_ matrix is column-major: its slice
+of flat holds its transpose, row-major, so W.T is C-contiguous; the
+embeddings and vectors are row-major.  Training's parameters, gradients
+and Adam's moments (training.py), the model load_model returns and
+decoding's float64 copy all have this one layout, and the model file
+(modelio.py) the same order, each tensor written row-major.
 """
 
 from __future__ import annotations
@@ -101,9 +100,9 @@ def tensor_shapes(src_vocab_size: int, tgt_vocab_size: int, hidden_size: int,
 class ModelParameters:
     """The tensors of tensor_shapes as reshaped views of flat, in table
     order with no gap: a write through a view is a write to flat, and a
-    cast, a copy or a finiteness test is one call on flat.  With
-    column_major, each W_ matrix's view is the transpose of a row-major
-    block, so its .T is C-contiguous."""
+    cast, a copy or a finiteness test is one call on flat.  Each W_
+    matrix's view is the transpose of a row-major block, so its .T is
+    C-contiguous."""
 
     flat: np.ndarray
     src_vocab_size: int
@@ -112,7 +111,6 @@ class ModelParameters:
     embed_size: int
     lexicon: LexiconTable | None = None
     lex_weight: float = 0.1
-    column_major: bool = False
 
     def __post_init__(self):
         shapes = self.shapes()
@@ -123,10 +121,8 @@ class ModelParameters:
         offset = 0
         for (name, shape), size in zip(shapes.items(), sizes):
             block = self.flat[offset:offset + size]
-            if self.column_major and name.startswith("W_"):
-                setattr(self, name, block.reshape(shape[::-1]).T)
-            else:
-                setattr(self, name, block.reshape(shape))
+            setattr(self, name, block.reshape(shape[::-1]).T
+                    if name.startswith("W_") else block.reshape(shape))
             offset += size
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
@@ -142,14 +138,6 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         return replace(self, flat=self.flat.copy())
-
-    def column_major_copy(self) -> "ModelParameters":
-        """A float64 copy with column-major matrices: the precision and
-        layout decoding computes in."""
-        out = replace(self, flat=np.empty(self.flat.size), column_major=True)
-        for name, tensor in self.tensors().items():
-            getattr(out, name)[...] = tensor
-        return out
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -193,7 +181,8 @@ class ModelParameters:
                 limit = np.sqrt(3.0 / shape[-1])
             else:
                 limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            getattr(params, name)[...] = rng.uniform(-limit, limit, size=shape)
+            # cast first: numpy casts and transposes in one loop ~2x slower
+            getattr(params, name)[...] = rng.uniform(-limit, limit, size=shape).astype(dtype)
         params.b_enc[H:2 * H] = 1.0
         params.b_dec[H:2 * H] = 1.0
         return params
@@ -228,9 +217,7 @@ def encode(
     H = params.hidden_size
     # the input half of every step's pre-activations at once
     gates = _rows(x, params.W_enc[:, :d].T) + params.b_enc
-    # a few rows times a transposed view is several times slower than
-    # times a contiguous copy; column-major parameters need no copy
-    W_h = np.ascontiguousarray(params.W_enc[:, d:].T)
+    W_h = params.W_enc[:, d:].T
     states = np.empty((B, S, H), dtype=gates.dtype)
     cells = np.empty((B, S, H), dtype=gates.dtype)
     h = np.zeros((B, H), dtype=gates.dtype)

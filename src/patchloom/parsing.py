@@ -4,11 +4,12 @@ A statement is valid when it parses as a local statement of a method
 body: local-variable declarations, restricted expression statements
 (assignment, call, new, ++/--), return/throw/break/continue/assert,
 and control-flow headers whose body may be elided or left open with a
-trailing '{'.  Lines that could only occur outside a method body
-(member declarations, closing braces, case labels) are rejected, as
-are constructs we deliberately do not model (block-bodied lambdas,
-anonymous classes).  Rejection is the conservative direction: invalid
-statements are dropped from the corpus.
+trailing '{'; a try, catch or finally body is otherwise a block, and a
+complete switch body is case groups.  Lines that could only occur
+outside a method body (member declarations, closing braces, case
+labels) are rejected, as are constructs we deliberately do not model
+(block-bodied lambdas, anonymous classes).  Rejection is the
+conservative direction: invalid statements are dropped from the corpus.
 
 Each piece of syntax is one rule of ``_Parser``: ``attempt`` is the only
 backtracking (declaration or expression, foreach or classic for header,
@@ -198,14 +199,14 @@ class _Parser:
                 while self.accept(";") and self.peek() != ")":
                     self.resource()
                 self.expect(")")
-            self.tail()
+            self.block_tail()
             while self.accept("catch"):
                 self.expect("(")
                 self.catch_param()
                 self.expect(")")
-                self.tail()
+                self.block_tail()
             if self.accept("finally"):
-                self.tail()
+                self.block_tail()
         # the remaining keyword is ';', the empty statement
 
     def tail(self) -> None:
@@ -213,24 +214,34 @@ class _Parser:
         line, a complete block, or a single embedded statement."""
         if self.left_open():
             return
-        if self.peek() in ("else", "catch", "finally", "while") and self.peek(1) in ("(", "{", None):
+        if self.peek() in ("else", "while") and self.peek(1) in ("(", "{", None):
             # let the caller consume its continuation keyword
             return
         self.statement()
 
+    def block_tail(self) -> None:
+        """Body of try, catch or finally: elided, an open '{' at end of
+        line, or a complete block."""
+        if not self.left_open():
+            self.block()
+
     def switch_body(self) -> None:
-        """Elided, an open '{', or a complete body of case groups, which
-        is rare and accepted by scanning to the matching brace."""
+        """Elided, an open '{', or a complete body of case groups: labels
+        ('case' expression ':' or 'default' ':'), each followed by
+        statements."""
         if self.left_open():
             return
         self.expect("{")
-        depth = 1
-        while depth:
-            tok = self.next()
-            if tok == "{":
-                depth += 1
-            elif tok == "}":
-                depth -= 1
+        if self.peek() not in ("case", "default", "}"):
+            raise _Fail(f"expected a switch label, got {self.peek()!r}")
+        while not self.accept("}"):
+            if self.accept("case"):
+                self.ternary()
+                self.expect(":")
+            elif self.accept("default"):
+                self.expect(":")
+            else:
+                self.statement()
 
     def block(self) -> None:
         self.expect("{")

@@ -189,8 +189,7 @@ def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
     cache.e = e
     # each step overwrites its slot of the input half with its gate values
     gates = _rows(e, params.W_dec[:, :d].T) + params.b_dec
-    # contiguous, as in model.encode; Adam changes the weights every batch
-    W_rec = np.ascontiguousarray(params.W_dec[:, d:].T)
+    W_rec = params.W_dec[:, d:].T
     Hx = cache.Hx
     keys = cache.keys = attention_keys(params, Hx)
     pad_scores = np.where(np.arange(S) < cache.src_len[:, None], 0.0,
@@ -469,8 +468,6 @@ def batch_loss_and_gradients(
 ) -> tuple[float, int, ModelParameters]:
     """Mean-per-token loss over the batch, its token count, and matching
     gradients in params' layout."""
-    # the gradient buffer is allocated before the cache, so the memory
-    # the cache frees on return is what Adam's scratch arrays reuse
     grads = replace(params, flat=np.empty_like(params.flat))
     cache = forward_pair(params, batch, rng, dropout)
     backward_pair(params, cache, grads)

@@ -199,8 +199,8 @@ def _small_model(path, lexicon):
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])
 def test_a_loaded_model_is_copied_to_float64_once(tmp_path, monkeypatch, command):
-    # load_model reads the float32 file straight into the column-major
-    # float64 layout decoding computes in, so decoding copies nothing
+    # load_model reads the float32 file straight into float64, the
+    # precision decoding computes in, so decoding copies nothing
     model = tmp_path / "model.plm"
     _small_model(model, {0: {3: 1.0}})
     (tmp_path / "train.src").write_text("int a = b ;\n")
@@ -210,7 +210,7 @@ def test_a_loaded_model_is_copied_to_float64_once(tmp_path, monkeypatch, command
     loaded, copies = [], []
     monkeypatch.setattr(cli, "load_model", lambda path: (
         loaded.append(load_model(path)), loaded[-1])[-1])
-    for method in ("astype", "copy", "column_major_copy"):
+    for method in ("astype", "copy"):
         original = getattr(ModelParameters, method)
         monkeypatch.setattr(ModelParameters, method, lambda self, *args, _m=original: (
             copies.append(_m.__name__), _m(self, *args))[-1])
@@ -219,7 +219,7 @@ def test_a_loaded_model_is_copied_to_float64_once(tmp_path, monkeypatch, command
     assert main([command, "--model", str(model), "--max-len", "4",
                  "--out", str(tmp_path / "out")] + argv) == 0
     [(params, _, _)] = loaded
-    assert params.flat.dtype == np.float64 and params.column_major
+    assert params.flat.dtype == np.float64
     assert copies == []
 
 
@@ -296,6 +296,19 @@ def _train_with_source_vocabulary(tmp_path, tokens):
     Vocabulary(("a",)).save(str(tmp_path / "vocab.tgt.json"))
     return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm"),
             "--hidden-size", "4", "--embed-size", "3", "--max-epochs", "1"], "vocab.src.json"
+
+
+def _hidden_size_too_large_to_allocate(tmp_path):
+    # the parameter buffer would take 568 PiB, so its allocation fails at once
+    argv, _ = _train_with_source_vocabulary(tmp_path, list(RESERVED) + ["a", "b"])
+    return argv + ["--hidden-size", "100000000"], "out of memory"
+
+
+def _config_hidden_size_too_large_to_allocate(tmp_path):
+    _train_with_source_vocabulary(tmp_path, list(RESERVED) + ["a", "b"])
+    (tmp_path / "run.conf").write_text("hidden_size = 100000000\n")
+    return ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.plm"),
+            "--config", str(tmp_path / "run.conf")], "out of memory"
 
 
 def _vocabulary_without_reserved_prefix(tmp_path):
@@ -481,6 +494,8 @@ def _counts_row_missing_a_column(tmp_path):
     _corpus_with_an_empty_source_line,
     _directory_as_config,
     _directory_as_output,
+    _hidden_size_too_large_to_allocate,
+    _config_hidden_size_too_large_to_allocate,
     _vocabulary_without_reserved_prefix,
     _vocabulary_with_a_numeric_token,
     _vocabulary_repeating_a_token,

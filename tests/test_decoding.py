@@ -274,54 +274,22 @@ def test_an_empty_source_fails_its_chunk():
 
 
 def test_float64_model_is_not_copied(monkeypatch):
-    # decoding copies a float32 or a row-major model to column-major
-    # float64 once per list, however many chunks
+    # decoding copies a float32 model to float64 once per list, however
+    # many chunks, and decodes a float64 model as it is
     params = make_params(2)
     copies = []
-    column_major_copy = ModelParameters.column_major_copy
-    monkeypatch.setattr(ModelParameters, "column_major_copy", lambda self: (
-        copies.append(self.flat.dtype) or column_major_copy(self)))
+    astype = ModelParameters.astype
+    monkeypatch.setattr(ModelParameters, "astype", lambda self, dtype: (
+        copies.append(self.flat.dtype) or astype(self, dtype)))
     monkeypatch.setattr(decoding, "CHUNK_ELEMENTS", 1)   # one source per chunk
-    for model in (params, params.astype(np.float64)):
-        copies.clear()
-        beam_search(model, [[0, 1], [2], [1, 1, 0]], beam_size=3, max_len=4)
-        assert copies == [model.flat.dtype]
-    assert params.W_enc.dtype == np.float32 and not params.column_major
-    # a column-major float64 model is used as it is
-    p64 = column_major_copy(params)
+    beam_search(params, [[0, 1], [2], [1, 1, 0]], beam_size=3, max_len=4)
+    assert copies == [np.float32]
+    assert params.W_enc.dtype == np.float32
+    p64 = astype(params, np.float64)
     copies.clear()
     beam_search(p64, [[0, 1], [2]], beam_size=3, max_len=4)
     assert copies == []
     assert Decoder(p64, [[0]]).params is p64
-
-
-@pytest.mark.parametrize("lexicon", [False, True])
-def test_column_major_copy_decodes_as_the_row_major_model(monkeypatch, lexicon):
-    # the same float64 values in the other layout: BLAS may sum a product
-    # in another order, so scores may differ in the last bits only
-    chunks = []
-    init = Decoder.__init__
-    monkeypatch.setattr(Decoder, "__init__", lambda self, params, srcs: (
-        chunks.append(len(srcs)), init(self, params, srcs))[-1])
-    # room for three sources of six tokens: (6 + beam) * (4H + V_tgt)
-    monkeypatch.setattr(decoding, "CHUNK_ELEMENTS", 3 * (6 + 5) * (4 * 16 + 12))
-    worst = 0.0
-    for seed in range(8):
-        params, rng = random_model(seed, 16, lexicon)
-        sources = [rng.integers(0, 8, size=n).tolist()
-                   for n in rng.integers(1, 7, size=8)]
-        got = beam_search(params, sources, beam_size=5, max_len=8)
-        with monkeypatch.context() as m:
-            m.setattr(decoding, "_float64", lambda p: p.astype(np.float64))
-            want = beam_search(params, sources, beam_size=5, max_len=8)
-        for hyps, ref in zip(got, want, strict=True):
-            assert [(h.tokens, h.finished) for h in hyps] == [
-                (h.tokens, h.finished) for h in ref]
-            worst = max([worst] + [abs(h.log_prob - r.log_prob)
-                                   for h, r in zip(hyps, ref)])
-    assert worst <= 1e-12
-    # every list, decoded twice, was cut into several chunks
-    assert max(chunks) < 8 and sum(chunks) == 2 * 8 * 8
 
 
 class _Weight(np.ndarray):
@@ -339,21 +307,24 @@ class _Weight(np.ndarray):
 
 @pytest.mark.parametrize("lexicon", [False, True])
 def test_every_decode_product_reads_a_c_contiguous_matrix(monkeypatch, lexicon):
-    # a strided weight makes each small product several times slower
-    params, rng = random_model(0, 16, lexicon)
-    p = decoding._float64(params)
-    d = p.embed_size
-    matrices = [name for name in p.tensors() if name.startswith("W_")]
-    for name in matrices:
-        setattr(p, name, getattr(p, name).view(_Weight))
-    monkeypatch.setattr(_Weight, "reads", [])
-    beam_search(p, [[1, 2, 3], [4, 5]], beam_size=4, max_len=5)
-    assert _Weight.reads
-    for W in _Weight.reads:
-        assert W.flags.c_contiguous, W.shape
-    read = {name for name in matrices
-            if any(np.shares_memory(W, getattr(p, name)) for W in _Weight.reads)}
-    assert read == set(matrices)
-    # the encoder's recurrent half goes through np.ascontiguousarray,
-    # which must find it contiguous and copy nothing
-    assert np.shares_memory(np.ascontiguousarray(p.W_enc[:, d:].T), p.flat)
+    # a strided weight makes each small product several times slower;
+    # decoding at float64 and the training forward at float32 read the
+    # same layout
+    params, _ = random_model(0, 16, lexicon)
+    batch = [([1, 2, 3], [4, 5, EOS_ID]), ([4, 5], [6, EOS_ID])]
+    for p, run in (
+        (decoding._float64(params),
+         lambda p: beam_search(p, [[1, 2, 3], [4, 5]], beam_size=4, max_len=5)),
+        (params, lambda p: forward_pair(p, batch)),
+    ):
+        matrices = [name for name in p.tensors() if name.startswith("W_")]
+        for name in matrices:
+            setattr(p, name, getattr(p, name).view(_Weight))
+        monkeypatch.setattr(_Weight, "reads", [])
+        run(p)
+        assert _Weight.reads
+        for W in _Weight.reads:
+            assert W.flags.c_contiguous, (p.flat.dtype, W.shape)
+        read = {name for name in matrices
+                if any(np.shares_memory(W, getattr(p, name)) for W in _Weight.reads)}
+        assert read == set(matrices)

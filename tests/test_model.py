@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patchloom import decoding
 from patchloom.model import (
     LexiconTable,
     ModelParameters,
@@ -168,13 +169,12 @@ def _loaded(tmp_path):
     lambda tmp_path: make_params(),
     lambda tmp_path: make_params().astype(np.float64),
     lambda tmp_path: make_params().copy(),
-    lambda tmp_path: make_params().column_major_copy(),
+    lambda tmp_path: decoding._float64(make_params()),
     _loaded,
-], ids=["initialize", "astype", "copy", "column_major_copy", "load_model"])
+], ids=["initialize", "astype", "copy", "float64_copy", "load_model"])
 def test_tensors_are_views_tiling_flat_in_table_order(tmp_path, make):
-    # row-major, or with column-major W_ matrices: each matrix's block of
-    # flat then holds its transpose, and the embeddings and vectors stay
-    # row-major
+    # each W_ matrix's block of flat holds its transpose, row-major; the
+    # embeddings and vectors are row-major
     params = make(tmp_path)
     shapes = tensor_shapes(6, 7, 5, 4)
     flat = params.flat
@@ -184,7 +184,7 @@ def test_tensors_are_views_tiling_flat_in_table_order(tmp_path, make):
     offset = 0
     for name, shape in shapes.items():
         view = getattr(params, name)
-        block = view.T if params.column_major and name.startswith("W_") else view
+        block = view.T if name.startswith("W_") else view
         assert view.shape == shape and block.flags.c_contiguous, name
         assert np.shares_memory(view, flat), name
         assert view.__array_interface__["data"][0] == start + offset * flat.itemsize, name
@@ -195,15 +195,18 @@ def test_tensors_are_views_tiling_flat_in_table_order(tmp_path, make):
     assert offset == flat.size
 
 
-def test_loaded_and_decoding_copies_are_column_major(tmp_path):
+def test_loaded_and_decoding_copies_keep_the_training_layout(tmp_path):
+    # load_model and decoding's float64 copy keep training's layout: the
+    # same flat, in float64, with the same column-major matrices
     params = make_params()
-    for other in (_loaded(tmp_path), params.column_major_copy()):
-        assert other.column_major and other.flat.dtype == np.float64
+    for other in (_loaded(tmp_path), decoding._float64(params)):
+        assert other.flat.dtype == np.float64
+        assert np.array_equal(other.flat, params.flat)
         for name, tensor in params.tensors().items():
             assert np.array_equal(getattr(other, name), tensor), name
             if name.startswith("W_"):
                 assert getattr(other, name).flags.f_contiguous, name
-    assert not params.column_major
+                assert tensor.flags.f_contiguous, name
 
 
 def test_astype_and_copy_own_their_buffer():

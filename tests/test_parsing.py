@@ -52,6 +52,22 @@ def test_void_is_no_type_outside_a_class_literal():
     assert _ok("c = void . class ;")
 
 
+def test_try_bodies_are_elided_only_at_the_end():
+    # javac rejects a try or catch body that is missing before the next
+    # clause; only the last one on the line may be elided
+    assert not _ok("try catch ( E e ) {")
+    assert not _ok("try finally {")
+    assert not _ok("try { x = 1 ; } catch ( E e ) finally {")
+    assert _ok("try { x = 1 ; } catch ( E e )")
+
+
+def test_switch_bodies_parse_case_groups():
+    assert not _ok("switch ( x ) { y ++ ; case 1 : }")
+    assert _ok("switch ( x ) { }")
+    assert _ok("switch ( k ) { case A : case B : f ( ) ; break ; default : { g ( ) ; } }")
+    assert _ok("switch ( x ) { case a ? 1 : 2 : switch ( y ) { default : } }")
+
+
 def test_all_brace_lines_rejected():
     assert not _ok("}")
     assert not _ok("} }")
@@ -62,6 +78,8 @@ def test_trailing_open_brace_allowed_on_control_flow():
     assert _ok("if ( x != null ) {")
     assert _ok("for ( int i = 0 ; i < n ; i ++ ) {")
     assert _ok("while ( reader . ready ( ) ) {")
+    assert _ok("try { x = 1 ; } catch ( E e ) {")
+    assert _ok("try { x = 1 ; } catch ( E e ) { } finally {")
 
 
 def test_headless_fragments_rejected():
@@ -112,13 +130,14 @@ def _edited_corpus() -> list[tuple[str, ...]]:
 
 
 def test_verdicts_on_edited_lines_are_pinned():
-    # The pin was taken with the validator before its grammar rules were
-    # deduplicated.  The corpus derives from the labeled file, so a change
-    # there needs a new pin, taken with the validator it last passed on.
+    # The pin was taken with the validator that requires blocks after try,
+    # catch and finally and parses switch bodies as case groups.  The
+    # corpus derives from the labeled file, so a change there needs a new
+    # pin, taken with the validator it last passed on.
     corpus = _edited_corpus()
     verdicts = "".join("1" if validate_statement(TokenizedStatement(toks)) else "0"
                        for toks in corpus)
-    assert len(corpus) == 10480
-    assert verdicts.count("1") == 1360
+    assert len(corpus) == 10760
+    assert verdicts.count("1") == 1318
     assert hashlib.sha256(verdicts.encode()).hexdigest() == (
-        "c8f78c1d72831a4ead5f20ccdd973dd9869998dd465df350a1cf89fcbb1c3ce0")
+        "2facdc1dc7f1a2d140deda28ac4064d3f0c14ea8bf02fc44e2a218fd2bfb968a")
