@@ -44,6 +44,7 @@ from .evaluation import (
     write_sweep_csv,
 )
 from .generation import (
+    DEFAULT_THRESHOLD,
     BaselineIndex,
     ModelProposer,
     ResultFormatError,
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-file", required=True,
                    help="one concrete statement per line")
     p.add_argument("--out", required=True, help="patches.jsonl output")
-    p.add_argument("--threshold", type=float, default=-0.7)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--no-threshold", action="store_true",
                    help="disable the score threshold (validity studies)")
     p.add_argument("--beam-size", dest="beam_size", type=positive_int, default=10)

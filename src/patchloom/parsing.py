@@ -211,13 +211,11 @@ class _Parser:
 
     def tail(self) -> None:
         """Body of a control statement: elided, an open '{' at end of
-        line, a complete block, or a single embedded statement."""
-        if self.left_open():
-            return
-        if self.peek() in ("else", "while") and self.peek(1) in ("(", "{", None):
-            # let the caller consume its continuation keyword
-            return
-        self.statement()
+        line, a complete block, or a single embedded statement.  A body
+        is elided only at the end of the line, so `if ( x ) else {`
+        is rejected."""
+        if not self.left_open():
+            self.statement()
 
     def block_tail(self) -> None:
         """Body of try, catch or finally: elided, an open '{' at end of

@@ -7,6 +7,12 @@ the synthetic pipeline so mining stays deterministic without a VCS
 installation).  Both are context managers; leaving the `with` block
 ends any git process the adapter started.
 
+Each adapter reads its history once: the commit records, sorted by
+(time, id), and one change map per commit, {path: status} against the
+first parent, where the status is A (added), D (deleted) or M
+(modified) and every path of a root commit is an A.  Everything but
+file_lines reads only those, in _Repository.
+
 Both adapters' file_lines return normalized lines: runs of whitespace
 collapse to single spaces, leading/trailing whitespace is stripped, and
 blank lines are dropped.  Mining diffs and blames these lines as they
@@ -52,7 +58,48 @@ class RepositoryError(RuntimeError):
 
 
 class _Repository:
-    """Context-manager support shared by both adapters."""
+    """The reads both adapters share, over the history an adapter keeps
+    with _keep: its records sorted by (time, id) and its change maps
+    by commit id.  GitCliRepo reads that history on first use (_load),
+    InMemoryRepo when it is built.  Leaving a `with` block calls
+    close()."""
+
+    _records: list[CommitRecord] | None = None
+    _by_id: dict[str, CommitRecord]
+    _changes: dict[str, dict[str, str]]
+
+    def _keep(self, records: list[CommitRecord],
+              changes: dict[str, dict[str, str]]) -> None:
+        self._records = sorted(records, key=lambda r: (r.author_time, r.id))
+        self._by_id = {r.id: r for r in records}
+        self._changes = changes
+
+    def _load(self) -> None:
+        """Read the history if it is not kept yet."""
+
+    def commits(self) -> list[CommitRecord]:
+        self._load()
+        return self._records
+
+    def commit(self, commit_id: str) -> CommitRecord:
+        self._load()
+        try:
+            return self._by_id[commit_id]
+        except KeyError:
+            raise RepositoryError(f"no such commit {commit_id!r}") from None
+
+    def changed_java_files(self, commit: CommitRecord) -> list[str]:
+        """The .java paths modified against the first parent (status M:
+        present on both sides, content differs), sorted."""
+        self._load()
+        return sorted(path for path, status in self._changes.get(commit.id, {}).items()
+                      if status == "M" and path.endswith(".java"))
+
+    def touched(self, commit_id: str, path: str) -> bool:
+        """Whether path differs from the commit's first parent (added,
+        deleted or modified)."""
+        self._load()
+        return path in self._changes.get(commit_id, {})
 
     def close(self) -> None:
         pass
@@ -76,7 +123,8 @@ class InMemoryRepo(_Repository):
     """
 
     def __init__(self, commits: list[dict]):
-        self._records: list[CommitRecord] = []
+        records: list[CommitRecord] = []
+        changes: dict[str, dict[str, str]] = {}
         self._trees: dict[str, dict[str, str]] = {}
         for obj in commits:
             cid = str(obj["id"])
@@ -116,9 +164,14 @@ class InMemoryRepo(_Repository):
                 if parent not in self._trees:
                     raise RepositoryError(f"commit {rec.id!r}: parent {parent!r} "
                                           f"is not listed before it")
-            self._records.append(rec)
-            self._trees[rec.id] = dict(files)
-        self._by_id = {r.id: r for r in self._records}
+            before = self._trees[rec.parent_ids[0]] if rec.parent_ids else {}
+            tree = self._trees[rec.id] = dict(files)
+            records.append(rec)
+            changes[rec.id] = {
+                path: "A" if path not in before else "D" if path not in tree else "M"
+                for path in before.keys() | tree.keys()
+                if before.get(path) != tree.get(path)}
+        self._keep(records, changes)
 
     @classmethod
     def from_json(cls, path: str) -> "InMemoryRepo":
@@ -130,37 +183,11 @@ class InMemoryRepo(_Repository):
             except (KeyError, TypeError, ValueError) as exc:
                 raise RepositoryError(f"{path}: not a repository snapshot ({exc!r})") from None
 
-    def commits(self) -> list[CommitRecord]:
-        return sorted(self._records, key=lambda r: (r.author_time, r.id))
-
-    def commit(self, commit_id: str) -> CommitRecord:
-        try:
-            return self._by_id[commit_id]
-        except KeyError:
-            raise RepositoryError(f"no such commit {commit_id!r}") from None
-
-    def changed_java_files(self, commit: CommitRecord) -> list[str]:
-        """Paths modified (present on both sides, content differs) vs the
-        first parent; mirrors diff-filter=M."""
-        if not commit.parent_ids:
-            return []
-        parent_tree = self._trees.get(commit.parent_ids[0], {})
-        tree = self._trees[commit.id]
-        changed = []
-        for path in sorted(tree):
-            if not path.endswith(".java"):
-                continue
-            if path in parent_tree and parent_tree[path] != tree[path]:
-                changed.append(path)
-        return changed
-
-    def touched(self, commit_id: str, path: str) -> bool:
-        """Whether path differs from the commit's first parent (added,
-        deleted or modified)."""
-        commit = self.commit(commit_id)
-        parent_tree = (self._trees.get(commit.parent_ids[0], {})
-                       if commit.parent_ids else {})
-        return self._trees[commit_id].get(path) != parent_tree.get(path)
+    # bound on each adapter class itself: perfbench/spans.py patches and
+    # restores them per class
+    commits = _Repository.commits
+    commit = _Repository.commit
+    changed_java_files = _Repository.changed_java_files
 
     def file_lines(self, commit_id: str, path: str) -> list[str] | None:
         tree = self._trees.get(commit_id)
@@ -179,96 +206,57 @@ def _decode(data: bytes) -> str:
 class GitCliRepo(_Repository):
     """Adapter over the git command-line tool (read-only).
 
-    The whole repository is read with at most three git processes, each
-    started on first use: one `git log` for the commit records, one
-    `git log --name-status` for the paths every commit changed against
-    its first parent, and one `git cat-file --batch` that stays open and
-    serves every file read until close().  Paths keep git's raw bytes
-    (decoded as UTF-8, undecodable bytes escaped so they round-trip).
+    The whole repository is read with at most two git processes, each
+    started on first use: one `git log --name-status -z` for the commit
+    records and the paths every commit changed against its first parent,
+    and one `git cat-file --batch` that stays open and serves every file
+    read until close().  Paths keep git's raw bytes (decoded as UTF-8,
+    undecodable bytes escaped so they round-trip).
     """
 
     def __init__(self, root: str):
         self.root = root
-        self._records: list[CommitRecord] | None = None
-        self._by_id: dict[str, CommitRecord] = {}
-        self._changes: dict[str, dict[str, str]] | None = None
         self._file_cache: dict[tuple[str, str], list[str] | None] = {}
         self._batch: subprocess.Popen | None = None
 
-    def _git(self, *args: str) -> bytes:
+    def _load(self) -> None:
+        if self._records is not None:
+            return
+        args = ("log", "--all", "--no-renames", "--name-status", "-z",
+                "--diff-merges=first-parent", "--format=%x01%H%x01%ct%x01%P%x01%B")
         proc = subprocess.run(["git", "-C", self.root, *args], capture_output=True)
         if proc.returncode != 0:
             raise RepositoryError(
-                f"git {' '.join(args)} failed: {_decode(proc.stderr).strip()}"
-            )
-        return proc.stdout
+                f"git {' '.join(args)} failed: {_decode(proc.stderr).strip()}")
+        # NUL-separated tokens: "\x01<hash>\x01<time>\x01<parents>\x01<message>"
+        # opens a commit, then status and path alternate, the first status
+        # after a newline.  git refuses a NUL in a commit message, so a
+        # message cannot end its record early.
+        records: list[CommitRecord] = []
+        changes: dict[str, dict[str, str]] = {}
+        tokens = iter(proc.stdout.split(b"\0"))
+        for token in tokens:
+            token = token.lstrip(b"\n")
+            if token.startswith(b"\x01"):
+                cid, ctime, parents, message = token[1:].split(b"\x01", 3)
+                rec = CommitRecord(
+                    id=cid.decode("ascii"),
+                    author_time=_dt.datetime.fromtimestamp(int(ctime), tz=_dt.timezone.utc),
+                    message=_decode(message).strip(),
+                    parent_ids=tuple(parents.decode("ascii").split()),
+                )
+                records.append(rec)
+                paths = changes[rec.id] = {}
+            elif token:
+                path = next(tokens).decode("utf-8", errors="surrogateescape")
+                paths[path] = token.decode("ascii")
+        self._keep(records, changes)
 
-    def commits(self) -> list[CommitRecord]:
-        if self._records is not None:
-            return self._records
-        sep, end = "\x01", "\x02"
-        out = _decode(self._git(
-            "log", "--all", "--topo-order", "--reverse",
-            f"--format=%H{sep}%ct{sep}%P{sep}%B{end}",
-        ))
-        records = []
-        for chunk in out.split(end):
-            chunk = chunk.strip("\n")
-            if not chunk:
-                continue
-            cid, ctime, parents, message = chunk.split(sep, 3)
-            records.append(CommitRecord(
-                id=cid,
-                author_time=_dt.datetime.fromtimestamp(int(ctime), tz=_dt.timezone.utc),
-                message=message.strip(),
-                parent_ids=tuple(parents.split()) if parents.strip() else (),
-            ))
-        records.sort(key=lambda r: (r.author_time, r.id))
-        self._records = records
-        self._by_id = {r.id: r for r in records}
-        return records
-
-    def commit(self, commit_id: str) -> CommitRecord:
-        if self._records is None:
-            self.commits()
-        try:
-            return self._by_id[commit_id]
-        except KeyError:
-            raise RepositoryError(f"no such commit {commit_id!r}") from None
-
-    def _changed_paths(self, commit_id: str) -> dict[str, str]:
-        """{path: status letter} of the paths that differ from the first
-        parent (every path of a root commit, as A)."""
-        if self._changes is None:
-            out = self._git(
-                "log", "--all", "--no-renames", "--name-status", "-z",
-                "--diff-merges=first-parent", "--format=%x01%H",
-            )
-            # NUL-separated tokens: "\x01<hash>" opens a commit, then
-            # status and path alternate; the first status follows a newline
-            changes: dict[str, dict[str, str]] = {}
-            paths: dict[str, str] = {}
-            tokens = iter(out.split(b"\0"))
-            for token in tokens:
-                token = token.lstrip(b"\n")
-                if token.startswith(b"\x01"):
-                    paths = changes[token[1:].decode("ascii")] = {}
-                elif token:
-                    path = next(tokens).decode("utf-8", errors="surrogateescape")
-                    paths[path] = token.decode("ascii")
-            self._changes = changes
-        return self._changes.get(commit_id, {})
-
-    def changed_java_files(self, commit: CommitRecord) -> list[str]:
-        if not commit.parent_ids:
-            return []
-        return sorted(path for path, status in self._changed_paths(commit.id).items()
-                      if status == "M" and path.endswith(".java"))
-
-    def touched(self, commit_id: str, path: str) -> bool:
-        """Whether path differs from the commit's first parent (added,
-        deleted or modified)."""
-        return path in self._changed_paths(commit_id)
+    # bound on each adapter class itself: perfbench/spans.py patches and
+    # restores them per class
+    commits = _Repository.commits
+    commit = _Repository.commit
+    changed_java_files = _Repository.changed_java_files
 
     def file_lines(self, commit_id: str, path: str) -> list[str] | None:
         key = (commit_id, path)

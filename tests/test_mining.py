@@ -11,6 +11,7 @@ passes the parent side of a diff.
 """
 
 import os
+import subprocess
 
 import pytest
 
@@ -388,15 +389,83 @@ def test_git_and_in_memory_adapters_mine_equal_hunks(synthetic_git, workloads):
     assert got == want and got
 
 
+# a root, a side branch that modifies B.java, a main commit that
+# modifies A.java and deletes Old.java, their merge, and a child of the
+# merge that adds a file and modifies a non-Java one
+MERGE_AND_DELETE = [
+    {"id": "r", "time": "2015-03-01T12:00:00", "message": "root", "parents": [],
+     "files": {"A.java": "int a ;\n", "B.java": "int b ;\n",
+               "Old.java": "int o ;\n", "note.txt": "x\n"}},
+    {"id": "s", "time": "2015-03-02T12:00:00", "message": "side", "parents": ["r"],
+     "files": {"A.java": "int a ;\n", "B.java": "int b = 2 ;\n",
+               "Old.java": "int o ;\n", "note.txt": "x\n"}},
+    {"id": "m", "time": "2015-03-03T12:00:00", "message": "main", "parents": ["r"],
+     "files": {"A.java": "int a = 1 ;\n", "B.java": "int b ;\n", "note.txt": "x\n"}},
+    {"id": "j", "time": "2015-03-04T12:00:00", "message": "merge", "parents": ["m", "s"],
+     "files": {"A.java": "int a = 1 ;\n", "B.java": "int b = 2 ;\n", "note.txt": "x\n"}},
+    {"id": "c", "time": "2015-03-05T12:00:00", "message": "child", "parents": ["j"],
+     "files": {"A.java": "int a = 3 ;\n", "B.java": "int b = 2 ;\n",
+               "New.java": "int n ;\n", "note.txt": "y\n"}},
+]
+
+
+def _write_history(commits: list[dict], path: str) -> None:
+    """Commit a snapshot history, merges included, into a new git
+    repository, one commit per entry."""
+    subprocess.run(["git", "init", "-q", "--template=", path], check=True)
+    mark = {c["id"]: i for i, c in enumerate(commits, 1)}
+    stream = []
+    for c in commits:
+        stream.append(f"commit refs/heads/main\nmark :{mark[c['id']]}\n"
+                      f"committer t <t@x> {1425211200 + mark[c['id']]} +0000\n"
+                      f"data {len(c['message'])}\n{c['message']}\n")
+        stream += [f"{kind} :{mark[p]}\n" for kind, p in
+                   zip(["from"] + ["merge"] * len(c["parents"]), c["parents"])]
+        stream.append("deleteall\n")
+        stream += [f"M 100644 inline {p}\ndata {len(body)}\n{body}\n"
+                   for p, body in sorted(c["files"].items())]
+    subprocess.run(["git", "-C", path, "fast-import", "--quiet"],
+                   input="".join(stream).encode(), check=True)
+
+
+@needs_git
+@pytest.mark.parametrize("history", ["synthetic", "merge and delete"])
+def test_git_and_in_memory_adapters_read_equal_changes(synthetic_git, tmp_path, history):
+    if history == "synthetic":
+        path, commits = synthetic_git[10]
+    else:
+        path, commits = str(tmp_path / "repo"), MERGE_AND_DELETE
+        _write_history(commits, path)
+    memory = InMemoryRepo(commits)
+    paths = sorted({p for c in commits for p in c["files"]} | {"Never.java"})
+    with GitCliRepo(path) as git:
+        # a snapshot commit's git counterpart has its message and the
+        # counterparts of its parents
+        theirs = {}
+        for c in commits:
+            parents = tuple(theirs[p].id for p in c["parents"])
+            [rec] = [r for r in git.commits() if r.parent_ids == parents
+                     and r.message == c["message"].strip()]
+            theirs[c["id"]] = rec
+            ours = memory.commit(c["id"])
+            assert git.changed_java_files(rec) == memory.changed_java_files(ours)
+            assert ([git.touched(rec.id, p) for p in paths]
+                    == [memory.touched(ours.id, p) for p in paths]), c["id"]
+    if history != "synthetic":
+        assert theirs["j"].is_merge
+        assert memory.changed_java_files(memory.commit("j")) == ["B.java"]
+        assert memory.touched("m", "Old.java") and not memory.touched("j", "Old.java")
+
+
 @needs_git
 @pytest.mark.parametrize("pairs", [10, 20])
-def test_mining_a_git_repository_starts_at_most_three_git_processes(
+def test_mining_a_git_repository_starts_at_most_two_git_processes(
         synthetic_git, git_processes, pairs):
     path, commits = synthetic_git[pairs]
     with GitCliRepo(path) as repo:
         hunks = list(mine_hunks(repo))
     assert len(hunks) > 0
-    assert git_processes.calls <= 3
+    assert git_processes.calls <= 2
 
 
 @needs_git

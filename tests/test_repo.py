@@ -233,6 +233,27 @@ def test_non_utf8_source_is_mined(tmp_path):
     assert hunks[0].deleted_lines == ("int x = 1 ; // caf\ufffd",)
 
 
+@needs_git
+def test_a_message_holding_control_bytes_is_mined(tmp_path):
+    # the records of the commit log used to end at byte 0x02, so this
+    # message split its record and mine failed with a traceback
+    repo_dir = tmp_path / "repo"
+    repo_dir.mkdir()
+    body = b"class L {\nvoid f ( ) {\nint x = %d ;\n}\n}\n"
+    _git(repo_dir, "2015-03-01T12:00:00 +0000", "init", "-q")
+    _commit_files(repo_dir, "2015-03-01T12:00:00 +0000", "initial",
+                  {"L.java": body % 1})
+    _commit_files(repo_dir, "2015-03-02T12:00:00 +0000", "fix \x01 x \x02 bug",
+                  {"L.java": body % 2})
+    out = tmp_path / "hunks.jsonl"
+    assert main(["mine", "--repo", str(repo_dir), "--out", str(out)]) == 0
+    hunks = read_hunks(str(out))
+    assert [(h.deleted_lines, h.added_lines) for h in hunks] == [
+        (("int x = 1 ;",), ("int x = 2 ;",))]
+    with GitCliRepo(str(repo_dir)) as repo:
+        assert repo.commit(hunks[0].commit_post).message == "fix \x01 x \x02 bug"
+
+
 def _snapshot_commit(cid, day, parents, text):
     return {"id": cid, "time": f"2015-03-0{day}T12:00:00", "message": "edit",
             "parents": parents, "files": {"Café.java": text}}
