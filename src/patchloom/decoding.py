@@ -24,6 +24,11 @@ beam_size candidates (score descending, then token ascending, then row
 ascending) and settles them in the same pass: those ending in </s> join
 the source's pool, and the others become the source's next run if one of
 them can beat its best finished score, so each source stops on its own.
+Above the split rule of workers.py (H >= 256 and enough live rows for
+two blocks), Decoder.step runs blocks of whole runs on worker threads,
+from the LSTM to the combiner; the embedding and output products take
+every row at once, so a step's results are the same bits for any worker
+count.
 
 beam_search and exhaustive_search (the exact reference a wide beam must
 match) share one step, Decoder.step: model.py's forward, the one
@@ -38,10 +43,12 @@ float64 training loss agree within 1e-9 whatever shares the batch.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .model import (
     P_FLOOR,
     ModelParameters,
@@ -118,22 +125,39 @@ class Decoder:
              runs: list[tuple[int, int, int]]) -> tuple[State, np.ndarray]:
         """Feed prev_ids (R,) to the R rows of state, rows a to b-1 of each
         run (q, a, b) decoding source q; returns the next state and
-        (R, V_tgt) log probabilities, floored at log P_FLOOR.  The LSTM,
-        combiner and output layer step all rows at once; each run attends
-        over its own source's unpadded states."""
+        (R, V_tgt) log probabilities, floored at log P_FLOOR.  The LSTM
+        and combiner step all rows of a block at once, the output layer
+        all rows; each run attends over its own source's unpadded states."""
         p = self.params
         h, c, htilde = state
         z = p.E_tgt[prev_ids] @ self.W_in + p.b_dec
-        z += np.concatenate([htilde, h], axis=1) @ self.W_rec
-        h, c, _ = lstm_step(z, c)
-        context = np.empty_like(h)
-        weights = []
-        for q, a, b in runs:
-            n = self.lengths[q]
-            w, context[a:b], _ = attend(p, self.states[q:q + 1, :n],
-                                        self.keys[q:q + 1, :n], h[a:b])
-            weights.append(w)
-        htilde = attentional_vector(p, h, context)
+        starts = [a for _, a, _ in runs]
+        weights = [None] * len(runs)
+
+        def rows_step(rows):
+            """(h, c, h~) of rows b0 to b1-1, which hold whole runs."""
+            b0, b1 = rows
+            z[b0:b1] += (np.concatenate([htilde[b0:b1], h[b0:b1]], axis=1)
+                         @ self.W_rec)
+            h_rows, c_rows, _ = lstm_step(z[b0:b1], c[b0:b1])
+            context = np.empty_like(h_rows)
+            for i in range(bisect_left(starts, b0), bisect_left(starts, b1)):
+                q, a, b = runs[i]
+                n = self.lengths[q]
+                weights[i], context[a - b0:b - b0], _ = attend(
+                    p, self.states[q:q + 1, :n], self.keys[q:q + 1, :n],
+                    h_rows[a - b0:b - b0])
+            return h_rows, c_rows, attentional_vector(p, h_rows, context)
+
+        # above the split rule, blocks of whole runs step on worker threads
+        # (workers.py); the products whose row results could depend on the
+        # number of rows, the embedding's and the output layer's, take
+        # every row at once
+        stepped = workers.run(rows_step, workers.blocks(
+            len(prev_ids), p.hidden_size, [b for _, _, b in runs]))
+        if len(stepped) > 1:
+            stepped = [tuple(map(np.concatenate, zip(*stepped)))]
+        h, c, htilde = stepped[0]
         probs = predict_distribution(p, htilde)
         if self.lexicon is not None:
             for (q, a, b), w in zip(runs, weights):

@@ -23,7 +23,8 @@ encoder recurrence (encode), the attention step (attend), the combiner
 training.forward_pair runs them over a padded batch of pairs and
 decoding.Decoder.step over the live hypotheses of a chunk of sources,
 each source's rows attending over its own unpadded states; rows (B, .)
-are independent.
+are independent, so above the split rule of workers.py encode runs its
+recurrence in row blocks on worker threads.
 They compute in the dtype of the parameters: training in float32,
 decoding in float64 (see decoding.py for why).  Every forward product
 multiplies activations by a weight matrix's transpose, a @ W.T, and
@@ -49,6 +50,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import workers
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -220,12 +223,17 @@ def encode(
     W_h = params.W_enc[:, d:].T
     states = np.empty((B, S, H), dtype=gates.dtype)
     cells = np.empty((B, S, H), dtype=gates.dtype)
-    h = np.zeros((B, H), dtype=gates.dtype)
-    c = np.zeros((B, H), dtype=gates.dtype)
-    for n in range(S):
-        h, c, gates[:, n] = lstm_step(gates[:, n] + h @ W_h, c)
-        states[:, n] = h
-        cells[:, n] = c
+
+    def recur(rows):
+        blk = slice(*rows)
+        h = np.zeros((blk.stop - blk.start, H), dtype=gates.dtype)
+        c = np.zeros_like(h)
+        for n in range(S):
+            h, c, gates[blk, n] = lstm_step(gates[blk, n] + h @ W_h, c)
+            states[blk, n] = h
+            cells[blk, n] = c
+
+    workers.run(recur, workers.blocks(B, H))
     return states, cells, gates
 
 

@@ -4,8 +4,10 @@ A statement is valid when it parses as a local statement of a method
 body: local-variable declarations, restricted expression statements
 (assignment, call, new, ++/--), return/throw/break/continue/assert,
 and control-flow headers whose body may be elided or left open with a
-trailing '{'; a try, catch or finally body is otherwise a block, and a
-complete switch body is case groups.  Lines that could only occur
+trailing '{'; a try, catch or finally body is otherwise a block, a
+complete switch body is case groups, and a for header's init and update
+parts hold only a declaration or statement expressions.  super is no
+value on its own, and a '.' takes no literal.  Lines that could only occur
 outside a method body (member declarations, closing braces, case
 labels) are rejected, as are constructs we deliberately do not model
 (block-bodied lambdas, anonymous classes).  Rejection is the
@@ -50,6 +52,14 @@ _KEYWORD_STATEMENTS = frozenset(
     {";", "return", "throw", "break", "continue", "assert", "if", "while",
      "for", "switch", "do", "try", "synchronized"}
 )
+
+
+# Literals spelled like names: never a name after a '.'.
+_LITERAL_WORDS = frozenset({"null", "true", "false"})
+
+
+def _is_name(tok: str) -> bool:
+    return is_identifier(tok) and tok not in _LITERAL_WORDS
 
 
 class _Fail(Exception):
@@ -153,9 +163,7 @@ class _Parser:
             return
         if tok not in _KEYWORD_STATEMENTS:
             if not self.attempt(self.declaration):
-                kind = self.expression()
-                if kind not in _STATEMENT_EXPR_KINDS:
-                    raise _Fail(f"expression of kind {kind!r} is not a statement")
+                self.statement_expression()
                 self.expect(";")
             return
         self.next()
@@ -252,16 +260,17 @@ class _Parser:
         self.expect("(")
         if self.attempt(self.foreach_header, self.tail):
             return
-        # classic three-part header
+        # classic three-part header: a declaration or statement
+        # expressions, a condition, statement expressions
         if not self.accept(";"):
             if not self.attempt(self.declaration_body):
-                self.comma_list(self.expression)
+                self.comma_list(self.statement_expression)
             self.expect(";")
         if not self.accept(";"):
             self.expression()
             self.expect(";")
         if not self.accept(")"):
-            self.comma_list(self.expression)
+            self.comma_list(self.statement_expression)
             self.expect(")")
         self.tail()
 
@@ -344,6 +353,11 @@ class _Parser:
         self.type_ref()
 
     # -- expressions ---------------------------------------------------
+
+    def statement_expression(self) -> None:
+        kind = self.expression()
+        if kind not in _STATEMENT_EXPR_KINDS:
+            raise _Fail(f"expression of kind {kind!r} is not a statement")
 
     def expression(self) -> str:
         """Parse an expression, returning its statement-expression kind:
@@ -437,11 +451,15 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok == "." and self.peek(1) is not None and (
-                is_identifier(self.peek(1)) or self.peek(1) in ("this", "class", "new")
+                _is_name(self.peek(1))
+                or self.peek(1) in ("this", "class", "new", "super")
             ):
                 self.next()
                 member = self.next()
-                if member == "new":
+                if member == "super":
+                    self._super_selector()
+                    kind = "other"
+                elif member == "new":
                     self.ident()
                     self.call_arguments()
                     kind = "new"
@@ -493,9 +511,17 @@ class _Parser:
             self.expect(".")
             self.expect("class")
             return "other"
-        if not (is_number(tok) or tok[0] in "\"'" or tok in ("this", "super")):
+        if tok == "super":
+            self._super_selector()
+        elif not (is_number(tok) or tok[0] in "\"'" or tok == "this"):
             raise _Fail(f"unexpected token {tok!r}")
         return "other"
+
+    def _super_selector(self) -> None:
+        """super, alone or after a qualifying name, is no value: only a
+        member access or a method reference follows it."""
+        if self.peek() not in (".", "::"):
+            raise _Fail("super is not an expression")
 
     def creator(self) -> str:
         if self.peek() in PRIMITIVE_TYPES:

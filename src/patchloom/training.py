@@ -21,6 +21,14 @@ gradient_check verifies the sweep against central finite differences,
 one index of the flat parameter buffer at a time.  Gradients and Adam's
 moments are ModelParameters of the parameters' layout with buffers of
 their own: the backward writes their named views.
+
+Above the split rule of workers.py (H >= 256 and enough pairs for two
+blocks), the time loops of the encoder, the decoder and their reverse
+sweeps run in row blocks of the batch's shared padded arrays, one block
+per worker thread, and the encoder's backward runs beside the decoder's
+gradient products.  Everything that sums over rows (the loss and the
+parameter gradients) is taken whole, in the serial order, so loss and
+gradients are the same bits for any worker count.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import workers
 from .model import (
     P_FLOOR,
     LexiconTable,
@@ -198,19 +207,26 @@ def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
         setattr(cache, name, np.empty((B, T, H), dtype=dtype))
     cache.alpha = np.empty((B, T, S), dtype=dtype)
 
-    h, c = Hx[cache.last], cache.enc_c[cache.last]
-    rec = np.concatenate([np.zeros((B, H), dtype=dtype), h], axis=1)
-    for t in range(T):
-        h, c, gates[:, t] = lstm_step(gates[:, t] + rec @ W_rec, c)
-        alpha, ctx, query = attend(params, Hx, keys, h, pad_scores)
-        htil = attentional_vector(params, h, ctx)
-        cache.dec_c[:, t] = c
-        cache.hd[:, t] = h
-        cache.query[:, t] = query
-        cache.alpha[:, t] = alpha
-        cache.ctx[:, t] = ctx
-        cache.htil[:, t] = htil
-        rec = np.concatenate([htil, h], axis=1)
+    h0, c0 = Hx[cache.last], cache.enc_c[cache.last]
+
+    def recur(rows):
+        blk = slice(*rows)
+        h, c = h0[blk], c0[blk]
+        Hx_rows, keys_rows, pad_rows = Hx[blk], keys[blk], pad_scores[blk]
+        rec = np.concatenate([np.zeros_like(h), h], axis=1)
+        for t in range(T):
+            h, c, gates[blk, t] = lstm_step(gates[blk, t] + rec @ W_rec, c)
+            alpha, ctx, query = attend(params, Hx_rows, keys_rows, h, pad_rows)
+            htil = attentional_vector(params, h, ctx)
+            cache.dec_c[blk, t] = c
+            cache.hd[blk, t] = h
+            cache.query[blk, t] = query
+            cache.alpha[blk, t] = alpha
+            cache.ctx[blk, t] = ctx
+            cache.htil[blk, t] = htil
+            rec = np.concatenate([htil, h], axis=1)
+
+    workers.run(recur, workers.blocks(B, H))
     cache.dec_gates = gates
 
 
@@ -333,9 +349,11 @@ def _lstm_backward_factors(gates, c, c_first):
 
 def _decoder_backward(params: ModelParameters, cache: _BatchCache,
                       dhtil_out, dalpha_mix, grads: ModelParameters):
-    """Gradients of the decoder and the attention; returns the gradient
-    reaching the encoder states (B, S, H), the decoder's start state
-    included, and the one reaching the start cell state (B, H)."""
+    """The reverse sweep through the decoder and the attention.  Returns
+    the gradient reaching the encoder states (B, S, H), the decoder's
+    start state included, the one reaching the start cell state (B, H),
+    and a function that writes the decoder's and the attention's own
+    gradients into grads, which nothing after the sweep needs first."""
     H = params.hidden_size
     d = params.embed_size
     dtype = params.W_enc.dtype
@@ -354,65 +372,87 @@ def _decoder_backward(params: ModelParameters, cache: _BatchCache,
     DCTX = np.empty((B, T, H), dtype=dtype)
     DMS = np.empty((B, T, H), dtype=dtype)
     dM = np.zeros((B, S, H), dtype=dtype)
-    dv = np.zeros(H, dtype=dtype)
-    drec = np.zeros((B, 2 * H), dtype=dtype)   # [dh~ fed back; dh_prev]
-    dc_next = np.zeros((B, H), dtype=dtype)
-    for t in range(T - 1, -1, -1):
-        # combiner
-        dpre_c = (dhtil_out[:, t] + drec[:, :H]) * dtanh_htil[:, t]
-        DPC[:, t] = dpre_c
-        dq = dpre_c @ params.W_comb
-        dctx = dq[:, H:]
-        DCTX[:, t] = dctx
+    blocks = workers.blocks(B, H)
+    # v_att's gradient sums over rows: a sweep over every row adds each
+    # step's share as it goes; blocks keep each step's dscores for it
+    dv = grads.v_att
+    dv[...] = 0.0
+    DSCORES = np.empty((B, T, S), dtype=dtype) if len(blocks) > 1 else None
 
-        # context and attention
-        alpha = cache.alpha[:, t]
-        dalpha = (Hx @ dctx[:, :, None])[..., 0]
-        if dalpha_mix is not None:
-            dalpha += dalpha_mix[:, t]
-        dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-        m = np.add(keys, cache.query[:, t, None, :])
-        np.tanh(m, out=m)
-        dv += dscores.reshape(-1) @ _flat(m)
-        dm = np.multiply(m, m, out=m)
-        np.subtract(1.0, dm, out=dm)
-        dm *= dscores[..., None]
-        dm *= params.v_att
-        dM += dm
-        dm_sum = dm.sum(axis=1)
-        DMS[:, t] = dm_sum
+    def recur(rows):
+        """The reverse sweep over rows b0:b1; returns their gradients
+        reaching the start state, [dh~ fed back; dh_prev] and dc."""
+        blk = slice(*rows)
+        Hx_rows, keys_rows, dM_rows = Hx[blk], keys[blk], dM[blk]
+        drec = np.zeros((blk.stop - blk.start, 2 * H), dtype=dtype)
+        dc_next = np.zeros((blk.stop - blk.start, H), dtype=dtype)
+        for t in range(T - 1, -1, -1):
+            # combiner
+            dpre_c = (dhtil_out[blk, t] + drec[:, :H]) * dtanh_htil[blk, t]
+            DPC[blk, t] = dpre_c
+            dq = dpre_c @ params.W_comb
+            dctx = dq[:, H:]
+            DCTX[blk, t] = dctx
 
-        # LSTM step
-        dh = dq[:, :H] + dm_sum @ params.W_att_h + drec[:, H:]
-        dc = dc_next + dh * dc_dh[:, t]
-        dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1), DZ[:, t],
-                         out=DZ[:, t])
-        dc_next = dc * forget[:, t]
-        drec = dz @ W_rec
+            # context and attention
+            alpha = cache.alpha[blk, t]
+            dalpha = (Hx_rows @ dctx[:, :, None])[..., 0]
+            if dalpha_mix is not None:
+                dalpha += dalpha_mix[blk, t]
+            dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+            m = np.add(keys_rows, cache.query[blk, t, None, :])
+            np.tanh(m, out=m)
+            if DSCORES is None:
+                np.add(dv, dscores.reshape(-1) @ _flat(m), out=dv)
+            else:
+                DSCORES[blk, t] = dscores
+            dm = np.multiply(m, m, out=m)
+            np.subtract(1.0, dm, out=dm)
+            dm *= dscores[..., None]
+            dm *= params.v_att
+            dM_rows += dm
+            dm_sum = dm.sum(axis=1)
+            DMS[blk, t] = dm_sum
 
-    np.matmul(_flat(DPC).T, _flat(np.concatenate([hd, cache.ctx], axis=2)),
-              out=grads.W_comb)
-    _flat(DPC).sum(axis=0, out=grads.b_comb)
-    grads.v_att[...] = dv
-    np.matmul(_flat(dM).T, _flat(Hx), out=grads.W_att_x)
-    np.matmul(_flat(DMS).T, _flat(hd), out=grads.W_att_h)
-    _flat(DMS).sum(axis=0, out=grads.b_att)
-    # W_dec's columns take [e; h~_prev; h_prev]
-    W_dec = grads.W_dec
-    htil_prev = _shifted(np.zeros((B, H), dtype=dtype), cache.htil)
-    np.matmul(_flat(DZ).T, _flat(cache.e), out=W_dec[:, :d])
-    np.matmul(_flat(DZ).T, _flat(htil_prev), out=W_dec[:, d:d + H])
-    np.matmul(_flat(DZ).T, _flat(_shifted(h0, hd)), out=W_dec[:, d + H:])
-    _flat(DZ).sum(axis=0, out=grads.b_dec)
-    DE = _rows(DZ, params.W_dec[:, :d])
-    if cache.mask_e is not None:
-        DE *= cache.mask_e
-    grads.E_tgt[...] = 0.0
-    np.add.at(grads.E_tgt, cache.tgt_in[cache.tgt_mask], DE[cache.tgt_mask])
+            # LSTM step
+            dh = dq[:, :H] + dm_sum @ params.W_att_h + drec[:, H:]
+            dc = dc_next + dh * dc_dh[blk, t]
+            dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1),
+                             DZ[blk, t], out=DZ[blk, t])
+            dc_next = dc * forget[blk, t]
+            drec = dz @ W_rec
+        return drec, dc_next
 
+    drec, dc_next = map(np.concatenate, zip(*workers.run(recur, blocks)))
     dHx = cache.alpha.transpose(0, 2, 1) @ DCTX + _rows(dM, params.W_att_x)
     dHx[cache.last] += drec[:, H:]
-    return dHx, dc_next
+
+    def gradients():
+        if DSCORES is not None:
+            # step by step in the sweep's order, activations recomputed
+            for t in range(T - 1, -1, -1):
+                m = np.tanh(np.add(keys, cache.query[:, t, None, :]))
+                np.add(dv, DSCORES[:, t].reshape(-1) @ _flat(m), out=dv)
+        np.matmul(_flat(DPC).T, _flat(np.concatenate([hd, cache.ctx], axis=2)),
+                  out=grads.W_comb)
+        _flat(DPC).sum(axis=0, out=grads.b_comb)
+        np.matmul(_flat(dM).T, _flat(Hx), out=grads.W_att_x)
+        np.matmul(_flat(DMS).T, _flat(hd), out=grads.W_att_h)
+        _flat(DMS).sum(axis=0, out=grads.b_att)
+        # W_dec's columns take [e; h~_prev; h_prev]
+        W_dec = grads.W_dec
+        htil_prev = _shifted(np.zeros((B, H), dtype=dtype), cache.htil)
+        np.matmul(_flat(DZ).T, _flat(cache.e), out=W_dec[:, :d])
+        np.matmul(_flat(DZ).T, _flat(htil_prev), out=W_dec[:, d:d + H])
+        np.matmul(_flat(DZ).T, _flat(_shifted(h0, hd)), out=W_dec[:, d + H:])
+        _flat(DZ).sum(axis=0, out=grads.b_dec)
+        DE = _rows(DZ, params.W_dec[:, :d])
+        if cache.mask_e is not None:
+            DE *= cache.mask_e
+        grads.E_tgt[...] = 0.0
+        np.add.at(grads.E_tgt, cache.tgt_in[cache.tgt_mask], DE[cache.tgt_mask])
+
+    return dHx, dc_next, gradients
 
 
 def _encoder_backward(params: ModelParameters, cache: _BatchCache, dHx,
@@ -429,15 +469,20 @@ def _encoder_backward(params: ModelParameters, cache: _BatchCache, dHx,
     dc_dh, forget = _lstm_backward_factors(cache.enc_gates, cache.enc_c, start)
     EZ = cache.enc_gates
     W_h = params.W_enc[:, d:]
-    dh_carry = np.zeros((B, H), dtype=dtype)
-    dc_carry = np.zeros((B, H), dtype=dtype)
-    for n in range(S - 1, -1, -1):
-        dh = dh_carry + dHx[:, n]
-        dc = dc_carry + dc_in[:, n] + dh * dc_dh[:, n]
-        dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1), EZ[:, n],
-                         out=EZ[:, n])
-        dc_carry = dc * forget[:, n]
-        dh_carry = dz @ W_h
+
+    def recur(rows):
+        blk = slice(*rows)
+        dh_carry = np.zeros((blk.stop - blk.start, H), dtype=dtype)
+        dc_carry = np.zeros_like(dh_carry)
+        for n in range(S - 1, -1, -1):
+            dh = dh_carry + dHx[blk, n]
+            dc = dc_carry + dc_in[blk, n] + dh * dc_dh[blk, n]
+            dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1),
+                             EZ[blk, n], out=EZ[blk, n])
+            dc_carry = dc * forget[blk, n]
+            dh_carry = dz @ W_h
+
+    workers.run(recur, workers.blocks(B, H))
     W_enc = grads.W_enc
     np.matmul(_flat(EZ).T, _flat(cache.x), out=W_enc[:, :d])
     np.matmul(_flat(EZ).T, _flat(_shifted(start, cache.Hx)), out=W_enc[:, d:])
@@ -456,8 +501,17 @@ def backward_pair(
     """Write the gradients of cache.loss into grads, a ModelParameters
     of params' layout with its own flat buffer.  Consumes the cache."""
     dhtil, dalpha_mix = _output_backward(params, cache, grads)
-    dHx, dc_last = _decoder_backward(params, cache, dhtil, dalpha_mix, grads)
-    _encoder_backward(params, cache, dHx, dc_last, grads)
+    dHx, dc_last, decoder_gradients = _decoder_backward(
+        params, cache, dhtil, dalpha_mix, grads)
+    tasks = [decoder_gradients,
+             lambda: _encoder_backward(params, cache, dHx, dc_last, grads)]
+    # independent, and each writes its own gradients: above the split rule
+    # the encoder's backward runs beside the decoder's gradient products
+    if workers.parts(len(cache.src_len), params.hidden_size) > 1:
+        workers.run(lambda task: task(), tasks)
+    else:
+        for task in tasks:
+            task()
 
 
 def batch_loss_and_gradients(

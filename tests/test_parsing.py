@@ -133,13 +133,15 @@ def test_verdicts_on_edited_lines_are_pinned():
     # The pin was taken with the validator whose control bodies are only
     # left open at the end of the line or one statement (no stop before a
     # mid-line else or while), which requires blocks after try, catch and
-    # finally and parses switch bodies as case groups.  The corpus derives
-    # from the labeled file, so a change there needs a new pin, taken with
-    # the validator it last passed on.
+    # finally, parses switch bodies as case groups, takes only statement
+    # expressions in a for header's init and update parts, no bare super
+    # and no literal after a '.'.  The corpus derives from the labeled
+    # file, so a change there needs a new pin, taken with the validator it
+    # last passed on.
     corpus = _edited_corpus()
     verdicts = "".join("1" if validate_statement(TokenizedStatement(toks)) else "0"
                        for toks in corpus)
-    assert len(corpus) == 10840
-    assert verdicts.count("1") == 1325
+    assert len(corpus) == 11040
+    assert verdicts.count("1") == 1347
     assert hashlib.sha256(verdicts.encode()).hexdigest() == (
-        "475de68ed8b407aa91e76e4e080b765ce1d90ac4e857ac4ef10bb1107cda705b")
+        "64909b424678ce7428c06ab212887a82073c82bad52de8101ff73c5bbe95d53e")
