@@ -24,11 +24,11 @@ beam_size candidates (score descending, then token ascending, then row
 ascending) and settles them in the same pass: those ending in </s> join
 the source's pool, and the others become the source's next run if one of
 them can beat its best finished score, so each source stops on its own.
-Above the split rule of workers.py (H >= 256 and enough live rows for
-two blocks), Decoder.step runs blocks of whole runs on worker threads,
-from the LSTM to the combiner; the embedding and output products take
-every row at once, so a step's results are the same bits for any worker
-count.
+Above the split rule of workers.py (H=256 or 512 and enough live rows
+for two blocks), Decoder.step runs blocks of whole runs on worker threads,
+from the LSTM to the combiner; the output product takes every row at
+once and the embedding product splits only as model._rows allows, so a
+step's results are the same bits for any worker count.
 
 beam_search and exhaustive_search (the exact reference a wide beam must
 match) share one step, Decoder.step: model.py's forward, the one
@@ -52,6 +52,7 @@ from . import workers
 from .model import (
     P_FLOOR,
     ModelParameters,
+    _rows,
     attend,
     attention_keys,
     attentional_vector,
@@ -130,7 +131,7 @@ class Decoder:
         all rows; each run attends over its own source's unpadded states."""
         p = self.params
         h, c, htilde = state
-        z = p.E_tgt[prev_ids] @ self.W_in + p.b_dec
+        z = _rows(p.E_tgt[prev_ids], self.W_in, p.hidden_size) + p.b_dec
         starts = [a for _, a, _ in runs]
         weights = [None] * len(runs)
 
@@ -150,9 +151,9 @@ class Decoder:
             return h_rows, c_rows, attentional_vector(p, h_rows, context)
 
         # above the split rule, blocks of whole runs step on worker threads
-        # (workers.py); the products whose row results could depend on the
-        # number of rows, the embedding's and the output layer's, take
-        # every row at once
+        # (workers.py); the output layer's product, whose row results could
+        # depend on the number of rows, takes every row at once, and the
+        # embedding's splits only where model._rows keeps that from happening
         stepped = workers.run(rows_step, workers.blocks(
             len(prev_ids), p.hidden_size, [b for _, _, b in runs]))
         if len(stepped) > 1:

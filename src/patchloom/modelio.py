@@ -40,6 +40,7 @@ import struct
 
 import numpy as np
 
+from . import workers
 from .model import LexiconTable, ModelParameters, tensor_shapes
 from .vocab import RESERVED, Vocabulary
 
@@ -70,6 +71,10 @@ def _write_vocab(fh, vocab: Vocabulary) -> None:
         _write_str(fh, tok)
 
 
+# load_model copies a tensor into the model's layout this many rows at a time
+LOAD_STRIP = 128
+
+
 def save_model(path: str, params: ModelParameters,
                src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> None:
     with open(path, "wb") as fh:
@@ -83,10 +88,18 @@ def save_model(path: str, params: ModelParameters,
         for name, tensor in tensors.items():
             _write_str(fh, name)
             # row-major, copied in column strips: numpy's own loop reads a
-            # column-major matrix across whole columns, ~3x slower at H=512
+            # column-major matrix across whole columns, ~3x slower at H=512;
+            # at the hidden sizes where work is split (workers.py), blocks
+            # of a matrix's rows are copied on worker threads
             arr = np.empty(tensor.shape, dtype="<f4")
-            for j in range(0, arr.shape[-1], 64):
-                arr[..., j:j + 64] = tensor[..., j:j + 64]
+
+            def copy_rows(rows, arr=arr, tensor=tensor):
+                block, source = arr[slice(*rows)], tensor[slice(*rows)]
+                for j in range(0, arr.shape[-1], 64):
+                    block[..., j:j + 64] = source[..., j:j + 64]
+
+            workers.run(copy_rows, workers.blocks(len(arr), params.hidden_size)
+                        if arr.ndim == 2 else [(0, len(arr))])
             _write_u32(fh, arr.ndim)
             for dim in arr.shape:
                 _write_u32(fh, dim)
@@ -208,6 +221,20 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary, Vocabulary]:
     params = ModelParameters(flat, len(src_vocab), len(tgt_vocab), H, d,
                              lexicon=LexiconTable.from_rows(rows, len(src_vocab)),
                              lex_weight=float(tensors["lex_weight"][0]))
-    for name, view in params.tensors().items():
-        view[...] = tensors[name]
+    views = params.tensors()
+    # in row strips: numpy's own loop writes a column-major matrix from a
+    # row-major one across whole columns, ~1.5x slower at H=512; at the
+    # hidden sizes where work is split (workers.py), block k of every
+    # tensor's rows is copied on thread k
+    spans = {name: workers.blocks(view.shape[0], H) for name, view in views.items()}
+
+    def copy_block(k):
+        for name, view in views.items():
+            if k < len(spans[name]):
+                b0, b1 = spans[name][k]
+                for r in range(b0, b1, LOAD_STRIP):
+                    strip = slice(r, min(r + LOAD_STRIP, b1))
+                    view[strip] = tensors[name][strip]
+
+    workers.run(copy_block, list(range(max(map(len, spans.values())))))
     return params, src_vocab, tgt_vocab

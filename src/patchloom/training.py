@@ -22,13 +22,16 @@ one index of the flat parameter buffer at a time.  Gradients and Adam's
 moments are ModelParameters of the parameters' layout with buffers of
 their own: the backward writes their named views.
 
-Above the split rule of workers.py (H >= 256 and enough pairs for two
-blocks), the time loops of the encoder, the decoder and their reverse
-sweeps run in row blocks of the batch's shared padded arrays, one block
-per worker thread, and the encoder's backward runs beside the decoder's
-gradient products.  Everything that sums over rows (the loss and the
-parameter gradients) is taken whole, in the serial order, so loss and
-gradients are the same bits for any worker count.
+Above the split rule of workers.py (H=256 or 512 and enough pairs for
+two blocks), the time loops of the encoder, the decoder and their
+reverse sweeps, and the batch-wide products of the embeddings and the
+attention (model._rows), run in row blocks of the batch's shared padded
+arrays, one block per worker thread, and the encoder's backward runs
+beside the decoder's gradient products; at those hidden sizes Adam
+updates blocks of its chunks on the threads.  Everything that sums over
+rows (the loss and the parameter gradients) is taken whole, in the
+serial order, so loss and gradients are the same bits for any worker
+count.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
         e *= cache.mask_e
     cache.e = e
     # each step overwrites its slot of the input half with its gate values
-    gates = _rows(e, params.W_dec[:, :d].T) + params.b_dec
+    gates = _rows(e, params.W_dec[:, :d].T, H) + params.b_dec
     W_rec = params.W_dec[:, d:].T
     Hx = cache.Hx
     keys = cache.keys = attention_keys(params, Hx)
@@ -424,7 +427,7 @@ def _decoder_backward(params: ModelParameters, cache: _BatchCache,
         return drec, dc_next
 
     drec, dc_next = map(np.concatenate, zip(*workers.run(recur, blocks)))
-    dHx = cache.alpha.transpose(0, 2, 1) @ DCTX + _rows(dM, params.W_att_x)
+    dHx = cache.alpha.transpose(0, 2, 1) @ DCTX + _rows(dM, params.W_att_x, H)
     dHx[cache.last] += drec[:, H:]
 
     def gradients():
@@ -503,15 +506,11 @@ def backward_pair(
     dhtil, dalpha_mix = _output_backward(params, cache, grads)
     dHx, dc_last, decoder_gradients = _decoder_backward(
         params, cache, dhtil, dalpha_mix, grads)
-    tasks = [decoder_gradients,
-             lambda: _encoder_backward(params, cache, dHx, dc_last, grads)]
     # independent, and each writes its own gradients: above the split rule
     # the encoder's backward runs beside the decoder's gradient products
-    if workers.parts(len(cache.src_len), params.hidden_size) > 1:
-        workers.run(lambda task: task(), tasks)
-    else:
-        for task in tasks:
-            task()
+    workers.beside([decoder_gradients,
+                    lambda: _encoder_backward(params, cache, dHx, dc_last, grads)],
+                   len(cache.src_len), params.hidden_size)
 
 
 def batch_loss_and_gradients(
@@ -599,24 +598,35 @@ class AdamState:
         corr2 = 1.0 - b2 ** self.t
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
         # theta -= lr (m / corr1) / (sqrt(v / corr2) + eps), element by element
-        for lo in range(0, params.flat.size, ADAM_CHUNK):
-            theta, g, m, v = (p.flat[lo:lo + ADAM_CHUNK]
-                              for p in (params, grads, self.m, self.v))
-            denom, step = self.scratch[:, :g.size]
-            np.multiply(g, 1 - b1, out=step)
-            m *= b1
-            m += step
-            np.multiply(g, g, out=step)
-            step *= 1 - b2
-            v *= b2
-            v += step
-            np.divide(v, corr2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.epsilon
-            np.divide(m, corr1, out=step)
-            step *= learning_rate
-            step /= denom
-            theta -= step
+
+        def chunks(span):
+            """Chunks span[0] to span[1]-1; a block on a worker thread
+            takes scratch of its own."""
+            scratch = self.scratch if span[0] == 0 else np.empty_like(self.scratch)
+            for lo in range(span[0] * ADAM_CHUNK, min(span[1] * ADAM_CHUNK, size),
+                            ADAM_CHUNK):
+                theta, g, m, v = (p.flat[lo:lo + ADAM_CHUNK]
+                                  for p in (params, grads, self.m, self.v))
+                denom, step = scratch[:, :g.size]
+                np.multiply(g, 1 - b1, out=step)
+                m *= b1
+                m += step
+                np.multiply(g, g, out=step)
+                step *= 1 - b2
+                v *= b2
+                v += step
+                np.divide(v, corr2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.epsilon
+                np.divide(m, corr1, out=step)
+                step *= learning_rate
+                step /= denom
+                theta -= step
+
+        # at the hidden sizes where work is split (workers.py), blocks of
+        # chunks update on worker threads
+        size = params.flat.size
+        workers.run(chunks, workers.blocks(-(-size // ADAM_CHUNK), params.hidden_size))
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,25 @@ There is no setting.  The worker count is derived once per process,
 from the threads numpy's bundled OpenBLAS runs (read through ctypes) so
 that BLAS's own threads and these never compete for cores: when OpenBLAS
 runs one thread, the cores this process may run on
-(os.sched_getaffinity); when it runs more (its default on a machine with
-several cores) or cannot be asked, 1, and everything runs in the calling
-thread.  OPENBLAS_NUM_THREADS=1 lets the program use the cores itself.
+(os.sched_getaffinity), at most MAX_WORKERS; when it runs more (its
+default on a machine with several cores) or cannot be asked, 1, and
+everything runs in the calling thread.  OPENBLAS_NUM_THREADS=1 lets the
+program use the cores itself.
 
-Splitting does not change results.  Every row of a block computes what
-the same row computes in the whole batch: OpenBLAS gives a row of a
+Splitting does not change results, at the hidden sizes LEAST_ROWS lists
+and on the OpenBLAS kernels probed there.  Every row of a block computes
+what the same row computes in the whole batch: OpenBLAS gives a row of a
 product the same bits for any number of rows as long as the product has
 more than one row and is above its small-matrix size (about 10^6
 multiply-adds), which blocks() keeps every block's (rows, k H) @ (k H,
 m H) products above, and numpy's elementwise loops give the same bits
-wherever a block starts.  Products that can fall below that size, those
-with a dimension not a multiple of H (the embedding's input half, the
-output layer), and every sum over rows are computed whole, each by one
-thread, in the serial order.
+wherever a block starts.  Products that can fall below that size (the
+output layer's, and the embeddings' when narrower than H/2; see
+model._rows) and every sum over rows are computed whole, each by one
+thread, in the serial order.  Tier-1 tests check it at each listed size.
+
+Work that has no sum over rows is split the same way at those sizes:
+Adam's update, and the copies that save and load a model.
 """
 
 from __future__ import annotations
@@ -36,19 +41,23 @@ import threading
 
 import numpy as np
 
-# No more threads than this, whatever the machine reports.
-MAX_WORKERS = 8
+# No more threads than this, whatever the machine reports: speed, the
+# split rule and peak memory were measured with two.
+MAX_WORKERS = 2
 
-# The split rule, measured on a 2-core Xeon with one BLAS thread.  Below
-# MIN_HIDDEN the per-step Python work, which holds the GIL, dominates: at
-# H=128 a training step in two blocks took 0.94-1.45 times as long as in
-# one, for 8 to 64 pairs.  At and above it, each block must hold at least
-# BLOCK_WORK / H^2 rows, which keeps its smallest loop products, (rows, H)
-# @ (H, H), above OpenBLAS's small-matrix size: 4 rows at H=512, 16 at
-# H=256.  There, two blocks took 0.68-0.91 times as long as one (8 to 64
-# pairs at H=512, 32 and 64 at H=256).
-MIN_HIDDEN = 256
-BLOCK_WORK = 1 << 20
+# The split rule, measured on a 2-core Xeon with one BLAS thread: the
+# hidden sizes where work is split, each with the fewest rows a block may
+# hold.  Tier-1 tests check at each of them that results do not depend
+# on the worker count; at any other size everything runs in the calling
+# thread.  Below 256 the per-step Python work, which holds the GIL,
+# dominates: at H=128 a training step in two blocks took 0.94-1.45 times
+# as long as in one, for 8 to 64 pairs.  The least rows keep a block's
+# smallest loop products, (rows, H) @ (H, H), above OpenBLAS's
+# small-matrix size (2^20 multiply-adds, probed: at H=512 a row of such a
+# product has the same bits for any row count from 4 up, not below) and
+# never fewer than the 4 rows probed.  There, two blocks took 0.68-0.91
+# times as long as one (8 to 64 pairs at H=512, 32 and 64 at H=256).
+LEAST_ROWS = {256: 16, 512: 4}
 
 
 def _blas_threads() -> int | None:
@@ -64,6 +73,7 @@ def _blas_threads() -> int | None:
                        "openblas_get_num_threads64_", "openblas_get_num_threads"):
             getter = getattr(lib, symbol, None)
             if getter is not None:
+                getter.argtypes = []
                 getter.restype = ctypes.c_int
                 return getter()
     return None
@@ -79,20 +89,15 @@ def count() -> int:
     return max(1, min(len(os.sched_getaffinity(0)), MAX_WORKERS))
 
 
-def least_rows(hidden_size: int) -> int:
-    """The fewest rows a block may hold: BLOCK_WORK / H^2, and never one
-    (a one-row product takes another BLAS path, with other roundings)."""
-    return max(2, -(-BLOCK_WORK // hidden_size ** 2))
-
-
 def parts(rows: int, hidden_size: int) -> int:
-    """How many threads share a batch of rows at hidden size H: 1 below
-    MIN_HIDDEN or inside a task that run() started (so no task waits on
-    another), otherwise as many as there are workers and blocks of
-    least_rows."""
-    if hidden_size < MIN_HIDDEN or _local.in_task:
+    """How many threads share a batch of rows at hidden size H: 1 at a
+    size LEAST_ROWS does not list or inside a task that run() started
+    (so no task waits on another), otherwise as many as there are
+    workers and blocks of LEAST_ROWS[H] rows."""
+    least = LEAST_ROWS.get(hidden_size)
+    if least is None or _local.in_task:
         return 1
-    return max(1, min(count(), rows // least_rows(hidden_size)))
+    return max(1, min(count(), rows // least))
 
 
 def blocks(rows: int, hidden_size: int,
@@ -100,15 +105,18 @@ def blocks(rows: int, hidden_size: int,
     """parts() row ranges (b0, b1) that cover rows 0 to rows-1 in order,
     their sizes differing by at most one.  With ends, the ascending row
     indices where a block may end, each cut moves to the first of them at
-    or after it, and a cut that would leave a block under least_rows
-    goes."""
+    or after it, and a cut that would leave a block under LEAST_ROWS[H]
+    rows goes."""
     n = parts(rows, hidden_size)
+    if n == 1:
+        return [(0, rows)]
+    least = LEAST_ROWS[hidden_size]
     cuts = [rows * k // n for k in range(1, n)]
     if ends is not None:
         cuts = [ends[bisect.bisect_left(ends, cut)] for cut in cuts]
     edges = [0]
     for cut in cuts:
-        if least_rows(hidden_size) <= min(cut - edges[-1], rows - cut):
+        if least <= min(cut - edges[-1], rows - cut):
             edges.append(cut)
     edges.append(rows)
     return list(zip(edges[:-1], edges[1:]))
@@ -159,3 +167,13 @@ def run(fn, items: list) -> list:
         for future in futures:
             future.exception()      # waits for it
     return [first] + [future.result() for future in futures]
+
+
+def beside(tasks: list, rows: int, hidden_size: int) -> None:
+    """Call every task: side by side when a batch of rows at hidden size
+    H is split (parts() above 1), else one after another in order."""
+    if parts(rows, hidden_size) == 1:
+        for task in tasks:
+            task()
+    else:
+        run(lambda task: task(), tasks)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchloom import decoding
+from patchloom import decoding, model
 from patchloom.model import (
     LexiconTable,
     ModelParameters,
@@ -145,6 +145,21 @@ def test_forget_gate_bias_starts_open():
     H = params.hidden_size
     assert np.all(params.b_enc[H:2 * H] == 1.0)
     assert np.all(params.b_dec[H:2 * H] == 1.0)
+
+
+@pytest.mark.parametrize("piece", [1, 100, 1 << 16])
+def test_initialize_draws_in_pieces_what_one_draw_per_tensor_gives(monkeypatch, piece):
+    monkeypatch.setattr(model, "DRAW_PIECE", piece)
+    rng = np.random.default_rng(3)
+    params = ModelParameters.initialize(rng, 7, 6, hidden_size=8, embed_size=5)
+    want = np.random.default_rng(3)
+    for name, shape in params.shapes().items():
+        if not name.startswith("b_"):
+            limit = (math.sqrt(3.0 / shape[-1]) if name.startswith("E_") or len(shape) == 1
+                     else math.sqrt(6.0 / (shape[0] + shape[1])))
+            drawn = want.uniform(-limit, limit, size=shape).astype(np.float32)
+            assert np.array_equal(getattr(params, name), drawn), name
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_explicit_scale_gives_flat_uniform_init():

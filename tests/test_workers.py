@@ -3,8 +3,9 @@ decode step across them changes no bit of any result.
 
 Tier-1 runs with OpenBLAS's default thread count, where the program
 derives one worker, so the bit-identity checks set the worker count
-themselves.  Their shapes are above the split rule: H=512 and at least
-two blocks of LEAST = BLOCK_WORK / H^2 pairs or live hypotheses.
+themselves.  Their shapes are above the split rule: each hidden size
+that workers.LEAST_ROWS lists, with at least two blocks of its least
+rows, pairs or live hypotheses.
 """
 
 import concurrent.futures
@@ -20,11 +21,12 @@ from patchloom import training, workers
 from patchloom.cli import main
 from patchloom.decoding import Decoder, beam_search
 from patchloom.model import LexiconTable, ModelParameters
+from patchloom.modelio import load_model, save_model
 from patchloom.synthdata import make_repo
-from patchloom.vocab import EOS_ID
+from patchloom.vocab import EOS_ID, RESERVED, Vocabulary
 
 H = 512
-LEAST = workers.BLOCK_WORK // H ** 2
+LEAST = workers.LEAST_ROWS[H]
 
 
 class _Workers:
@@ -99,7 +101,7 @@ def test_a_huge_core_count_is_clamped(monkeypatch, no_threads):
     monkeypatch.setattr(workers, "_blas_threads", lambda: 1)
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: range(1 << 20))
     threads = threading.active_count()
-    assert workers.count() == workers.MAX_WORKERS
+    assert workers.count() == workers.MAX_WORKERS == 2
     assert threading.active_count() == threads
 
 
@@ -109,9 +111,9 @@ def test_a_huge_core_count_is_clamped(monkeypatch, no_threads):
     (7, 512, [(0, 7)]),
     (31, 256, [(0, 31)]),               # 16 rows a block at H=256
     (32, 256, [(0, 16), (16, 32)]),
-    (3, 1024, [(0, 3)]),                # never a one-row block
-    (4, 1024, [(0, 2), (2, 4)]),
-    (1000, 128, [(0, 1000)]),
+    (1000, 128, [(0, 1000)]),           # only the sizes LEAST_ROWS lists
+    (1000, 384, [(0, 1000)]),
+    (1000, 1024, [(0, 1000)]),
 ])
 def test_blocks_follow_the_split_rule(worker_count, rows, hidden, want):
     worker_count.use(2)
@@ -150,9 +152,9 @@ def test_run_keeps_order_and_raises_the_first_error(worker_count):
 # ---------------------------------------------------------------------------
 # the program's results do not depend on the worker count
 
-def _large_model(seed=0, lex_weight=0.0):
+def _large_model(seed=0, lex_weight=0.0, hidden=H, embed=16):
     params = ModelParameters.initialize(
-        np.random.default_rng(seed), 20, 14, hidden_size=H, embed_size=16,
+        np.random.default_rng(seed), 20, 14, hidden_size=hidden, embed_size=embed,
         lex_weight=lex_weight, scale=0.05)
     if lex_weight:
         params.lexicon = LexiconTable.from_rows(
@@ -160,15 +162,52 @@ def _large_model(seed=0, lex_weight=0.0):
     return params
 
 
-@pytest.mark.parametrize("lex_weight, dropout, n_workers",
-                         [(0.0, 0.0, 2), (0.2, 0.3, 2), (0.2, 0.3, 4)])
+def test_a_saved_and_loaded_model_is_bit_identical_with_more_workers(
+        worker_count, fast_switching, tmp_path):
+    params = _large_model(lex_weight=0.2)
+    vocabs = (Vocabulary(tuple(f"s{i}" for i in range(20 - len(RESERVED)))),
+              Vocabulary(tuple(f"t{i}" for i in range(14 - len(RESERVED)))))
+    results = []
+    for n in (1, 2):
+        worker_count.use(n)
+        path = tmp_path / f"workers{n}.plm"
+        save_model(str(path), params, *vocabs)
+        results.append((path.read_bytes(), load_model(str(path))[0].flat.tobytes()))
+        assert (worker_count.tasks > 0) == (n > 1)
+    assert results[0] == results[1]
+
+
+def test_an_adam_update_is_bit_identical_with_more_workers(worker_count, fast_switching):
+    params = _large_model()
+    rng = np.random.default_rng(6)
+    updated = []
+    for n in (1, 2):
+        worker_count.use(n)
+        theta = params.copy()
+        adam = training.AdamState(theta, training.TrainingConfig())
+        for _ in range(2):
+            grads = params.copy()
+            grads.flat[...] = rng.standard_normal(grads.flat.size)
+            adam.update(theta, grads, 0.01)
+        assert (worker_count.tasks > 0) == (n > 1)
+        updated.append([a.tobytes() for a in (theta.flat, adam.m.flat, adam.v.flat)])
+        rng = np.random.default_rng(6)
+    assert updated[0] == updated[1]
+
+
+# embed=H/2 also splits the products of the embeddings (model._rows)
+@pytest.mark.parametrize("hidden, embed, lex_weight, dropout, n_workers",
+                         [(512, 16, 0.0, 0.0, 2), (512, 16, 0.2, 0.3, 2),
+                          (512, 16, 0.2, 0.3, 4), (512, 256, 0.2, 0.3, 2),
+                          (256, 16, 0.2, 0.3, 2), (256, 128, 0.0, 0.0, 2)])
 def test_a_training_step_is_bit_identical_with_more_workers(
-        worker_count, fast_switching, lex_weight, dropout, n_workers):
-    params = _large_model(lex_weight=lex_weight)
+        worker_count, fast_switching, hidden, embed, lex_weight, dropout, n_workers):
+    params = _large_model(lex_weight=lex_weight, hidden=hidden, embed=embed)
+    least = workers.LEAST_ROWS[hidden]
     rng = np.random.default_rng(1)
     batch = [(rng.integers(3, 20, size=n).tolist(),
               rng.integers(4, 14, size=m).tolist() + [EOS_ID])
-             for n, m in rng.integers(1, 7, size=(4 * LEAST + 3, 2))]
+             for n, m in rng.integers(1, 7, size=(4 * least + 3, 2))]
     results = []
     for n in (1, n_workers):
         worker_count.use(n)
@@ -182,13 +221,15 @@ def test_a_training_step_is_bit_identical_with_more_workers(
         assert np.array_equal(tensor, getattr(grads2, name)), name
 
 
-@pytest.mark.parametrize("lex_weight, n_workers", [(0.0, 2), (0.2, 2), (0.2, 4)])
-def test_a_decode_is_bit_identical_with_more_workers(worker_count, fast_switching,
-                                                     monkeypatch, lex_weight, n_workers):
-    params = _large_model(seed=2, lex_weight=lex_weight)
+@pytest.mark.parametrize("hidden, embed, lex_weight, n_workers",
+                         [(512, 16, 0.0, 2), (512, 16, 0.2, 2), (512, 16, 0.2, 4),
+                          (512, 256, 0.2, 2), (256, 16, 0.2, 2)])
+def test_a_decode_is_bit_identical_with_more_workers(
+        worker_count, fast_switching, monkeypatch, hidden, embed, lex_weight, n_workers):
+    params = _large_model(seed=2, lex_weight=lex_weight, hidden=hidden, embed=embed)
     rng = np.random.default_rng(3)
     sources = [rng.integers(3, 20, size=n).tolist()
-               for n in rng.integers(1, 7, size=2 * LEAST + 1)]
+               for n in rng.integers(1, 7, size=2 * workers.LEAST_ROWS[hidden] + 1)]
     steps = []      # every step's state and log probabilities, bit for bit
     step = Decoder.step
     monkeypatch.setattr(Decoder, "step", lambda self, *args: steps.append(
