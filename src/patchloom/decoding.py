@@ -24,11 +24,17 @@ beam_size candidates (score descending, then token ascending, then row
 ascending) and settles them in the same pass: those ending in </s> join
 the source's pool, and the others become the source's next run if one of
 them can beat its best finished score, so each source stops on its own.
-Above the split rule of workers.py (H=256 or 512 and enough live rows
-for two blocks), Decoder.step runs blocks of whole runs on worker threads,
-from the LSTM to the combiner; the output product takes every row at
-once and the embedding product splits only as model._rows allows, so a
-step's results are the same bits for any worker count.
+Where workers.py splits work (H=256 or 512, two workers), Decoder.step
+multiplies [h~; h] by the recurrent weight once for all live rows, as
+two column halves on two threads (workers.columns), and reads the input
+half of the pre-activations, E_tgt[prev] @ W_in + b_dec, from a table of
+every target token's, built once per Decoder when a step of enough rows
+first needs it: at least two (a one-row product takes OpenBLAS's gemv,
+with other bits) and enough for OpenBLAS's gemm kernel rather than its
+small-matrix one; smaller steps multiply as before.  With enough live rows for two blocks it then
+runs blocks of whole runs on worker threads, from the LSTM to the
+combiner; the output product takes every row at once, so a step's
+results are the same bits for any worker count.
 
 beam_search and exhaustive_search (the exact reference a wide beam must
 match) share one step, Decoder.step: model.py's forward, the one
@@ -118,6 +124,17 @@ class Decoder:
         # C-contiguous, since model.py's matrices are column-major
         self.W_in = params.W_dec[:, :d].T
         self.W_rec = params.W_dec[:, d:].T
+        # Where workers.py splits work, a step of at least table_rows rows
+        # reads the input half from a table, built when one first does: a
+        # row of it is the step product's bits when both products take
+        # OpenBLAS's gemm, with two rows or more and SMALL_PRODUCT
+        # multiply-adds (a one-row product takes gemv, a smaller one the
+        # small-matrix kernel)
+        width = d * 4 * params.hidden_size
+        least = max(2, -(-workers.SMALL_PRODUCT // width))
+        self.table_rows = (least if workers.splits(params.hidden_size)
+                           and params.tgt_vocab_size >= least else None)
+        self.inputs = None
         last = (np.arange(len(sources)), self.lengths - 1)
         self.start: State = (states[last], cells[last],
                              np.zeros((len(sources), params.hidden_size)))
@@ -130,16 +147,16 @@ class Decoder:
         and combiner step all rows of a block at once, the output layer
         all rows; each run attends over its own source's unpadded states."""
         p = self.params
+        H = p.hidden_size
         h, c, htilde = state
-        z = _rows(p.E_tgt[prev_ids], self.W_in, p.hidden_size) + p.b_dec
+        z = self._input_half(prev_ids)
+        z += workers.columns(np.concatenate([htilde, h], axis=1), self.W_rec, H)
         starts = [a for _, a, _ in runs]
         weights = [None] * len(runs)
 
         def rows_step(rows):
             """(h, c, h~) of rows b0 to b1-1, which hold whole runs."""
             b0, b1 = rows
-            z[b0:b1] += (np.concatenate([htilde[b0:b1], h[b0:b1]], axis=1)
-                         @ self.W_rec)
             h_rows, c_rows, _ = lstm_step(z[b0:b1], c[b0:b1])
             context = np.empty_like(h_rows)
             for i in range(bisect_left(starts, b0), bisect_left(starts, b1)):
@@ -152,10 +169,9 @@ class Decoder:
 
         # above the split rule, blocks of whole runs step on worker threads
         # (workers.py); the output layer's product, whose row results could
-        # depend on the number of rows, takes every row at once, and the
-        # embedding's splits only where model._rows keeps that from happening
+        # depend on the number of rows, takes every row at once
         stepped = workers.run(rows_step, workers.blocks(
-            len(prev_ids), p.hidden_size, [b for _, _, b in runs]))
+            len(prev_ids), H, [b for _, _, b in runs]))
         if len(stepped) > 1:
             stepped = [tuple(map(np.concatenate, zip(*stepped)))]
         h, c, htilde = stepped[0]
@@ -164,6 +180,17 @@ class Decoder:
             for (q, a, b), w in zip(runs, weights):
                 probs[a:b] = mix_lexicon(p, probs[a:b], w, self.lexicon[q])
         return (h, c, htilde), np.log(np.maximum(probs, P_FLOOR))
+
+    def _input_half(self, prev_ids: np.ndarray) -> np.ndarray:
+        """E_tgt[prev_ids] @ W_in + b_dec, (R, 4H): rows of the table of
+        every token's from table_rows rows on, else the product, in row
+        blocks as model._rows allows."""
+        p = self.params
+        if self.table_rows is not None and len(prev_ids) >= self.table_rows:
+            if self.inputs is None:
+                self.inputs = _rows(p.E_tgt, self.W_in, p.hidden_size) + p.b_dec
+            return self.inputs[prev_ids]
+        return _rows(p.E_tgt[prev_ids], self.W_in, p.hidden_size) + p.b_dec
 
 
 def _float64(params: ModelParameters) -> ModelParameters:

@@ -168,13 +168,18 @@ class ModelParameters:
         bootstraps.  Embeddings and v_att get sqrt(3/width).  Passing an
         explicit scale applies that flat limit everywhere (handy for
         gradient-check probes).  Biases start at 0, forget-gate biases at
-        1 to keep the cell path open early on.  Draws follow table order.
+        1 to keep the cell path open early on.  Draws follow table order,
+        as one stream: where work at H is split (workers.splits), the
+        second half of the values is drawn on another thread, from a copy
+        of rng's bit generator advanced to where that half starts, and rng
+        ends where drawing every value in order would leave it.
         """
         H = hidden_size
         shapes = tensor_shapes(src_vocab_size, tgt_vocab_size, H, embed_size)
         params = cls(np.zeros(sum(math.prod(s) for s in shapes.values()), dtype=dtype),
                      src_vocab_size, tgt_vocab_size, H, embed_size,
                      lex_weight=lex_weight)
+        pieces = []
         for name, shape in shapes.items():
             if name.startswith("b_"):
                 continue
@@ -184,7 +189,10 @@ class ModelParameters:
                 limit = np.sqrt(3.0 / shape[-1])
             else:
                 limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            _draw_uniform(rng, getattr(params, name), limit)
+            out = getattr(params, name)
+            step = max(1, DRAW_PIECE // math.prod(out.shape[1:]))
+            pieces += [(out[r0:r0 + step], limit) for r0 in range(0, len(out), step)]
+        _draw_uniform(rng, pieces, H)
         params.b_enc[H:2 * H] = 1.0
         params.b_dec[H:2 * H] = 1.0
         return params
@@ -197,15 +205,42 @@ class ModelParameters:
 DRAW_PIECE = 1 << 16
 
 
-def _draw_uniform(rng: np.random.Generator, out: np.ndarray, limit: float) -> None:
-    """out[...] = rng.uniform(-limit, limit, size=out.shape), cast to
-    out's dtype, drawn a few rows at a time: the stream gives the same
-    values whatever the pieces."""
-    step = max(1, DRAW_PIECE // math.prod(out.shape[1:]))
-    for r0 in range(0, out.shape[0], step):
-        piece = out[r0:r0 + step]
+def _draw(rng: np.random.Generator, pieces: list) -> None:
+    """piece[...] = rng.uniform(-limit, limit, size=piece.shape), cast to
+    the piece's dtype, for each (piece, limit) in order."""
+    for piece, limit in pieces:
         # cast first: numpy casts and transposes in one loop ~2x slower
-        piece[...] = rng.uniform(-limit, limit, size=piece.shape).astype(out.dtype)
+        piece[...] = rng.uniform(-limit, limit, size=piece.shape).astype(piece.dtype)
+
+
+def _draw_uniform(rng: np.random.Generator, pieces: list, hidden_size: int) -> None:
+    """_draw(rng, pieces).  Where workers.splits(H) and rng's bit
+    generator can advance, the pieces are cut at the boundary nearest
+    half of all values: the calling thread draws the first half from rng,
+    a worker the second from a copy advanced past the first, then rng
+    advances past the second.  Each value takes one 64-bit output, so
+    every value and rng's next draw are those of the serial draw."""
+    bits = rng.bit_generator
+    # advance(n) skips n 64-bit outputs, one uniform double each, only in
+    # these (Philox's skips blocks of four); a module-level tuple would
+    # import numpy.random, 2 MiB, with patchloom
+    advances = isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
+    if not (advances and workers.splits(hidden_size)):
+        _draw(rng, pieces)
+        return
+    ends = np.cumsum([piece.size for piece, _ in pieces])
+    cut = int(np.argmin(np.abs(2 * ends - ends[-1]))) + 1
+    first = int(ends[cut - 1])
+    state = bits.state
+    second = type(bits)()
+    second.state = state
+    second.advance(first)
+    workers.run(lambda job: _draw(*job),
+                [(rng, pieces[:cut]), (np.random.Generator(second), pieces[cut:])])
+    bits.advance(int(ends[-1]) - first)
+    # advance drops the buffered 32-bit half-output, which no double uses
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"],
+                  "uinteger": state["uinteger"]}
 
 
 def _rows(a: np.ndarray, W: np.ndarray, hidden_size: int | None = None) -> np.ndarray:
@@ -262,7 +297,9 @@ def encode(
         h = np.zeros((blk.stop - blk.start, H), dtype=gates.dtype)
         c = np.zeros_like(h)
         for n in range(S):
-            h, c, gates[blk, n] = lstm_step(gates[blk, n] + h @ W_h, c)
+            # one block of too few rows multiplies by column halves
+            h, c, gates[blk, n] = lstm_step(
+                gates[blk, n] + workers.columns(h, W_h, H), c)
             states[blk, n] = h
             cells[blk, n] = c
 

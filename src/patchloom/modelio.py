@@ -103,7 +103,7 @@ def save_model(path: str, params: ModelParameters,
             _write_u32(fh, arr.ndim)
             for dim in arr.shape:
                 _write_u32(fh, dim)
-            fh.write(arr.tobytes())
+            fh.write(arr)       # through the buffer protocol, uncopied
         table = params.lexicon
         sids = [] if table is None else np.flatnonzero(table.lengths).tolist()
         _write_u32(fh, len(sids))
@@ -116,11 +116,14 @@ def save_model(path: str, params: ModelParameters,
 
 
 class _Reader:
+    """The file's bytes, read in order through a memoryview, so that what
+    take() returns views them: np.frombuffer reads a tensor in place."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ModelFormatError("truncated model file")
         chunk = self.data[self.pos : self.pos + n]
@@ -132,7 +135,7 @@ class _Reader:
 
     def string(self) -> str:
         try:
-            return self.take(self.u32()).decode("utf-8")
+            return str(self.take(self.u32()), "utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"invalid UTF-8 in a name or token: {exc}") from None
 

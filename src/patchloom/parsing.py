@@ -307,7 +307,9 @@ class _Parser:
         self.comma_list(self.declarator)
 
     def declarator(self) -> None:
-        self.ident()
+        # a name: never one of the literals spelled like names
+        if not _is_name(self.next()):
+            raise _Fail("expected a variable name")
         self.dims()
         if self.accept("="):
             self.variable_initializer()

@@ -22,8 +22,11 @@ one index of the flat parameter buffer at a time.  Gradients and Adam's
 moments are ModelParameters of the parameters' layout with buffers of
 their own: the backward writes their named views.
 
-Above the split rule of workers.py (H=256 or 512 and enough pairs for
-two blocks), the time loops of the encoder, the decoder and their
+Where workers.py splits work (H=256 or 512, two workers), a forward too
+small for two row blocks (the development loss's few pairs) multiplies
+each step's recurrent product by column halves on two threads
+(workers.columns).  Above the split rule (enough pairs for two blocks),
+the time loops of the encoder, the decoder and their
 reverse sweeps, and the batch-wide products of the embeddings and the
 attention (model._rows), run in row blocks of the batch's shared padded
 arrays, one block per worker thread, and the encoder's backward runs
@@ -218,7 +221,9 @@ def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
         Hx_rows, keys_rows, pad_rows = Hx[blk], keys[blk], pad_scores[blk]
         rec = np.concatenate([np.zeros_like(h), h], axis=1)
         for t in range(T):
-            h, c, gates[blk, t] = lstm_step(gates[blk, t] + rec @ W_rec, c)
+            # one block of too few rows multiplies by column halves
+            h, c, gates[blk, t] = lstm_step(
+                gates[blk, t] + workers.columns(rec, W_rec, H), c)
             alpha, ctx, query = attend(params, Hx_rows, keys_rows, h, pad_rows)
             htil = attentional_vector(params, h, ctx)
             cache.dec_c[blk, t] = c

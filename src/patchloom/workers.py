@@ -28,6 +28,26 @@ thread, in the serial order.  Tier-1 tests check it at each listed size.
 
 Work that has no sum over rows is split the same way at those sizes:
 Adam's update, and the copies that save and load a model.
+
+A product whose rows are too few for two blocks is split by columns
+instead (columns()): two column halves, one per thread, each packing
+only its half of the weight.  That is the recurrent product of a time
+loop that stays in one block (h @ W_h in the encoder, [h~; h] @ W_rec in
+the decoder: the development loss's few pairs) and, in every decode
+step, [h~; h] @ W_rec for all live rows at once.  A column of a product
+has the same bits in a half as in the whole when the product has one row
+(numpy then calls OpenBLAS's gemv, whose halves give the whole gemv's
+bits, though not a gemm's) or each half has at least SMALL_PRODUCT
+multiply-adds; a smaller half may take OpenBLAS's small-matrix kernel,
+with other bits.  Probed at float32 and float64 with R = 1, 2, 3, 4, 7,
+8, 16 and 33 rows, the same bits: (R, 1024) @ (1024, 2048) and (R, 512)
+@ (512, 2048), the loops' and the decode step's products at H=512.
+Other bits: (2, 512) @ (512, 1024), (2, 1024) @ (1024, 512) and (4, 512)
+@ (512, 512), whose halves fall below SMALL_PRODUCT and whose whole
+product does not (numpy's bundled OpenBLAS, x86-64 SkylakeX kernels).
+
+The initial weights (model.ModelParameters.initialize) are drawn in two
+halves on two threads at those hidden sizes, from one random stream.
 """
 
 from __future__ import annotations
@@ -59,6 +79,10 @@ MAX_WORKERS = 2
 # times as long as one (8 to 64 pairs at H=512, 32 and 64 at H=256).
 LEAST_ROWS = {256: 16, 512: 4}
 
+# OpenBLAS's small-matrix size: a product of fewer multiply-adds may take
+# another kernel than a larger one, with other bits (its permit is 10^6)
+SMALL_PRODUCT = 1 << 20
+
 
 def _blas_threads() -> int | None:
     """Threads numpy's bundled OpenBLAS runs, or None when it cannot be
@@ -89,15 +113,20 @@ def count() -> int:
     return max(1, min(len(os.sched_getaffinity(0)), MAX_WORKERS))
 
 
+def splits(hidden_size: int) -> bool:
+    """Whether work at hidden size H is shared among threads at all: H is
+    a size LEAST_ROWS lists, there are workers, and this is not a task
+    that run() started (so no task waits on another)."""
+    return hidden_size in LEAST_ROWS and not _local.in_task and count() > 1
+
+
 def parts(rows: int, hidden_size: int) -> int:
-    """How many threads share a batch of rows at hidden size H: 1 at a
-    size LEAST_ROWS does not list or inside a task that run() started
-    (so no task waits on another), otherwise as many as there are
-    workers and blocks of LEAST_ROWS[H] rows."""
-    least = LEAST_ROWS.get(hidden_size)
-    if least is None or _local.in_task:
+    """How many threads share a batch of rows at hidden size H: 1 where
+    splits() says no, otherwise as many as there are workers and blocks
+    of LEAST_ROWS[H] rows."""
+    if not splits(hidden_size):
         return 1
-    return max(1, min(count(), rows // least))
+    return max(1, min(count(), rows // LEAST_ROWS[hidden_size]))
 
 
 def blocks(rows: int, hidden_size: int,
@@ -120,6 +149,22 @@ def blocks(rows: int, hidden_size: int,
             edges.append(cut)
     edges.append(rows)
     return list(zip(edges[:-1], edges[1:]))
+
+
+def columns(a: np.ndarray, W: np.ndarray, hidden_size: int) -> np.ndarray:
+    """a (R, k) @ W (k, m): where splits() says yes at hidden size H, as
+    two column halves, one per thread, when R is 1 or each half has at
+    least SMALL_PRODUCT multiply-adds; otherwise the plain product."""
+    half = W.shape[1] // 2
+    if not splits(hidden_size) or 1 < len(a) and a.size * half < SMALL_PRODUCT:
+        return a @ W
+    out = np.empty((len(a), W.shape[1]), dtype=np.result_type(a, W))
+
+    def part(cols):
+        np.matmul(a, W[:, cols], out=out[:, cols])
+
+    run(part, [slice(0, half), slice(half, None)])
+    return out
 
 
 class _Local(threading.local):

@@ -272,3 +272,78 @@ def test_train_and_generate_write_the_same_files_with_two_workers(tmp_path,
         written.append([(out / name).read_bytes()
                         for name in ("model.plm", "patches.jsonl")])
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng,
+                                      lambda seed: np.random.Generator(
+                                          np.random.PCG64DXSM(seed))])
+def test_initial_weights_are_drawn_on_two_threads_as_one_stream(worker_count,
+                                                                 make_rng):
+    drawn = []
+    for n in (1, 2):
+        worker_count.use(n)
+        rng = make_rng(4)
+        rng.integers(0, 10, dtype=np.uint32)    # leaves half an output buffered
+        params = ModelParameters.initialize(rng, 30, 20, hidden_size=H, embed_size=64)
+        assert (worker_count.tasks > 0) == (n > 1)
+        drawn.append((params.flat.tobytes(), rng.bit_generator.state,
+                      rng.integers(0, 1 << 30, size=3, dtype=np.uint32).tolist(),
+                      rng.random(3).tolist()))
+    assert drawn[0] == drawn[1]
+
+
+def test_a_generator_that_cannot_advance_draws_serially(worker_count):
+    drawn = []
+    for n in (1, 2):
+        worker_count.use(n)
+        rng = np.random.Generator(np.random.MT19937(1))
+        params = ModelParameters.initialize(rng, 30, 20, hidden_size=H, embed_size=64)
+        assert worker_count.tasks == 0
+        drawn.append((params.flat.tobytes(), rng.random(3).tolist()))
+    assert drawn[0] == drawn[1]
+
+
+# at H=256, two pairs' column halves would fall below OpenBLAS's
+# small-matrix size, so they are not split
+@pytest.mark.parametrize("hidden, pairs, split", [
+    (512, 1, True), (512, 2, True), (512, 3, True), (256, 2, False), (256, 5, True)])
+@pytest.mark.parametrize("embed", [16, 128])
+def test_a_development_loss_is_bit_identical_with_more_workers(
+        worker_count, fast_switching, hidden, pairs, split, embed):
+    params = _large_model(lex_weight=0.2, hidden=hidden, embed=embed)
+    rng = np.random.default_rng(pairs)
+    dev = [(rng.integers(3, 20, size=n).tolist(),
+            rng.integers(4, 14, size=m).tolist() + [EOS_ID])
+           for n, m in rng.integers(1, 9, size=(pairs, 2))]
+    results = []
+    for n in (1, 2):
+        worker_count.use(n)
+        cache = training.forward_pair(params, dev)
+        # too few pairs for two blocks: the recurrent products split by columns
+        assert (worker_count.tasks > 0) == (n > 1 and split)
+        results.append((training.corpus_loss(params, dev),
+                        [getattr(cache, name).tobytes()
+                         for name in ("Hx", "enc_gates", "dec_gates", "htil", "smax")]))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("embed", [16, 256])
+def test_a_one_source_decode_is_bit_identical_with_more_workers(
+        worker_count, fast_switching, monkeypatch, embed):
+    params = _large_model(seed=5, lex_weight=0.2, embed=embed)
+    tables = []
+    step = Decoder.step
+    monkeypatch.setattr(Decoder, "step", lambda self, *args: (
+        step(self, *args), tables.append(self.inputs is not None))[0])
+    decoded = []
+    for n in (1, 2):
+        worker_count.use(n)
+        tables.clear()
+        hyps = beam_search(params, [[3, 7, 11, 4]], beam_size=4, max_len=6)
+        decoded.append([(h.tokens, h.log_prob, h.finished) for h in hyps[0]])
+        assert (worker_count.tasks > 0) == (n > 1)
+        # the first step has one row, which never reads the table; with
+        # embeddings of 256, the later steps' products are large enough to
+        assert tables[0] is False
+        assert any(tables) == (n > 1 and embed == 256)
+    assert decoded[0] == decoded[1]
