@@ -24,17 +24,20 @@ beam_size candidates (score descending, then token ascending, then row
 ascending) and settles them in the same pass: those ending in </s> join
 the source's pool, and the others become the source's next run if one of
 them can beat its best finished score, so each source stops on its own.
-Where workers.py splits work (H=256 or 512, two workers), Decoder.step
-multiplies [h~; h] by the recurrent weight once for all live rows, as
-two column halves on two threads (workers.columns), and reads the input
-half of the pre-activations, E_tgt[prev] @ W_in + b_dec, from a table of
-every target token's, built once per Decoder when a step of enough rows
-first needs it: at least two (a one-row product takes OpenBLAS's gemv,
-with other bits) and enough for OpenBLAS's gemm kernel rather than its
-small-matrix one; smaller steps multiply as before.  With enough live rows for two blocks it then
-runs blocks of whole runs on worker threads, from the LSTM to the
-combiner; the output product takes every row at once, so a step's
-results are the same bits for any worker count.
+A step of at least V_tgt live rows reads the input half of its
+pre-activations, E_tgt[prev] @ W_in + b_dec, from a table of every
+target token's, built once per Decoder when such a step first needs it;
+a smaller step multiplies.  At float64 a row of a product has the same
+bits for every row count from 2 up (only a one-row product, which
+OpenBLAS computes with gemv, differs), so the table changes no bit, and
+it is never larger than the step's own (R, 4H) array, which
+CHUNK_ELEMENTS bounds.  Where workers.py splits work (H=256 or 512, two
+workers), Decoder.step multiplies [h~; h] by the recurrent weight once
+for all live rows, as two column halves on two threads
+(workers.columns).  With enough live rows for two blocks it then runs
+blocks of whole runs on worker threads, from the LSTM to the combiner;
+the output product takes every row at once, so a step's results are the
+same bits for any worker count.
 
 beam_search and exhaustive_search (the exact reference a wide beam must
 match) share one step, Decoder.step: model.py's forward, the one
@@ -77,7 +80,9 @@ State = tuple[np.ndarray, np.ndarray, np.ndarray]
 # long source shrinks every chunk) and R = Q * beam_size rows, holds at
 # most this many elements in Q * (S + beam_size) * (4H + V_tgt): the
 # (Q, S, 4H) encoder gates, the (Q, S, V_tgt) lexicon rows, and the
-# (R, 4H) pre-activations and (R, V_tgt) output rows of a step.  Decoding
+# (R, 4H) pre-activations and (R, V_tgt) output rows of a step (the
+# input-half table, (V_tgt, 4H), is built only for steps of R >= V_tgt
+# rows, so it is no larger than their pre-activations).  Decoding
 # the synthetic benchmark's 400 held-out statements and queries (H=128,
 # beam 10, S=14, V_tgt=95, lexicon off) peaks at 11, 19, 36 and 69 MiB of
 # numpy arrays at 2^19 to 2^22; chunks of 50 to 400 sources took the same
@@ -124,16 +129,8 @@ class Decoder:
         # C-contiguous, since model.py's matrices are column-major
         self.W_in = params.W_dec[:, :d].T
         self.W_rec = params.W_dec[:, d:].T
-        # Where workers.py splits work, a step of at least table_rows rows
-        # reads the input half from a table, built when one first does: a
-        # row of it is the step product's bits when both products take
-        # OpenBLAS's gemm, with two rows or more and SMALL_PRODUCT
-        # multiply-adds (a one-row product takes gemv, a smaller one the
-        # small-matrix kernel)
-        width = d * 4 * params.hidden_size
-        least = max(2, -(-workers.SMALL_PRODUCT // width))
-        self.table_rows = (least if workers.splits(params.hidden_size)
-                           and params.tgt_vocab_size >= least else None)
+        # the table of every target token's input half, built when a step
+        # of at least V_tgt rows first needs it (see _input_half)
         self.inputs = None
         last = (np.arange(len(sources)), self.lengths - 1)
         self.start: State = (states[last], cells[last],
@@ -182,15 +179,19 @@ class Decoder:
         return (h, c, htilde), np.log(np.maximum(probs, P_FLOOR))
 
     def _input_half(self, prev_ids: np.ndarray) -> np.ndarray:
-        """E_tgt[prev_ids] @ W_in + b_dec, (R, 4H): rows of the table of
-        every token's from table_rows rows on, else the product, in row
-        blocks as model._rows allows."""
+        """E_tgt[prev_ids] @ W_in + b_dec, (R, 4H), the product in row
+        blocks as model._rows allows, or rows of the table of every
+        token's for a step of R >= V_tgt rows: the same bits, since both
+        products have at least 2 rows (BOS_ID is a row of E_tgt)."""
         p = self.params
-        if self.table_rows is not None and len(prev_ids) >= self.table_rows:
-            if self.inputs is None:
-                self.inputs = _rows(p.E_tgt, self.W_in, p.hidden_size) + p.b_dec
-            return self.inputs[prev_ids]
-        return _rows(p.E_tgt[prev_ids], self.W_in, p.hidden_size) + p.b_dec
+        if len(prev_ids) < p.tgt_vocab_size:
+            z = _rows(p.E_tgt[prev_ids], self.W_in, p.hidden_size)
+            z += p.b_dec
+            return z
+        if self.inputs is None:
+            self.inputs = _rows(p.E_tgt, self.W_in, p.hidden_size)
+            self.inputs += p.b_dec
+        return self.inputs[prev_ids]
 
 
 def _float64(params: ModelParameters) -> ModelParameters:

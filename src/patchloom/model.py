@@ -286,8 +286,10 @@ def encode(
     if S == 0:
         raise ValueError("cannot encode an empty source")
     H = params.hidden_size
-    # the input half of every step's pre-activations at once
-    gates = _rows(x, params.W_enc[:, :d].T, H) + params.b_enc
+    # the input half of every step's pre-activations at once, the bias
+    # added in place
+    gates = _rows(x, params.W_enc[:, :d].T, H)
+    gates += params.b_enc
     W_h = params.W_enc[:, d:].T
     states = np.empty((B, S, H), dtype=gates.dtype)
     cells = np.empty((B, S, H), dtype=gates.dtype)

@@ -35,6 +35,20 @@ updates blocks of its chunks on the threads.  Everything that sums over
 rows (the loss and the parameter gradients) is taken whole, in the
 serial order, so loss and gradients are the same bits for any worker
 count.
+
+Buffers.  train holds the parameters, Adam's moments m and v, and one
+gradient buffer, which every batch's backward overwrites
+(batch_loss_and_gradients' out); a batch's forward cache lives until
+its backward is done.  The best epoch's parameters are copied only at
+an improving epoch that another epoch follows, into one snapshot buffer
+made then: when the last epoch is the best, train returns the
+parameters themselves, so a one-epoch run holds no snapshot.  When no
+epoch improved (as when training aborts on a non-finite loss in its first
+epoch), train returns the seeded initialization: with max_epochs 0 the
+parameters, which nothing changed, and otherwise
+ModelParameters.initialize drawn again from default_rng(seed), the
+lexicon attached, the same bits as the parameters training started
+from.
 """
 
 from __future__ import annotations
@@ -106,15 +120,24 @@ class EpochStats:
     train_loss: float
     dev_loss: float
     learning_rate: float
+
+
+@dataclass
+class EpochTiming:
+    epoch: int
     seconds: float
 
 
 @dataclass
 class TrainingLog:
+    """What training did.  Every field but timings is the same for two
+    runs of one seed and config; timings holds each epoch's wall-clock
+    seconds."""
     best_epoch: int = -1
     best_dev_loss: float = float("inf")
     aborted: bool = False
     epochs: list[EpochStats] = field(default_factory=list)
+    timings: list[EpochTiming] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +226,8 @@ def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
         e *= cache.mask_e
     cache.e = e
     # each step overwrites its slot of the input half with its gate values
-    gates = _rows(e, params.W_dec[:, :d].T, H) + params.b_dec
+    gates = _rows(e, params.W_dec[:, :d].T, H)
+    gates += params.b_dec
     W_rec = params.W_dec[:, d:].T
     Hx = cache.Hx
     keys = cache.keys = attention_keys(params, Hx)
@@ -523,10 +547,12 @@ def batch_loss_and_gradients(
     batch: list[tuple[list[int], list[int]]],
     rng: np.random.Generator | None = None,
     dropout: float = 0.0,
+    out: ModelParameters | None = None,
 ) -> tuple[float, int, ModelParameters]:
     """Mean-per-token loss over the batch, its token count, and matching
-    gradients in params' layout."""
-    grads = replace(params, flat=np.empty_like(params.flat))
+    gradients in params' layout: written into out, whose every element the
+    backward overwrites, or into a fresh buffer without one."""
+    grads = replace(params, flat=np.empty_like(params.flat)) if out is None else out
     cache = forward_pair(params, batch, rng, dropout)
     backward_pair(params, cache, grads)
     grads.flat /= cache.tokens
@@ -646,16 +672,23 @@ def train(
 ) -> tuple[ModelParameters, TrainingLog]:
     """Train on encoded (src_ids, tgt_ids-with-EOS) pairs.  The last
     dev_fraction of pairs (callers pass them in chronological order)
-    forms the development split."""
+    forms the development split.  Returns the parameters of the epoch
+    with the lowest development loss or, when no epoch finished with a
+    finite one, the seeded initialization."""
     if not encoded_pairs:
         raise ValueError("empty training corpus")
+
+    def initialize(rng):
+        params = ModelParameters.initialize(
+            rng, src_vocab_size, tgt_vocab_size,
+            hidden_size=config.hidden_size, embed_size=config.embed_size,
+            lex_weight=config.lex_weight,
+        )
+        params.lexicon = lexicon
+        return params
+
     rng = np.random.default_rng(config.seed)
-    params = ModelParameters.initialize(
-        rng, src_vocab_size, tgt_vocab_size,
-        hidden_size=config.hidden_size, embed_size=config.embed_size,
-        lex_weight=config.lex_weight,
-    )
-    params.lexicon = lexicon
+    params = initialize(rng)
 
     n_dev = max(1, int(round(len(encoded_pairs) * config.dev_fraction)))
     n_dev = min(n_dev, len(encoded_pairs) - 1) if len(encoded_pairs) > 1 else 0
@@ -668,9 +701,11 @@ def train(
     batches = make_batches(train_pairs, config.minibatch_words)
 
     logbook = TrainingLog()
-    best = params.copy()
+    best = None     # the best epoch's parameters, once a later epoch runs
     lr = config.learning_rate
     adam = AdamState(params, config)
+    # every batch's backward overwrites this one buffer
+    grads = replace(params, flat=np.empty_like(params.flat))
     prev_dev = float("inf")
 
     for epoch in range(config.max_epochs):
@@ -682,8 +717,8 @@ def train(
         # the learning rate decays
         for bi in rng.permutation(len(batches)):
             batch = batches[int(bi)]
-            loss, tokens, grads = batch_loss_and_gradients(
-                params, batch, rng, config.dropout)
+            loss, tokens, _ = batch_loss_and_gradients(
+                params, batch, rng, config.dropout, out=grads)
             if not np.isfinite(loss):
                 log.error("non-finite loss at epoch %d; keeping last good "
                           "snapshot", epoch)
@@ -697,18 +732,31 @@ def train(
             break
         dev_loss = corpus_loss(params, dev_pairs, config.minibatch_words)
         train_loss = epoch_loss / max(epoch_tokens, 1)
-        logbook.epochs.append(EpochStats(
-            epoch, train_loss, dev_loss, lr, time.monotonic() - started))
+        logbook.epochs.append(EpochStats(epoch, train_loss, dev_loss, lr))
+        logbook.timings.append(EpochTiming(epoch, time.monotonic() - started))
         log.info("epoch %d train %.4f dev %.4f lr %.2e",
                  epoch, train_loss, dev_loss, lr)
         if dev_loss < logbook.best_dev_loss:
             logbook.best_dev_loss = dev_loss
             logbook.best_epoch = epoch
-            np.copyto(best.flat, params.flat)
+            # a snapshot only where another epoch will change params
+            if epoch + 1 < config.max_epochs:
+                if best is None:
+                    best = params.copy()
+                else:
+                    np.copyto(best.flat, params.flat)
         if dev_loss > prev_dev:
             lr *= config.decay_factor
         prev_dev = dev_loss
-    return best, logbook
+
+    # params itself when the last epoch is the best, and with max_epochs
+    # 0, when nothing changed it
+    if logbook.best_epoch == config.max_epochs - 1:
+        return params, logbook
+    if best is not None:
+        return best, logbook
+    # no epoch improved: the seeded initialization, drawn again
+    return initialize(np.random.default_rng(config.seed)), logbook
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,15 @@ Other bits: (2, 512) @ (512, 1024), (2, 1024) @ (1024, 512) and (4, 512)
 @ (512, 512), whose halves fall below SMALL_PRODUCT and whose whole
 product does not (numpy's bundled OpenBLAS, x86-64 SkylakeX kernels).
 
+At float64, the dtype decoding runs in, a row of a product has the
+same bits for every row count from 2 up, small products included; only
+a one-row product (gemv) differs.  Probed with R = 2 to 40, 64, 120 and
+400 rows of (R, d) @ (d, 4H) at (V, d, 4H) = (95, 64, 512), (100, 16,
+2048), (100, 256, 2048), (100, 128, 1024) and (5000, 256, 2048), rows
+gathered from a V-row product.  decoding.Decoder relies on it at every
+hidden size and worker count: a step of at least V_tgt rows reads its
+input half from a (V_tgt, 4H) table.
+
 The initial weights (model.ModelParameters.initialize) are drawn in two
 halves on two threads at those hidden sizes, from one random stream.
 """

@@ -150,11 +150,11 @@ def _run_pipeline(base) -> dict[str, bytes]:
     for path in sorted(base.rglob("*")):
         if path.is_file() and path.name != "repo.json":
             artifacts[str(path.relative_to(base))] = path.read_bytes()
-    # the training log records wall-clock seconds per epoch, so it is
-    # compared structurally with timing stripped rather than byte-wise
+    # the training log keeps each epoch's wall-clock seconds under
+    # timings; everything else in it must repeat
     log = json.loads(artifacts.pop("model.bin.log.json"))
-    for epoch in log["epochs"]:
-        epoch.pop("seconds")
+    timings = log.pop("timings")
+    assert [t["epoch"] for t in timings] == [e["epoch"] for e in log["epochs"]]
     return artifacts, log
 
 

@@ -328,3 +328,20 @@ def test_every_decode_product_reads_a_c_contiguous_matrix(monkeypatch, lexicon):
         read = {name for name in matrices
                 if any(np.shares_memory(W, getattr(p, name)) for W in _Weight.reads)}
         assert read == set(matrices)
+
+
+# (V, d, 4H): the shapes the float64 row fact was probed at
+@pytest.mark.parametrize("vocab, embed, width", [
+    (95, 64, 512), (100, 16, 2048), (100, 256, 2048), (100, 128, 1024),
+    (5000, 256, 2048)])
+def test_a_float64_product_row_has_the_same_bits_from_two_rows_up(vocab, embed, width):
+    """What Decoder's input-half table rests on: rows of an (R, d) @ (d,
+    4H) product, R from 2 up, are the bits of the same rows of the V-row
+    product, the weight a C-contiguous slice as W_dec's input columns are."""
+    rng = np.random.default_rng(vocab + embed + width)
+    E = rng.standard_normal((vocab, embed))
+    W = rng.standard_normal((embed + width // 2, width))[:embed]
+    table = E @ W
+    for rows in [*range(2, 41), 64, 120, 400]:
+        ids = rng.integers(0, vocab, size=rows)
+        assert np.array_equal(E[ids] @ W, table[ids]), rows

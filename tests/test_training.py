@@ -6,6 +6,7 @@ task shows the whole loop can actually learn; determinism and the
 non-finite abort guard the operational behavior.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,100 @@ def test_non_finite_loss_aborts_with_finite_snapshot():
     assert logbook.aborted
     assert logbook.epochs == []
     assert params.all_finite()
+
+
+# A shape where one model copy (1.6 MB of float32) dwarfs a batch's
+# forward cache: V=4,000 tokens, H=d=32, three batches of two pairs.
+MEMORY_VOCAB, MEMORY_HIDDEN = 4000, 32
+
+
+def _memory_pairs():
+    rng = np.random.default_rng(3)
+    return [(rng.integers(5, MEMORY_VOCAB, size=4).tolist(),
+             rng.integers(5, MEMORY_VOCAB, size=3).tolist() + [EOS_ID])
+            for _ in range(7)]
+
+
+def _memory_config(epochs):
+    return TrainingConfig(hidden_size=MEMORY_HIDDEN, embed_size=MEMORY_HIDDEN,
+                          max_epochs=epochs, minibatch_words=8, dropout=0.3,
+                          seed=4, dev_fraction=0.15)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("epochs, snapshots", [(2, 1), (1, 0)])
+def test_training_holds_one_gradient_buffer_and_only_the_snapshots_it_needs(
+        epochs, snapshots):
+    """Peak traced memory of train: the parameters, Adam's m, v and
+    scratch, one gradient buffer, a snapshot only where a later epoch
+    follows the best one, and one batch's cache, with an eighth of a
+    model copy to spare."""
+    pairs = _memory_pairs()
+    config = _memory_config(epochs)
+    batches = make_batches(pairs[:-1], config.minibatch_words)
+    assert len(batches) == 3
+    params = ModelParameters.initialize(
+        np.random.default_rng(0), MEMORY_VOCAB, MEMORY_VOCAB,
+        hidden_size=MEMORY_HIDDEN, embed_size=MEMORY_HIDDEN)
+    model = params.flat.nbytes
+    # a batch's forward and backward, less the fresh gradient buffer
+    cache = max(_traced_peak(lambda: batch_loss_and_gradients(
+        params, batch, np.random.default_rng(0), config.dropout))
+        for batch in batches) - model
+    scratch = 2 * min(training.ADAM_CHUNK, params.flat.size) * params.flat.itemsize
+    budget = (4 + snapshots) * model + scratch + cache + model // 8
+    peak = _traced_peak(lambda: train(pairs, MEMORY_VOCAB, MEMORY_VOCAB, config))
+    assert peak < budget, (peak / model, budget / model)
+
+
+def test_an_abort_in_the_first_epoch_returns_the_seeded_initialization():
+    # the poisoned source token sits in the second of three batches; at
+    # seed 4 another batch updates the parameters before it aborts
+    pairs = _memory_pairs()
+    pairs[2] = ([3] + pairs[2][0][1:], [4] + pairs[2][1][1:])
+    poisoned = LexiconTable.from_rows({3: {4: float("nan")}}, MEMORY_VOCAB)
+    config = replace(_memory_config(3), lex_weight=0.1)
+    params, logbook = train(pairs, MEMORY_VOCAB, MEMORY_VOCAB, config,
+                            lexicon=poisoned)
+    assert logbook.aborted and logbook.epochs == []
+    want = ModelParameters.initialize(
+        np.random.default_rng(config.seed), MEMORY_VOCAB, MEMORY_VOCAB,
+        hidden_size=MEMORY_HIDDEN, embed_size=MEMORY_HIDDEN, lex_weight=0.1)
+    assert params.flat.tobytes() == want.flat.tobytes()
+    assert params.lexicon is poisoned
+
+
+def test_no_epochs_return_the_initialization_itself():
+    params, logbook = train(_memory_pairs(), MEMORY_VOCAB, MEMORY_VOCAB,
+                            _memory_config(0))
+    want = ModelParameters.initialize(
+        np.random.default_rng(4), MEMORY_VOCAB, MEMORY_VOCAB,
+        hidden_size=MEMORY_HIDDEN, embed_size=MEMORY_HIDDEN)
+    assert logbook.best_epoch == -1 and logbook.epochs == []
+    assert params.flat.tobytes() == want.flat.tobytes()
+
+
+def test_the_best_epoch_is_returned_whether_or_not_it_is_the_last():
+    """Runs of 1 to 4 epochs on one seed, at a rate whose development
+    loss is lowest after epoch 1: a run of k epochs returns the best of
+    its first k, the parameters themselves when it is the last and a
+    snapshot when later epochs follow it."""
+    pairs = _memory_pairs()
+    runs = {k: train(pairs, MEMORY_VOCAB, MEMORY_VOCAB,
+                     replace(_memory_config(k), learning_rate=0.03))
+            for k in (1, 2, 3, 4)}
+    assert [logbook.best_epoch for _, logbook in runs.values()] == [0, 1, 1, 1]
+    for k, (params, logbook) in runs.items():
+        assert logbook.epochs == runs[4][1].epochs[:k]
+        assert params.flat.tobytes() == runs[logbook.best_epoch + 1][0].flat.tobytes()
 
 
 def test_chunked_adam_equals_the_per_tensor_update(monkeypatch):

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,8 +343,45 @@ def test_a_one_source_decode_is_bit_identical_with_more_workers(
         hyps = beam_search(params, [[3, 7, 11, 4]], beam_size=4, max_len=6)
         decoded.append([(h.tokens, h.log_prob, h.finished) for h in hyps[0]])
         assert (worker_count.tasks > 0) == (n > 1)
-        # the first step has one row, which never reads the table; with
-        # embeddings of 256, the later steps' products are large enough to
-        assert tables[0] is False
-        assert any(tables) == (n > 1 and embed == 256)
+        # a beam of 4 steps at most 4 rows, fewer than V_tgt = 14, so no
+        # step builds the input-half table, at any worker count
+        assert tables and not any(tables)
     assert decoded[0] == decoded[1]
+
+
+@pytest.mark.parametrize("hidden, embed", [(128, 16), (256, 128), (512, 16)])
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_steps_of_at_least_v_tgt_rows_read_the_table_with_the_products_bits(
+        worker_count, hidden, embed, n_workers):
+    worker_count.use(n_workers)
+    decoder = Decoder(_large_model(seed=7, hidden=hidden, embed=embed), [[3, 7], [5]])
+    p = decoder.params
+    rng = np.random.default_rng(8)
+    built = []
+    for rows in (1, 2, 13, 14, 40, 3, 1):
+        prev = rng.integers(0, p.tgt_vocab_size, size=rows)
+        want = p.E_tgt[prev] @ p.W_dec[:, :embed].T + p.b_dec
+        assert np.array_equal(decoder._input_half(prev), want), rows
+        built.append(decoder.inputs is not None)
+    # built by the first step of V_tgt = 14 rows, then kept
+    assert built == [False, False, False, True, True, True, True]
+
+
+def test_a_large_vocabulary_one_source_decode_builds_no_table(worker_count):
+    """With V_tgt far above a beam's rows, no step reads the (V_tgt, 4H)
+    table, so a one-source decode allocates about what its steps need,
+    at the hidden sizes where work is split too."""
+    hidden, embed, vocab = 256, 128, 5000
+    params = ModelParameters.initialize(
+        np.random.default_rng(9), 20, vocab, hidden_size=hidden, embed_size=embed,
+        scale=0.05, dtype=np.float64)
+    table_bytes = vocab * 4 * hidden * 8
+    for n in (1, 2):
+        worker_count.use(n)
+        tracemalloc.start()
+        try:
+            beam_search(params, [[3, 7, 11, 4]], beam_size=10, max_len=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 4, (n, peak)
