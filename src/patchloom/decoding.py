@@ -179,8 +179,8 @@ class Decoder:
         return (h, c, htilde), np.log(np.maximum(probs, P_FLOOR))
 
     def _input_half(self, prev_ids: np.ndarray) -> np.ndarray:
-        """E_tgt[prev_ids] @ W_in + b_dec, (R, 4H), the product in row
-        blocks as model._rows allows, or rows of the table of every
+        """E_tgt[prev_ids] @ W_in + b_dec, (R, 4H), the product by column
+        halves as model._rows allows, or rows of the table of every
         token's for a step of R >= V_tgt rows: the same bits, since both
         products have at least 2 rows (BOS_ID is a row of E_tgt)."""
         p = self.params

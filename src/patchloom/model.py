@@ -22,9 +22,9 @@ encoder recurrence (encode), the attention step (attend), the combiner
 (attentional_vector) and the output layer (predict_distribution).
 training.forward_pair runs them over a padded batch of pairs and
 decoding.Decoder.step over the live hypotheses of a chunk of sources,
-each source's rows attending over its own unpadded states; rows (B, .)
-are independent, so above the split rule of workers.py encode runs its
-recurrence in row blocks on worker threads.
+each source's rows attending over its own unpadded states.  Where
+workers.py splits work, the weight products of encode's steps and of
+_rows multiply by column halves on two threads.
 They compute in the dtype of the parameters: training in float32,
 decoding in float64 (see decoding.py for why).  Every forward product
 multiplies activations by a weight matrix's transpose, a @ W.T, and
@@ -244,24 +244,12 @@ def _draw_uniform(rng: np.random.Generator, pieces: list, hidden_size: int) -> N
 
 
 def _rows(a: np.ndarray, W: np.ndarray, hidden_size: int | None = None) -> np.ndarray:
-    """a (..., n) @ W (n, m) as one matrix product over all rows.  Given
-    the hidden size H, a's first axis a batch and n and m at least H/2,
-    above the split rule of workers.py blocks of the batch multiply on
-    worker threads: every block's product then stays above OpenBLAS's
-    small-matrix size, where its rows are the whole product's bits."""
+    """a (..., n) @ W (n, m) as one matrix product over all rows; given
+    the hidden size H, by column halves where workers.columns splits."""
     n, m = W.shape
-    spans = ([(0, len(a))] if hidden_size is None or 2 * min(n, m) < hidden_size
-             else workers.blocks(len(a), hidden_size))
-    if len(spans) == 1:
-        return (a.reshape(-1, n) @ W).reshape(a.shape[:-1] + (m,))
-    out = np.empty(a.shape[:-1] + (m,), dtype=np.result_type(a, W))
-
-    def block(rows):
-        b0, b1 = rows
-        np.matmul(a[b0:b1].reshape(-1, n), W, out=out[b0:b1].reshape(-1, m))
-
-    workers.run(block, spans)
-    return out
+    flat = a.reshape(-1, n)
+    out = flat @ W if hidden_size is None else workers.columns(flat, W, hidden_size)
+    return out.reshape(a.shape[:-1] + (m,))
 
 
 def lstm_step(
@@ -293,19 +281,11 @@ def encode(
     W_h = params.W_enc[:, d:].T
     states = np.empty((B, S, H), dtype=gates.dtype)
     cells = np.empty((B, S, H), dtype=gates.dtype)
-
-    def recur(rows):
-        blk = slice(*rows)
-        h = np.zeros((blk.stop - blk.start, H), dtype=gates.dtype)
-        c = np.zeros_like(h)
-        for n in range(S):
-            # one block of too few rows multiplies by column halves
-            h, c, gates[blk, n] = lstm_step(
-                gates[blk, n] + workers.columns(h, W_h, H), c)
-            states[blk, n] = h
-            cells[blk, n] = c
-
-    workers.run(recur, workers.blocks(B, H))
+    h = np.zeros((B, H), dtype=gates.dtype)
+    c = np.zeros_like(h)
+    for n in range(S):
+        h, c, gates[:, n] = lstm_step(gates[:, n] + workers.columns(h, W_h, H), c)
+        states[:, n], cells[:, n] = h, c
     return states, cells, gates
 
 

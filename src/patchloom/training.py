@@ -22,15 +22,12 @@ one index of the flat parameter buffer at a time.  Gradients and Adam's
 moments are ModelParameters of the parameters' layout with buffers of
 their own: the backward writes their named views.
 
-Where workers.py splits work (H=256 or 512, two workers), a forward too
-small for two row blocks (the development loss's few pairs) multiplies
-each step's recurrent product by column halves on two threads
-(workers.columns).  Above the split rule (enough pairs for two blocks),
-the time loops of the encoder, the decoder and their
-reverse sweeps, and the batch-wide products of the embeddings and the
-attention (model._rows), run in row blocks of the batch's shared padded
-arrays, one block per worker thread, and the encoder's backward runs
-beside the decoder's gradient products; at those hidden sizes Adam
+Where workers.py splits work (H=256 or 512, two workers), the time loops
+of the encoder, the decoder and their reverse sweeps each run one loop
+over the whole padded batch and multiply each step's weight products by
+column halves on two threads (workers.columns), as do the batch-wide
+products of the embeddings and the attention (model._rows).  The
+encoder's backward runs beside the decoder's gradient products, and Adam
 updates blocks of its chunks on the threads.  Everything that sums over
 rows (the loss and the parameter gradients) is taken whole, in the
 serial order, so loss and gradients are the same bits for any worker
@@ -83,9 +80,6 @@ class TrainingConfig:
     learning_rate: float = 0.001
     minibatch_words: int = 2048
     dropout: float = 0.5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     decay_factor: float = 0.5
     max_epochs: int = 20
     seed: int = 1
@@ -102,9 +96,6 @@ class TrainingConfig:
             ("embed_size", self.embed_size >= 1, "at least 1"),
             ("max_epochs", self.max_epochs >= 0, "at least 0"),  # 0: untrained
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
-            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
-            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
-            ("adam_epsilon", self.adam_epsilon > 0, "positive"),
             ("decay_factor", 0.0 < self.decay_factor <= 1.0, "in (0, 1]"),
             ("lex_weight", 0.0 <= self.lex_weight <= 1.0, "in [0, 1]"),
             ("dev_fraction", 0.0 <= self.dev_fraction < 1.0, "in [0, 1)"),
@@ -231,34 +222,19 @@ def _decoder_forward(params: ModelParameters, cache: _BatchCache) -> None:
     W_rec = params.W_dec[:, d:].T
     Hx = cache.Hx
     keys = cache.keys = attention_keys(params, Hx)
-    pad_scores = np.where(np.arange(S) < cache.src_len[:, None], 0.0,
-                          -np.inf).astype(dtype)
+    pad = np.where(np.arange(S) < cache.src_len[:, None], 0.0, -np.inf).astype(dtype)
     for name in ("dec_c", "hd", "query", "ctx", "htil"):
         setattr(cache, name, np.empty((B, T, H), dtype=dtype))
     cache.alpha = np.empty((B, T, S), dtype=dtype)
 
-    h0, c0 = Hx[cache.last], cache.enc_c[cache.last]
-
-    def recur(rows):
-        blk = slice(*rows)
-        h, c = h0[blk], c0[blk]
-        Hx_rows, keys_rows, pad_rows = Hx[blk], keys[blk], pad_scores[blk]
-        rec = np.concatenate([np.zeros_like(h), h], axis=1)
-        for t in range(T):
-            # one block of too few rows multiplies by column halves
-            h, c, gates[blk, t] = lstm_step(
-                gates[blk, t] + workers.columns(rec, W_rec, H), c)
-            alpha, ctx, query = attend(params, Hx_rows, keys_rows, h, pad_rows)
-            htil = attentional_vector(params, h, ctx)
-            cache.dec_c[blk, t] = c
-            cache.hd[blk, t] = h
-            cache.query[blk, t] = query
-            cache.alpha[blk, t] = alpha
-            cache.ctx[blk, t] = ctx
-            cache.htil[blk, t] = htil
-            rec = np.concatenate([htil, h], axis=1)
-
-    workers.run(recur, workers.blocks(B, H))
+    h, c = Hx[cache.last], cache.enc_c[cache.last]
+    rec = np.concatenate([np.zeros_like(h), h], axis=1)
+    for t in range(T):
+        h, c, gates[:, t] = lstm_step(gates[:, t] + workers.columns(rec, W_rec, H), c)
+        cache.alpha[:, t], ctx, cache.query[:, t] = attend(params, Hx, keys, h, pad)
+        cache.htil[:, t] = htil = attentional_vector(params, h, ctx)
+        cache.dec_c[:, t], cache.hd[:, t], cache.ctx[:, t] = c, h, ctx
+        rec = np.concatenate([htil, h], axis=1)
     cache.dec_gates = gates
 
 
@@ -404,67 +380,45 @@ def _decoder_backward(params: ModelParameters, cache: _BatchCache,
     DCTX = np.empty((B, T, H), dtype=dtype)
     DMS = np.empty((B, T, H), dtype=dtype)
     dM = np.zeros((B, S, H), dtype=dtype)
-    blocks = workers.blocks(B, H)
-    # v_att's gradient sums over rows: a sweep over every row adds each
-    # step's share as it goes; blocks keep each step's dscores for it
+    # v_att's gradient sums over rows: the sweep adds each step's share
     dv = grads.v_att
     dv[...] = 0.0
-    DSCORES = np.empty((B, T, S), dtype=dtype) if len(blocks) > 1 else None
+    drec = np.zeros((B, 2 * H), dtype=dtype)
+    dc_next = np.zeros((B, H), dtype=dtype)
+    for t in range(T - 1, -1, -1):
+        # combiner
+        DPC[:, t] = dpre_c = (dhtil_out[:, t] + drec[:, :H]) * dtanh_htil[:, t]
+        dq = workers.columns(dpre_c, params.W_comb, H)
+        DCTX[:, t] = dctx = dq[:, H:]
 
-    def recur(rows):
-        """The reverse sweep over rows b0:b1; returns their gradients
-        reaching the start state, [dh~ fed back; dh_prev] and dc."""
-        blk = slice(*rows)
-        Hx_rows, keys_rows, dM_rows = Hx[blk], keys[blk], dM[blk]
-        drec = np.zeros((blk.stop - blk.start, 2 * H), dtype=dtype)
-        dc_next = np.zeros((blk.stop - blk.start, H), dtype=dtype)
-        for t in range(T - 1, -1, -1):
-            # combiner
-            dpre_c = (dhtil_out[blk, t] + drec[:, :H]) * dtanh_htil[blk, t]
-            DPC[blk, t] = dpre_c
-            dq = dpre_c @ params.W_comb
-            dctx = dq[:, H:]
-            DCTX[blk, t] = dctx
+        # context and attention
+        alpha = cache.alpha[:, t]
+        dalpha = (Hx @ dctx[:, :, None])[..., 0]
+        if dalpha_mix is not None:
+            dalpha += dalpha_mix[:, t]
+        dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+        m = np.add(keys, cache.query[:, t, None, :])
+        np.tanh(m, out=m)
+        np.add(dv, dscores.reshape(-1) @ _flat(m), out=dv)
+        dm = np.multiply(m, m, out=m)
+        np.subtract(1.0, dm, out=dm)
+        dm *= dscores[..., None]
+        dm *= params.v_att
+        dM += dm
+        DMS[:, t] = dm_sum = dm.sum(axis=1)
 
-            # context and attention
-            alpha = cache.alpha[blk, t]
-            dalpha = (Hx_rows @ dctx[:, :, None])[..., 0]
-            if dalpha_mix is not None:
-                dalpha += dalpha_mix[blk, t]
-            dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-            m = np.add(keys_rows, cache.query[blk, t, None, :])
-            np.tanh(m, out=m)
-            if DSCORES is None:
-                np.add(dv, dscores.reshape(-1) @ _flat(m), out=dv)
-            else:
-                DSCORES[blk, t] = dscores
-            dm = np.multiply(m, m, out=m)
-            np.subtract(1.0, dm, out=dm)
-            dm *= dscores[..., None]
-            dm *= params.v_att
-            dM_rows += dm
-            dm_sum = dm.sum(axis=1)
-            DMS[blk, t] = dm_sum
+        # LSTM step
+        dh = dq[:, :H] + workers.columns(dm_sum, params.W_att_h, H) + drec[:, H:]
+        dc = dc_next + dh * dc_dh[:, t]
+        dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1), DZ[:, t],
+                         out=DZ[:, t])
+        dc_next = dc * forget[:, t]
+        drec = workers.columns(dz, W_rec, H)
 
-            # LSTM step
-            dh = dq[:, :H] + dm_sum @ params.W_att_h + drec[:, H:]
-            dc = dc_next + dh * dc_dh[blk, t]
-            dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1),
-                             DZ[blk, t], out=DZ[blk, t])
-            dc_next = dc * forget[blk, t]
-            drec = dz @ W_rec
-        return drec, dc_next
-
-    drec, dc_next = map(np.concatenate, zip(*workers.run(recur, blocks)))
     dHx = cache.alpha.transpose(0, 2, 1) @ DCTX + _rows(dM, params.W_att_x, H)
     dHx[cache.last] += drec[:, H:]
 
     def gradients():
-        if DSCORES is not None:
-            # step by step in the sweep's order, activations recomputed
-            for t in range(T - 1, -1, -1):
-                m = np.tanh(np.add(keys, cache.query[:, t, None, :]))
-                np.add(dv, DSCORES[:, t].reshape(-1) @ _flat(m), out=dv)
         np.matmul(_flat(DPC).T, _flat(np.concatenate([hd, cache.ctx], axis=2)),
                   out=grads.W_comb)
         _flat(DPC).sum(axis=0, out=grads.b_comb)
@@ -502,19 +456,15 @@ def _encoder_backward(params: ModelParameters, cache: _BatchCache, dHx,
     EZ = cache.enc_gates
     W_h = params.W_enc[:, d:]
 
-    def recur(rows):
-        blk = slice(*rows)
-        dh_carry = np.zeros((blk.stop - blk.start, H), dtype=dtype)
-        dc_carry = np.zeros_like(dh_carry)
-        for n in range(S - 1, -1, -1):
-            dh = dh_carry + dHx[blk, n]
-            dc = dc_carry + dc_in[blk, n] + dh * dc_dh[blk, n]
-            dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1),
-                             EZ[blk, n], out=EZ[blk, n])
-            dc_carry = dc * forget[blk, n]
-            dh_carry = dz @ W_h
-
-    workers.run(recur, workers.blocks(B, H))
+    dh_carry = np.zeros((B, H), dtype=dtype)
+    dc_carry = np.zeros_like(dh_carry)
+    for n in range(S - 1, -1, -1):
+        dh = dh_carry + dHx[:, n]
+        dc = dc_carry + dc_in[:, n] + dh * dc_dh[:, n]
+        dz = np.multiply(np.concatenate([dc, dc, dc, dh], axis=1), EZ[:, n],
+                         out=EZ[:, n])
+        dc_carry = dc * forget[:, n]
+        dh_carry = workers.columns(dz, W_h, H)
     W_enc = grads.W_enc
     np.matmul(_flat(EZ).T, _flat(cache.x), out=W_enc[:, :d])
     np.matmul(_flat(EZ).T, _flat(_shifted(start, cache.Hx)), out=W_enc[:, d:])
@@ -535,11 +485,11 @@ def backward_pair(
     dhtil, dalpha_mix = _output_backward(params, cache, grads)
     dHx, dc_last, decoder_gradients = _decoder_backward(
         params, cache, dhtil, dalpha_mix, grads)
-    # independent, and each writes its own gradients: above the split rule
+    # independent, and each writes its own gradients: where work is split
     # the encoder's backward runs beside the decoder's gradient products
     workers.beside([decoder_gradients,
                     lambda: _encoder_backward(params, cache, dHx, dc_last, grads)],
-                   len(cache.src_len), params.hidden_size)
+                   params.hidden_size)
 
 
 def batch_loss_and_gradients(
@@ -607,24 +557,27 @@ def make_batches(
 # allocated two temporaries the size of each tensor.
 ADAM_CHUNK = 1 << 15
 
+# Adam's decay rates of the moments, and the epsilon added to the
+# denominator (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class AdamState:
     """Adam (Kingma & Ba, 2015), its moments m and v in params' layout."""
 
-    def __init__(self, params: ModelParameters, config: TrainingConfig):
+    def __init__(self, params: ModelParameters):
         self.m = replace(params, flat=np.zeros_like(params.flat))
         self.v = replace(params, flat=np.zeros_like(params.flat))
         self.scratch = np.empty((2, min(ADAM_CHUNK, params.flat.size)),
                                 dtype=params.flat.dtype)
         self.t = 0
-        self.beta1 = config.adam_beta1
-        self.beta2 = config.adam_beta2
-        self.epsilon = config.adam_epsilon
 
     def update(self, params: ModelParameters, grads: ModelParameters,
                learning_rate: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
@@ -648,7 +601,7 @@ class AdamState:
                 v += step
                 np.divide(v, corr2, out=denom)
                 np.sqrt(denom, out=denom)
-                denom += self.epsilon
+                denom += ADAM_EPSILON
                 np.divide(m, corr1, out=step)
                 step *= learning_rate
                 step /= denom
@@ -703,7 +656,7 @@ def train(
     logbook = TrainingLog()
     best = None     # the best epoch's parameters, once a later epoch runs
     lr = config.learning_rate
-    adam = AdamState(params, config)
+    adam = AdamState(params)
     # every batch's backward overwrites this one buffer
     grads = replace(params, flat=np.empty_like(params.flat))
     prev_dev = float("inf")

@@ -1,8 +1,14 @@
-"""Worker threads for large batches: how many, when to split, and the pool.
+"""Worker threads for large work: how many, when to split, and the pool.
 
-Training runs a large batch's time loops in row blocks, one block per
-thread, and decoding steps a large set of live hypotheses in blocks of
-whole beams.  numpy's matrix products and elementwise loops release the
+Training splits each time step's weight products by columns: two column
+halves, one per thread, each packing only its half of the weight
+(columns()).  Those are the forward's [h~; h] @ W_rec and h @ W_h, the
+backward's dz @ W_rec, dz @ W_h, dpre_c @ W_comb and dm_sum @ W_att_h,
+and the batch-wide products of the embeddings and the attention
+(model._rows); every step runs over the whole padded batch in one loop.
+The encoder's backward runs beside the decoder's gradient products
+(beside()).  Decoding multiplies each step's [h~; h] @ W_rec by column
+halves too.  numpy's matrix products and elementwise loops release the
 GIL, so at the paper's hidden size the threads overlap most of their work.
 
 There is no setting.  The worker count is derived once per process,
@@ -15,36 +21,27 @@ everything runs in the calling thread.  OPENBLAS_NUM_THREADS=1 lets the
 program use the cores itself.
 
 Splitting does not change results, at the hidden sizes LEAST_ROWS lists
-and on the OpenBLAS kernels probed there.  Every row of a block computes
-what the same row computes in the whole batch: OpenBLAS gives a row of a
-product the same bits for any number of rows as long as the product has
-more than one row and is above its small-matrix size (about 10^6
-multiply-adds), which blocks() keeps every block's (rows, k H) @ (k H,
-m H) products above, and numpy's elementwise loops give the same bits
-wherever a block starts.  Products that can fall below that size (the
-output layer's, and the embeddings' when narrower than H/2; see
-model._rows) and every sum over rows are computed whole, each by one
-thread, in the serial order.  Tier-1 tests check it at each listed size.
-
-Work that has no sum over rows is split the same way at those sizes:
-Adam's update, and the copies that save and load a model.
-
-A product whose rows are too few for two blocks is split by columns
-instead (columns()): two column halves, one per thread, each packing
-only its half of the weight.  That is the recurrent product of a time
-loop that stays in one block (h @ W_h in the encoder, [h~; h] @ W_rec in
-the decoder: the development loss's few pairs) and, in every decode
-step, [h~; h] @ W_rec for all live rows at once.  A column of a product
-has the same bits in a half as in the whole when the product has one row
-(numpy then calls OpenBLAS's gemv, whose halves give the whole gemv's
-bits, though not a gemm's) or each half has at least SMALL_PRODUCT
+and on the OpenBLAS kernels probed there.  A column of a product has the
+same bits in a half as in the whole when the product has one row (numpy
+then calls OpenBLAS's gemv, whose halves give the whole gemv's bits,
+though not a gemm's) or each half has at least SMALL_PRODUCT
 multiply-adds; a smaller half may take OpenBLAS's small-matrix kernel,
-with other bits.  Probed at float32 and float64 with R = 1, 2, 3, 4, 7,
-8, 16 and 33 rows, the same bits: (R, 1024) @ (1024, 2048) and (R, 512)
-@ (512, 2048), the loops' and the decode step's products at H=512.
-Other bits: (2, 512) @ (512, 1024), (2, 1024) @ (1024, 512) and (4, 512)
-@ (512, 512), whose halves fall below SMALL_PRODUCT and whose whole
-product does not (numpy's bundled OpenBLAS, x86-64 SkylakeX kernels).
+with other bits, so columns() multiplies such a product whole.  Probed
+at float32 and float64, H=256 and 512, R = 1 to 33, 64, 100, 300 and 465
+rows, same bits: (R, 2H) @ (2H, 4H), (R, H) @ (H, 4H), (R, d) @ (d, 4H)
+for d = 16 to 256, (R, 4H) @ (4H, 2H), (R, 4H) @ (4H, H), (R, H) @ (H,
+2H) and (R, H) @ (H, H), with the weight C- or F-contiguous.  Other bits
+where a half falls below SMALL_PRODUCT and the whole does not, such as
+(2, 512) @ (512, 1024) and (5, 256) @ (256, 256) (numpy's bundled
+OpenBLAS, x86-64 SkylakeX kernels).  The output layer's product, whose
+halves can hold a handful of columns, and every sum over rows are
+computed whole, each by one thread.  Tier-1 tests check it at each
+listed size.
+
+Row blocks (blocks()) serve only work with no sum over rows and no
+product whose rows could change bits: a decode step's blocks of whole
+runs, from the LSTM to the combiner, Adam's chunks, and the copies that
+save and load a model.
 
 At float64, the dtype decoding runs in, a row of a product has the
 same bits for every row count from 2 up, small products included; only
@@ -75,17 +72,17 @@ import numpy as np
 MAX_WORKERS = 2
 
 # The split rule, measured on a 2-core Xeon with one BLAS thread: the
-# hidden sizes where work is split, each with the fewest rows a block may
-# hold.  Tier-1 tests check at each of them that results do not depend
-# on the worker count; at any other size everything runs in the calling
-# thread.  Below 256 the per-step Python work, which holds the GIL,
-# dominates: at H=128 a training step in two blocks took 0.94-1.45 times
-# as long as in one, for 8 to 64 pairs.  The least rows keep a block's
-# smallest loop products, (rows, H) @ (H, H), above OpenBLAS's
-# small-matrix size (2^20 multiply-adds, probed: at H=512 a row of such a
-# product has the same bits for any row count from 4 up, not below) and
-# never fewer than the 4 rows probed.  There, two blocks took 0.68-0.91
-# times as long as one (8 to 64 pairs at H=512, 32 and 64 at H=256).
+# hidden sizes where work is split at all (column halves, beside() and
+# row blocks), each with the fewest rows a row block may hold.  Tier-1
+# tests check at each of them that results do not depend on the worker
+# count; at any other size everything runs in the calling thread.  Below
+# 256 the per-step Python work, which holds the GIL, dominates: at H=128
+# a threaded training step took 0.94-1.45 times as long as a serial one,
+# for 8 to 64 pairs.  The least rows keep a decode block's smallest
+# products, (rows, H) @ (H, H), above OpenBLAS's small-matrix size (2^20
+# multiply-adds, probed: at H=512 a row of such a product has the same
+# bits for any row count from 4 up, not below) and never fewer than the
+# 4 rows probed.
 LEAST_ROWS = {256: 16, 512: 4}
 
 # OpenBLAS's small-matrix size: a product of fewer multiply-adds may take
@@ -129,26 +126,18 @@ def splits(hidden_size: int) -> bool:
     return hidden_size in LEAST_ROWS and not _local.in_task and count() > 1
 
 
-def parts(rows: int, hidden_size: int) -> int:
-    """How many threads share a batch of rows at hidden size H: 1 where
-    splits() says no, otherwise as many as there are workers and blocks
-    of LEAST_ROWS[H] rows."""
-    if not splits(hidden_size):
-        return 1
-    return max(1, min(count(), rows // LEAST_ROWS[hidden_size]))
-
-
 def blocks(rows: int, hidden_size: int,
            ends: list[int] | None = None) -> list[tuple[int, int]]:
-    """parts() row ranges (b0, b1) that cover rows 0 to rows-1 in order,
-    their sizes differing by at most one.  With ends, the ascending row
-    indices where a block may end, each cut moves to the first of them at
-    or after it, and a cut that would leave a block under LEAST_ROWS[H]
-    rows goes."""
-    n = parts(rows, hidden_size)
-    if n == 1:
+    """Row ranges (b0, b1) that cover rows 0 to rows-1 in order, one per
+    worker where splits() says yes and each holds LEAST_ROWS[H] rows,
+    their sizes differing by at most one; otherwise [(0, rows)].  With
+    ends, the ascending row indices where a block may end, each cut moves
+    to the first of them at or after it, and a cut that would leave a
+    block under LEAST_ROWS[H] rows goes."""
+    if not splits(hidden_size):
         return [(0, rows)]
     least = LEAST_ROWS[hidden_size]
+    n = min(count(), rows // least)
     cuts = [rows * k // n for k in range(1, n)]
     if ends is not None:
         cuts = [ends[bisect.bisect_left(ends, cut)] for cut in cuts]
@@ -223,11 +212,11 @@ def run(fn, items: list) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def beside(tasks: list, rows: int, hidden_size: int) -> None:
-    """Call every task: side by side when a batch of rows at hidden size
-    H is split (parts() above 1), else one after another in order."""
-    if parts(rows, hidden_size) == 1:
+def beside(tasks: list, hidden_size: int) -> None:
+    """Call every task: side by side where splits() says yes at hidden
+    size H, else one after another in order."""
+    if splits(hidden_size):
+        run(lambda task: task(), tasks)
+    else:
         for task in tasks:
             task()
-    else:
-        run(lambda task: task(), tasks)

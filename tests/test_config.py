@@ -104,7 +104,6 @@ def test_invalid_training_value_becomes_config_error(tmp_path):
     for line in ("dropout = 1.5", "dropout = nan", "learning_rate = 0",
                  "minibatch_words = 0", "hidden_size = 0", "embed_size = 0",
                  "max_epochs = -1", "lex_weight = 2", "lex_weight = -0.1",
-                 "adam_beta1 = 1", "adam_beta2 = -0.5", "adam_epsilon = 0",
                  "decay_factor = 0", "decay_factor = 1.5", "dev_fraction = 1"):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match=line.split()[0]):

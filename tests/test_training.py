@@ -295,13 +295,12 @@ def test_the_best_epoch_is_returned_whether_or_not_it_is_the_last():
 def test_chunked_adam_equals_the_per_tensor_update(monkeypatch):
     # chunks of 100 elements split tensors and end short of the buffer
     monkeypatch.setattr(training, "ADAM_CHUNK", 100)
-    config = TrainingConfig()
     params = small_params(seed=3)
     want, m, v = params.copy(), params.copy(), params.copy()
     m.flat[:] = v.flat[:] = 0.0
-    adam = AdamState(params, config)
+    adam = AdamState(params)
     rng = np.random.default_rng(0)
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    b1, b2, eps = 0.9, 0.999, 1e-8
     for t in (1, 2, 3):
         grads = replace(params, flat=rng.standard_normal(params.flat.size)
                         .astype(params.flat.dtype))

@@ -3,11 +3,10 @@ decode step across them changes no bit of any result.
 
 Tier-1 runs with OpenBLAS's default thread count, where the program
 derives one worker, so the bit-identity checks set the worker count
-themselves.  Their shapes are above the split rule: each hidden size
-that workers.LEAST_ROWS lists, with at least two blocks of its least
-rows, pairs or live hypotheses.
+themselves, at each hidden size that workers.LEAST_ROWS lists.
 """
 
+import ast
 import concurrent.futures
 import json
 import os
@@ -18,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import patchloom
 from patchloom import training, workers
 from patchloom.cli import main
 from patchloom.decoding import Decoder, beam_search
@@ -139,6 +139,55 @@ def test_a_task_does_not_split_again(worker_count):
     assert inner == [[(0, rows)], [(0, rows)]]
 
 
+# every (k, m) weight shape a time loop or model._rows multiplies by
+# column halves at hidden size H: the forward's [h~; h] @ W_rec, h @ W_h,
+# the embeddings' and the attention keys' products, and the backward's
+# dz @ W_rec, dz @ W_h, dpre_c @ W_comb and dm_sum @ W_att_h
+def _column_shapes(H):
+    return [(2 * H, 4 * H), (H, 4 * H), (16, 4 * H), (H // 2, 4 * H), (H, H),
+            (4 * H, 2 * H), (4 * H, H), (H, 2 * H)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [256, 512])
+def test_column_halves_give_the_whole_products_bits(worker_count, hidden, dtype):
+    worker_count.use(2)
+    rng = np.random.default_rng(hidden)
+    for k, m in _column_shapes(hidden):
+        # column-major, as model.py keeps its weights, and C-contiguous
+        W = rng.standard_normal((m, k)).astype(dtype).T
+        for weight in (W, np.ascontiguousarray(W)):
+            for rows in range(1, 34):
+                a = rng.standard_normal((rows, k)).astype(dtype)
+                worker_count.tasks = 0
+                got = workers.columns(a, weight, hidden)
+                assert got.tobytes() == (a @ weight).tobytes(), (k, m, rows)
+                split = rows == 1 or rows * k * (m // 2) >= workers.SMALL_PRODUCT
+                assert (worker_count.tasks > 0) == split, (k, m, rows)
+
+
+def test_only_workers_imports_threading():
+    """One module decides how work is shared among threads."""
+    package = os.path.dirname(patchloom.__file__)
+    importers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] in ("threading", "concurrent")
+                   for module in modules):
+                importers.add(name)
+    assert importers == {"workers.py"}
+
+
 def test_run_keeps_order_and_raises_the_first_error(worker_count):
     worker_count.use(2)
     assert workers.run(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
@@ -185,7 +234,7 @@ def test_an_adam_update_is_bit_identical_with_more_workers(worker_count, fast_sw
     for n in (1, 2):
         worker_count.use(n)
         theta = params.copy()
-        adam = training.AdamState(theta, training.TrainingConfig())
+        adam = training.AdamState(theta)
         for _ in range(2):
             grads = params.copy()
             grads.flat[...] = rng.standard_normal(grads.flat.size)
@@ -196,19 +245,26 @@ def test_an_adam_update_is_bit_identical_with_more_workers(worker_count, fast_sw
     assert updated[0] == updated[1]
 
 
-# embed=H/2 also splits the products of the embeddings (model._rows)
-@pytest.mark.parametrize("hidden, embed, lex_weight, dropout, n_workers",
-                         [(512, 16, 0.0, 0.0, 2), (512, 16, 0.2, 0.3, 2),
-                          (512, 16, 0.2, 0.3, 4), (512, 256, 0.2, 0.3, 2),
-                          (256, 16, 0.2, 0.3, 2), (256, 128, 0.0, 0.0, 2)])
+# 1 to 5 pairs split the few products large enough, and every batch runs
+# the encoder's backward beside the decoder's gradient products
+@pytest.mark.parametrize("hidden, embed, lex_weight, dropout, n_workers, pairs", [
+    pytest.param(512, 16, 0.0, 0.0, 2, 19, id="512-16-0.0-0.0-2"),
+    pytest.param(512, 16, 0.2, 0.3, 2, 19, id="512-16-0.2-0.3-2"),
+    pytest.param(512, 16, 0.2, 0.3, 4, 19, id="512-16-0.2-0.3-4"),
+    pytest.param(512, 256, 0.2, 0.3, 2, 19, id="512-256-0.2-0.3-2"),
+    pytest.param(256, 16, 0.2, 0.3, 2, 67, id="256-16-0.2-0.3-2"),
+    pytest.param(256, 128, 0.0, 0.0, 2, 67, id="256-128-0.0-0.0-2"),
+    *[(hidden, 16, 0.2, 0.3, 2, pairs) for hidden in (512, 256)
+      for pairs in (1, 2, 3, 5)],
+])
 def test_a_training_step_is_bit_identical_with_more_workers(
-        worker_count, fast_switching, hidden, embed, lex_weight, dropout, n_workers):
+        worker_count, fast_switching, hidden, embed, lex_weight, dropout, n_workers,
+        pairs):
     params = _large_model(lex_weight=lex_weight, hidden=hidden, embed=embed)
-    least = workers.LEAST_ROWS[hidden]
     rng = np.random.default_rng(1)
     batch = [(rng.integers(3, 20, size=n).tolist(),
               rng.integers(4, 14, size=m).tolist() + [EOS_ID])
-             for n, m in rng.integers(1, 7, size=(4 * least + 3, 2))]
+             for n, m in rng.integers(1, 7, size=(pairs, 2))]
     results = []
     for n in (1, n_workers):
         worker_count.use(n)
@@ -220,6 +276,22 @@ def test_a_training_step_is_bit_identical_with_more_workers(
     assert loss1 == loss2
     for name, tensor in grads1.tensors().items():
         assert np.array_equal(tensor, getattr(grads2, name)), name
+
+
+def test_nothing_is_split_at_the_release_gates_hidden_size(worker_count):
+    """At H=128, where a threaded training step took up to 1.45 times as
+    long, a training step, a development loss and a decode hand no task
+    to a thread."""
+    params = _large_model(lex_weight=0.2, hidden=128, embed=64)
+    rng = np.random.default_rng(2)
+    batch = [(rng.integers(3, 20, size=n).tolist(),
+              rng.integers(4, 14, size=m).tolist() + [EOS_ID])
+             for n, m in rng.integers(1, 7, size=(40, 2))]
+    worker_count.use(2)
+    training.batch_loss_and_gradients(params, batch, np.random.default_rng(5), 0.3)
+    training.corpus_loss(params, batch[:3])
+    beam_search(params, [src for src, _ in batch], beam_size=3, max_len=5)
+    assert worker_count.tasks == 0
 
 
 @pytest.mark.parametrize("hidden, embed, lex_weight, n_workers",
@@ -256,8 +328,6 @@ def test_train_and_generate_write_the_same_files_with_two_workers(tmp_path,
     assert main(["mine", "--repo", str(repo_path), "--out", str(hunks)]) == 0
     assert main(["build-corpus", "--repo", str(repo_path), "--hunks", str(hunks),
                  "--test-year", "2015", "--out", str(corpus)]) == 0
-    train_pairs = len((corpus / "train.src").read_text().splitlines())
-    assert train_pairs >= 2 * LEAST + 2     # one batch above the rule
     written = []
     for n in (1, 2):
         worker_count.use(n)
@@ -305,7 +375,7 @@ def test_a_generator_that_cannot_advance_draws_serially(worker_count):
 
 
 # at H=256, two pairs' column halves would fall below OpenBLAS's
-# small-matrix size, so they are not split
+# small-matrix size, so no product splits
 @pytest.mark.parametrize("hidden, pairs, split", [
     (512, 1, True), (512, 2, True), (512, 3, True), (256, 2, False), (256, 5, True)])
 @pytest.mark.parametrize("embed", [16, 128])
@@ -320,7 +390,7 @@ def test_a_development_loss_is_bit_identical_with_more_workers(
     for n in (1, 2):
         worker_count.use(n)
         cache = training.forward_pair(params, dev)
-        # too few pairs for two blocks: the recurrent products split by columns
+        # products large enough split by columns
         assert (worker_count.tasks > 0) == (n > 1 and split)
         results.append((training.corpus_loss(params, dev),
                         [getattr(cache, name).tobytes()
